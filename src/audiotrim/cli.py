@@ -7,7 +7,6 @@ file), 2 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -87,22 +86,12 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args.config, args.seed, args.out)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    items = harness._build_dataset(cfg)
-    splits = harness.build_splits(harness.split_dataset(items, cfg.seed),
-                                  cfg.training.batch_size)
-    net = models.build_model(cfg.model, seed=cfg.seed)
-    tr = cfg.training
-    trainer = harness.adam_trainer(epochs=tr.epochs, batch_size=tr.batch_size,
-                                   lr=tr.lr, weight_decay=tr.weight_decay,
-                                   plateau_patience=tr.plateau_patience,
-                                   seed=cfg.seed)
+    splits, net, trainer = harness.setup(cfg)
     trainer(net, splits, record_step=None)
     nn.save_checkpoint(net, out / "model.ckpt")
-    losses = {
-        part: float(np.mean([models.compute_loss(net, b).data
-                             for b in getattr(splits, part)]))
-        for part in ("valid", "test")
-    }
+    losses = {part: pruning.mean_loss(net, getattr(splits, part),
+                                      models.compute_loss)
+              for part in ("valid", "test")}
     (out / "metrics.json").write_text(json.dumps(losses, indent=2) + "\n")
     print(f"saved {out / 'model.ckpt'} "
           f"(valid {losses['valid']:.4g}, test {losses['test']:.4g})")
@@ -140,12 +129,9 @@ def _cmd_analyze(args) -> int:
                          "pass --config")
     scores = cr.pool_scores(net, args.criterion, batches=batches)
     if args.out is not None:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pool", "unit", "score"])
-            for pid, vec in scores.items():
-                for i, s in enumerate(vec):
-                    writer.writerow([pid, i, f"{s:.10g}"])
+        harness.write_csv(args.out, ["pool", "unit", "score"],
+                          ([pid, i, f"{s:.10g}"] for pid, vec in scores.items()
+                           for i, s in enumerate(vec)))
     for pid, vec in scores.items():
         print(f"{pid}: {len(vec)} units, weakest {int(np.argmin(vec))} "
               f"({vec.min():.4g}), strongest {int(np.argmax(vec))} "
@@ -170,15 +156,17 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_synth(args) -> int:
     net = nn.load_checkpoint(args.model)
-    sr = net.meta.get("config", {}).get("sample_rate", 16000)
-    if net.arch == "wavenet":
-        wave = models.wavenet_generate(net, int(args.duration * sr),
-                                       seed=args.seed)
-    else:
-        hop = net.meta.get("config", {}).get("frame_hop", 200)
-        items = harness.gen_synthetic_tones(1, sr, max(args.duration, 0.25),
-                                            args.seed, frame_hop=hop)
-        wave = models.render(net, harness.collate(items))[0]
+    config = net.meta.get("config", {})
+    sr = config.get("sample_rate", 16000)
+
+    def tones():
+        # rendering models reconstruct one synthetic tone
+        return harness.collate(harness.gen_synthetic_tones(
+            1, sr, max(args.duration, 0.25), args.seed,
+            frame_hop=harness._tone_hop(net.arch, config)))
+
+    wave = nn.arch_spec(net.arch).sample(net, int(args.duration * sr),
+                                         args.seed, tones)
     harness.write_wav(args.out, wave, sr)
     print(f"wrote {args.out} ({len(wave) / sr:.2f} s at {sr} Hz)")
     return 0

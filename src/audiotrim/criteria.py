@@ -118,11 +118,6 @@ def _gradient_raw(net: Network, batches, loss_fn, mode: str) -> dict[str, np.nda
     return raw
 
 
-def score_gradient(layer: Layer, net: Network, batches,
-                   loss_fn=models.compute_loss, mode: str = "per_batch") -> np.ndarray:
-    return _gradient_raw(net, batches, loss_fn, mode)[layer.name]
-
-
 def _activation_raw(net: Network, batches) -> dict[str, np.ndarray]:
     if not batches:
         raise ValueError("activation scoring needs a nonempty validation set")
@@ -130,13 +125,6 @@ def _activation_raw(net: Network, batches) -> dict[str, np.ndarray]:
         for batch in batches:
             models.forward_batch(net, batch)
     return {name: np.asarray(v, dtype=np.float64) for name, v in tape.data.items()}
-
-
-def score_activation(layer: Layer, net: Network, batches) -> np.ndarray:
-    raw = _activation_raw(net, batches)
-    if layer.name not in raw:
-        raise ValueError(f"layer '{layer.name}' records no activations")
-    return raw[layer.name]
 
 
 def score_normalization(layer: Layer) -> np.ndarray:
@@ -228,15 +216,6 @@ def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig,
             scores[u] = mi_mod.estimate_mi(z_all[u], y_all, mi_cfg)
         raw[name] = scores
     return raw
-
-
-def score_information(layer: Layer, net: Network, items,
-                      mi_cfg: mi_mod.MiConfig = mi_mod.MiConfig(),
-                      window: int = 256) -> np.ndarray:
-    raw = _information_raw(net, items, mi_cfg, window, {layer.name})
-    if layer.name not in raw:
-        raise ValueError(f"layer '{layer.name}' records no activations")
-    return raw[layer.name]
 
 
 # -- scaling and pooling ------------------------------------------------------

@@ -44,9 +44,10 @@ billed as the consumer's input reads.
   (x read once, previous state read once, new state written once)
 
 Invocation rates: the autoregressive model runs every layer once per
-output sample; the frame-based models run once per frame, so per-sample
-costs amortize by the frame hop (the sample-level autoencoder has a hop
-of one).
+output sample; a frame-based model runs once per frame, so per-sample
+costs amortize by the frame hop its registered record reports (the
+sample-level autoencoder, like any arch without a frame hop, runs once
+per sample).
 """
 
 from __future__ import annotations
@@ -151,9 +152,7 @@ def invocations_per_second(net: nn.Network, sample_rate: int | None = None) -> f
     sr = sample_rate if sample_rate is not None else cfg.get("sample_rate")
     if sr is None:
         raise ValueError("sample_rate not given and absent from network metadata")
-    if net.arch == "ddsp":
-        return sr / cfg["frame_hop"]
-    return float(sr)
+    return sr / (nn.arch_spec(net.arch).frame_hop(cfg) or 1)
 
 
 def count_flops(net: nn.Network, sample_rate: int | None = None) -> float:
@@ -247,18 +246,24 @@ def pareto_front(points: list[tuple[float, float]]) -> list[tuple[float, float]]
     return front
 
 
+REPORT_COLUMNS = ["platform", "flops_per_audio_second", "disk_bytes",
+                  "rw_accesses_per_sample", "working_set_bytes",
+                  "realtime_ok", "embeddable_ok", "error_multiplier"]
+
+
+def report_row(r: EmbedReport) -> list:
+    """One report as CSV cells, in REPORT_COLUMNS order."""
+    return [r.platform, f"{r.flops_per_audio_second:.10g}", r.disk_bytes,
+            f"{r.rw_accesses_per_sample:.10g}", r.working_set_bytes,
+            int(r.realtime_ok), int(r.embeddable_ok),
+            f"{r.error_multiplier:.10g}"]
+
+
 def write_report_csv(path, reports: list[EmbedReport]):
-    cols = ["platform", "flops_per_audio_second", "disk_bytes",
-            "rw_accesses_per_sample", "working_set_bytes",
-            "realtime_ok", "embeddable_ok", "error_multiplier"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in reports:
-            writer.writerow([r.platform, f"{r.flops_per_audio_second:.10g}",
-                             r.disk_bytes, f"{r.rw_accesses_per_sample:.10g}",
-                             r.working_set_bytes, int(r.realtime_ok),
-                             int(r.embeddable_ok), f"{r.error_multiplier:.10g}"])
+        writer.writerow(REPORT_COLUMNS)
+        writer.writerows(report_row(r) for r in reports)
 
 
 def summarize(reports: list[EmbedReport]) -> str:

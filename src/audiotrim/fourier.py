@@ -68,9 +68,3 @@ def ifft(x: np.ndarray) -> np.ndarray:
     """Inverse DFT of the last axis (unitary 1/n convention)."""
     n = x.shape[-1]
     return np.conj(fft(np.conj(x))) / n
-
-
-def rfft_onesided(x: np.ndarray) -> np.ndarray:
-    """FFT of real input, keeping bins 0..n/2 inclusive."""
-    n = x.shape[-1]
-    return fft(x)[..., : n // 2 + 1]

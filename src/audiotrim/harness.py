@@ -10,6 +10,7 @@ and a MANIFEST listing every artifact with the config hash. Identical
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -360,7 +361,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # -- Adam training ------------------------------------------------------------------
 
 
-def adam_trainer(epochs: int = 30, batch_size: int = 64, lr: float = 1e-3,
+def adam_trainer(epochs: int = 30, lr: float = 1e-3,
                  weight_decay: float = 2e-4, plateau_patience: int = 10,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  seed: int = 0, loss_fn=models.compute_loss):
@@ -372,8 +373,8 @@ def adam_trainer(epochs: int = 30, batch_size: int = 64, lr: float = 1e-3,
     returned callable follows the pruning trainer contract: it trains the
     net in place and returns the parameter snapshot after ``record_step``
     optimizer steps (0 = the initial values) when one is requested.
+    Batching is fixed upstream, in the splits.
     """
-    del batch_size  # batching is fixed upstream in the splits
 
     def train(net, splits, record_step=None, after_step=None):
         state_k = net.param_state() if record_step == 0 else None
@@ -410,10 +411,7 @@ def adam_trainer(epochs: int = 30, batch_size: int = 64, lr: float = 1e-3,
                 if record_step == t:
                     state_k = net.param_state()
             net.zero_grad()
-            net.eval()
-            with T.no_grad():
-                vloss = float(np.mean([loss_fn(net, b).data
-                                       for b in splits.valid]))
+            vloss = pruning.mean_loss(net, splits.valid, loss_fn)
             if vloss < best:
                 best = vloss
                 stalled = 0
@@ -435,13 +433,37 @@ def adam_trainer(epochs: int = 30, batch_size: int = 64, lr: float = 1e-3,
 # -- experiment orchestration ----------------------------------------------------
 
 
+def _tone_hop(arch: str, model: dict) -> int:
+    # per-sample models take no frame conditioning: 200-sample tone frames
+    return nn.arch_spec(arch).frame_hop(model) or 200
+
+
 def _build_dataset(cfg: ExperimentConfig) -> list[dict]:
     ds = cfg.dataset
     if ds.kind == "wav_dir":
         return load_wav_dir(ds.wav_dir, ds.sr)
-    hop = cfg.model.frame_hop if cfg.model.arch == "ddsp" else 200
+    hop = _tone_hop(cfg.model.arch, dataclasses.asdict(cfg.model))
     return gen_synthetic_tones(ds.n_items, ds.sr, ds.duration, cfg.seed,
                                frame_hop=hop)
+
+
+def setup(cfg: ExperimentConfig):
+    """Splits, a fresh network and its Adam trainer for one config."""
+    items = _build_dataset(cfg)
+    splits = build_splits(split_dataset(items, cfg.seed), cfg.training.batch_size)
+    net = models.build_model(cfg.model, seed=cfg.seed)
+    tr = cfg.training
+    trainer = adam_trainer(epochs=tr.epochs, lr=tr.lr,
+                           weight_decay=tr.weight_decay,
+                           plateau_patience=tr.plateau_patience, seed=cfg.seed)
+    return splits, net, trainer
+
+
+def write_csv(path, header: list, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _emit_samples(out: Path, trace: pruning.ImpTrace, splits: pruning.Splits,
@@ -449,14 +471,11 @@ def _emit_samples(out: Path, trace: pruning.ImpTrace, splits: pruning.Splits,
     picks = sorted({0, len(trace.records) // 2, len(trace.records) - 1})
     sample_dir = out / "samples"
     sample_dir.mkdir(exist_ok=True)
-    batch = splits.test[0]
     for idx in picks:
         it = trace.records[idx].iteration
         net = nn.load_checkpoint(out / f"iter_{it:02d}.ckpt")
-        if net.arch == "wavenet":
-            wave = models.wavenet_generate(net, int(0.25 * sr), seed=0)
-        else:
-            wave = models.render(net, batch)[0]
+        wave = nn.arch_spec(net.arch).sample(net, int(0.25 * sr), 0,
+                                             lambda: splits.test[0])
         write_wav(sample_dir / f"iter_{it:02d}.wav", wave, sr)
 
 
@@ -467,31 +486,18 @@ def _emit_embed_reports(out: Path, trace: pruning.ImpTrace,
         net = nn.load_checkpoint(out / f"iter_{rec.iteration:02d}.ckpt")
         for rep in embed.analyze(net, profiles,
                                  error_multiplier=rec.test_error_multiplier):
-            rows.append((rec.iteration, rep))
-    with open(out / "embed_reports.csv", "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        writer.writerow(["iteration", "platform", "flops_per_audio_second",
-                         "disk_bytes", "rw_accesses_per_sample",
-                         "working_set_bytes", "realtime_ok", "embeddable_ok",
-                         "error_multiplier"])
-        for it, r in rows:
-            writer.writerow([it, r.platform, f"{r.flops_per_audio_second:.10g}",
-                             r.disk_bytes, f"{r.rw_accesses_per_sample:.10g}",
-                             r.working_set_bytes, int(r.realtime_ok),
-                             int(r.embeddable_ok), f"{r.error_multiplier:.10g}"])
+            rows.append([rec.iteration] + embed.report_row(rep))
+    write_csv(out / "embed_reports.csv", ["iteration"] + embed.REPORT_COLUMNS,
+               rows)
 
 
 def _emit_pareto(out: Path, trace: pruning.ImpTrace):
     points = [(r.test_error_multiplier, r.flops_per_second_audio)
               for r in trace.records]
-    front = embed.pareto_front(points)
-    with open(out / "pareto.csv", "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        writer.writerow(["flops_per_second_audio", "test_error_multiplier"])
-        for err, cost in front:
-            writer.writerow([f"{cost:.10g}", f"{err:.10g}"])
+    write_csv(out / "pareto.csv",
+               ["flops_per_second_audio", "test_error_multiplier"],
+               ([f"{cost:.10g}", f"{err:.10g}"]
+                for err, cost in embed.pareto_front(points)))
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, status: str):
@@ -512,15 +518,7 @@ def run_experiment(cfg: ExperimentConfig) -> pruning.ImpTrace:
     (out / "config.json").write_text(
         json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
     try:
-        items = _build_dataset(cfg)
-        split = split_dataset(items, cfg.seed)
-        splits = build_splits(split, cfg.training.batch_size)
-        net = models.build_model(cfg.model, seed=cfg.seed)
-        tr = cfg.training
-        trainer = adam_trainer(epochs=tr.epochs, batch_size=tr.batch_size,
-                               lr=tr.lr, weight_decay=tr.weight_decay,
-                               plateau_patience=tr.plateau_patience,
-                               seed=cfg.seed)
+        splits, net, trainer = setup(cfg)
         trace = pruning.run_imp(net, splits, cfg.imp, trainer, out_dir=out)
         profiles = embed.load_platforms(cfg.platforms)
         _emit_embed_reports(out, trace, profiles)
@@ -553,21 +551,15 @@ def run_paired(cfg: ExperimentConfig) -> dict:
         sub = dataclasses.replace(cfg, imp=imp,
                                   output_dir=str(out / mode))
         traces[mode] = run_experiment(sub)
-    rows = max(len(t.records) for t in traces.values())
-    with open(out / "paired.csv", "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
-        writer.writerow(["iteration",
-                         "trim_weights_remaining_frac", "trim_error_multiplier",
-                         "mask_weights_remaining_frac", "mask_error_multiplier"])
-        for i in range(rows):
-            row = [i]
-            for mode in ("trim", "mask"):
-                recs = traces[mode].records
-                if i < len(recs):
-                    row += [f"{recs[i].weights_remaining_frac:.10g}",
-                            f"{recs[i].test_error_multiplier:.10g}"]
-                else:
-                    row += ["", ""]
-            writer.writerow(row)
+    rows = []
+    for i in range(max(len(t.records) for t in traces.values())):
+        row = [i]
+        for recs in (traces["trim"].records, traces["mask"].records):
+            row += ([f"{recs[i].weights_remaining_frac:.10g}",
+                     f"{recs[i].test_error_multiplier:.10g}"]
+                    if i < len(recs) else ["", ""])
+        rows.append(row)
+    write_csv(out / "paired.csv",
+               ["iteration", "trim_weights_remaining_frac", "trim_error_multiplier",
+                "mask_weights_remaining_frac", "mask_error_multiplier"], rows)
     return traces

@@ -1,6 +1,8 @@
 """Desk-scale generative audio models and their losses.
 
-Three architectures, each built as a Network with full trim wiring:
+Three architectures, each built as a Network with full trim wiring and
+described once, by the nn.ArchSpec record registered beside its builder
+and forward (inputs from a batch, loss, sampler, frame hop):
 
 * "wavenet": stacked gated dilated causal convolutions over mu-law
   classes, trained with teacher forcing and sampled autoregressively.
@@ -11,7 +13,8 @@ Three architectures, each built as a Network with full trim wiring:
 * "ddsp": GRU + dense decoder emitting per-frame controls for a
   differentiable harmonic-plus-filtered-noise synthesiser.
 
-All waveforms live in [-1, 1] at a fixed sample rate.
+build_model, forward_batch and compute_loss dispatch through that
+record. All waveforms live in [-1, 1] at a fixed sample rate.
 """
 
 from __future__ import annotations
@@ -60,12 +63,6 @@ class ModelConfig:
                                  self.spec_hop_fraction, self.spec_epsilon)
 
 
-def spectrogram_from_meta(meta: dict) -> SpectrogramConfig:
-    cfg = meta["config"]
-    return SpectrogramConfig(tuple(cfg["spec_windows"]),
-                             cfg["spec_hop_fraction"], cfg["spec_epsilon"])
-
-
 # -- mu-law ----------------------------------------------------------------
 
 
@@ -92,15 +89,45 @@ class MuLawCodec:
         return self.expand(f).astype(np.float32)
 
 
-# -- builders ----------------------------------------------------------------
+# -- dispatch through the registered records --------------------------------
 
 
 def build_model(cfg: ModelConfig, seed: int = 0) -> Network:
-    builders = {"wavenet": _build_wavenet, "sing_ae": _build_sing,
-                "ddsp": _build_ddsp}
-    if cfg.arch not in builders:
-        raise ValueError(f"unknown arch '{cfg.arch}', expected one of {sorted(builders)}")
-    return builders[cfg.arch](cfg, np.random.default_rng(seed))
+    return nn.arch_spec(cfg.arch).build(cfg, np.random.default_rng(seed))
+
+
+def forward_batch(net: Network, batch: dict):
+    """The arch's forward pass on a batch dict (for scoring passes)."""
+    return net.forward(nn.arch_spec(net.arch).inputs(batch))
+
+
+def compute_loss(net: Network, batch: dict) -> Tensor:
+    """Training objective on one batch; batch["wave"] is (batch, time)."""
+    return nn.arch_spec(net.arch).loss(net, batch)
+
+
+def _waves(batch: dict) -> np.ndarray:
+    return np.asarray(batch["wave"], dtype=np.float32)
+
+
+def _spectral_loss(render):
+    """Multiscale spectral loss of render(net, batch) against the batch."""
+    def loss(net: Network, batch: dict) -> Tensor:
+        spec = ModelConfig(**net.meta["config"]).spectrogram()
+        return multiscale_spectral_loss(render(net, batch), _waves(batch), spec)
+    return loss
+
+
+def _render_first(render):
+    """A sampler returning render(net, batch)'s first item, for the batch
+    conditioning() builds."""
+    def sample(net: Network, n_samples: int, seed: int, conditioning):
+        with T.no_grad():
+            return render(net, conditioning()).data[0]
+    return sample
+
+
+# -- wavenet -------------------------------------------------------------------
 
 
 def wavenet_dilations(cfg: ModelConfig) -> list[int]:
@@ -173,6 +200,46 @@ def _forward_wavenet(net: Network, x: Tensor) -> Tensor:
     return out
 
 
+def _wavenet_loss(net: Network, batch: dict) -> Tensor:
+    codec = MuLawCodec(net.meta["config"]["n_classes"] - 1)
+    targets = codec.encode(_waves(batch))[:, 1:]
+    return nll_from_logits(forward_batch(net, batch), targets)
+
+
+def wavenet_generate(net: Network, n_samples: int, seed: int,
+                     temperature: float = 1.0) -> np.ndarray:
+    """Sample a waveform autoregressively; deterministic given the seed."""
+    cfg = ModelConfig(**net.meta["config"])
+    codec = MuLawCodec(cfg.n_classes - 1)
+    rf = receptive_field(cfg)
+    buf = np.zeros(rf, dtype=np.float32)
+    rng = np.random.default_rng(seed)
+    out = np.empty(n_samples, dtype=np.float32)
+    with T.no_grad():
+        for i in range(n_samples):
+            logits = net.forward(Tensor(buf[None, None, :])).data[0, :, -1]
+            logits = logits / max(temperature, 1e-6)
+            p = np.exp((logits - logits.max()).astype(np.float64))
+            p /= p.sum()
+            idx = rng.choice(cfg.n_classes, p=p)
+            x = codec.decode(np.array([idx]))[0]
+            out[i] = x
+            buf = np.roll(buf, -1)
+            buf[-1] = x
+    return out
+
+
+nn.register_arch("wavenet", nn.ArchSpec(
+    build=_build_wavenet, forward=_forward_wavenet, loss=_wavenet_loss,
+    # teacher forcing: each sample but the last predicts its successor
+    inputs=lambda batch: Tensor(_waves(batch)[:, None, :-1]),
+    sample=lambda net, n_samples, seed, conditioning:
+        wavenet_generate(net, n_samples, seed)))
+
+
+# -- sing autoencoder ------------------------------------------------------------
+
+
 def _build_sing(cfg: ModelConfig, rng) -> Network:
     if cfg.n_conv_layers < 2:
         raise ValueError("autoencoder needs at least two conv layers")
@@ -207,42 +274,15 @@ def _forward_sing(net: Network, x: Tensor) -> Tensor:
     return out
 
 
-def _build_ddsp(cfg: ModelConfig, rng) -> Network:
-    layers = [
-        nn.make_gru("gru", 2, cfg.gru_units, rng),
-        nn.make_linear("dense0", cfg.gru_units, cfg.dense_units, rng, in_source="gru"),
-        nn.make_linear("dense1", cfg.dense_units, cfg.dense_units, rng, in_source="dense0"),
-        nn.make_linear("amp_head", cfg.dense_units, 1, rng, in_source="dense1"),
-        nn.make_linear("harm_head", cfg.dense_units, cfg.n_partials, rng, in_source="dense1"),
-        nn.make_linear("noise_head", cfg.dense_units, cfg.noise_bins, rng, in_source="dense1"),
-    ]
-    meta = {"config": asdict(cfg)}
-    return Network("ddsp", layers, protected={"amp_head", "harm_head", "noise_head"},
-                   meta=meta)
+def _sing_render(net: Network, batch: dict) -> Tensor:
+    """(batch, time) reconstruction of the batch's waves."""
+    return T.reshape(forward_batch(net, batch), _waves(batch).shape)
 
 
-def _forward_ddsp(net: Network, feats: Tensor) -> dict[str, Tensor]:
-    """feats: (batch, frames, 2) scaled f0 and loudness; returns controls."""
-    h = nn.gru_scan(net.layers["gru"], feats)
-    nn.record("gru", h, -1)
-    h = T.relu(nn.linear_forward(net.layers["dense0"], h))
-    nn.record("dense0", h, -1)
-    h = T.relu(nn.linear_forward(net.layers["dense1"], h))
-    nn.record("dense1", h, -1)
-    amp = T.sigmoid(nn.linear_forward(net.layers["amp_head"], h))
-    harm = T.sigmoid(nn.linear_forward(net.layers["harm_head"], h))
-    # harmonic distribution sums to one so overall level lives in amp
-    harm = T.div(harm, T.tsum(harm, axis=-1, keepdims=True))
-    noise = T.sigmoid(nn.linear_forward(net.layers["noise_head"], h))
-    nn.record("amp_head", amp, -1)
-    nn.record("harm_head", harm, -1)
-    nn.record("noise_head", noise, -1)
-    return {"amp": amp, "harm": harm, "noise": noise}
-
-
-nn.register_forward("wavenet", _forward_wavenet)
-nn.register_forward("sing_ae", _forward_sing)
-nn.register_forward("ddsp", _forward_ddsp)
+nn.register_arch("sing_ae", nn.ArchSpec(
+    build=_build_sing, forward=_forward_sing,
+    inputs=lambda batch: Tensor(_waves(batch)[:, None, :]),
+    loss=_spectral_loss(_sing_render), sample=_render_first(_sing_render)))
 
 
 # -- harmonic-plus-noise synthesis -------------------------------------------
@@ -331,9 +371,50 @@ def ddsp_features(f0_frames: np.ndarray, loud_frames: np.ndarray) -> np.ndarray:
 
 
 def ddsp_render(net: Network, batch: dict) -> Tensor:
-    feats = Tensor(ddsp_features(batch["f0"], batch["loud"]))
-    controls = net.forward(feats)
-    return ddsp_synthesize(controls, batch["f0"], net.meta)
+    return ddsp_synthesize(forward_batch(net, batch), batch["f0"], net.meta)
+
+
+# -- ddsp ------------------------------------------------------------------------
+
+
+def _build_ddsp(cfg: ModelConfig, rng) -> Network:
+    layers = [
+        nn.make_gru("gru", 2, cfg.gru_units, rng),
+        nn.make_linear("dense0", cfg.gru_units, cfg.dense_units, rng, in_source="gru"),
+        nn.make_linear("dense1", cfg.dense_units, cfg.dense_units, rng, in_source="dense0"),
+        nn.make_linear("amp_head", cfg.dense_units, 1, rng, in_source="dense1"),
+        nn.make_linear("harm_head", cfg.dense_units, cfg.n_partials, rng, in_source="dense1"),
+        nn.make_linear("noise_head", cfg.dense_units, cfg.noise_bins, rng, in_source="dense1"),
+    ]
+    meta = {"config": asdict(cfg)}
+    return Network("ddsp", layers, protected={"amp_head", "harm_head", "noise_head"},
+                   meta=meta)
+
+
+def _forward_ddsp(net: Network, feats: Tensor) -> dict[str, Tensor]:
+    """feats: (batch, frames, 2) scaled f0 and loudness; returns controls."""
+    h = nn.gru_scan(net.layers["gru"], feats)
+    nn.record("gru", h, -1)
+    h = T.relu(nn.linear_forward(net.layers["dense0"], h))
+    nn.record("dense0", h, -1)
+    h = T.relu(nn.linear_forward(net.layers["dense1"], h))
+    nn.record("dense1", h, -1)
+    amp = T.sigmoid(nn.linear_forward(net.layers["amp_head"], h))
+    harm = T.sigmoid(nn.linear_forward(net.layers["harm_head"], h))
+    # harmonic distribution sums to one so overall level lives in amp
+    harm = T.div(harm, T.tsum(harm, axis=-1, keepdims=True))
+    noise = T.sigmoid(nn.linear_forward(net.layers["noise_head"], h))
+    nn.record("amp_head", amp, -1)
+    nn.record("harm_head", harm, -1)
+    nn.record("noise_head", noise, -1)
+    return {"amp": amp, "harm": harm, "noise": noise}
+
+
+nn.register_arch("ddsp", nn.ArchSpec(
+    build=_build_ddsp, forward=_forward_ddsp,
+    inputs=lambda batch: Tensor(ddsp_features(batch["f0"], batch["loud"])),
+    loss=_spectral_loss(ddsp_render), sample=_render_first(ddsp_render),
+    frame_hop=lambda config: config["frame_hop"]))
 
 
 # -- losses -------------------------------------------------------------------
@@ -363,76 +444,3 @@ def multiscale_spectral_loss(pred: Tensor, target: np.ndarray,
         term = T.tmean(T.tabs(T.sub(p, q)))
         total = term if total is None else T.add(total, term)
     return total
-
-
-def forward_batch(net: Network, batch: dict):
-    """Arch-appropriate forward pass on a batch dict (for scoring passes).
-
-    Custom architectures provide their network input directly under "x".
-    """
-    if net.arch == "wavenet":
-        wave = np.asarray(batch["wave"], dtype=np.float32)
-        return net.forward(Tensor(wave[:, None, :-1]))
-    if net.arch == "sing_ae":
-        wave = np.asarray(batch["wave"], dtype=np.float32)
-        return net.forward(Tensor(wave[:, None, :]))
-    if net.arch == "ddsp":
-        return net.forward(Tensor(ddsp_features(batch["f0"], batch["loud"])))
-    if "x" in batch:
-        return net.forward(Tensor(np.asarray(batch["x"], dtype=np.float32)))
-    raise ValueError(f"no forward wrapper for arch '{net.arch}'")
-
-
-def compute_loss(net: Network, batch: dict) -> Tensor:
-    """Training objective on one batch; batch["wave"] is (batch, time)."""
-    wave = np.asarray(batch["wave"], dtype=np.float32)
-    if net.arch == "wavenet":
-        codec = MuLawCodec(net.meta["config"]["n_classes"] - 1)
-        logits = net.forward(Tensor(wave[:, None, :-1]))
-        return nll_from_logits(logits, codec.encode(wave)[:, 1:])
-    spec = spectrogram_from_meta(net.meta)
-    if net.arch == "sing_ae":
-        recon = net.forward(Tensor(wave[:, None, :]))
-        return multiscale_spectral_loss(
-            T.reshape(recon, (wave.shape[0], wave.shape[1])), wave, spec)
-    if net.arch == "ddsp":
-        return multiscale_spectral_loss(ddsp_render(net, batch), wave, spec)
-    raise ValueError(f"no loss defined for arch '{net.arch}'")
-
-
-# -- sampling -----------------------------------------------------------------
-
-
-def wavenet_generate(net: Network, n_samples: int, seed: int,
-                     temperature: float = 1.0) -> np.ndarray:
-    """Sample a waveform autoregressively; deterministic given the seed."""
-    cfg = ModelConfig(**net.meta["config"])
-    codec = MuLawCodec(cfg.n_classes - 1)
-    rf = receptive_field(cfg)
-    buf = np.zeros(rf, dtype=np.float32)
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_samples, dtype=np.float32)
-    with T.no_grad():
-        for i in range(n_samples):
-            logits = net.forward(Tensor(buf[None, None, :])).data[0, :, -1]
-            logits = logits / max(temperature, 1e-6)
-            p = np.exp((logits - logits.max()).astype(np.float64))
-            p /= p.sum()
-            idx = rng.choice(cfg.n_classes, p=p)
-            sample = codec.decode(np.array([idx]))[0]
-            out[i] = sample
-            buf = np.roll(buf, -1)
-            buf[-1] = sample
-    return out
-
-
-def render(net: Network, batch: dict) -> np.ndarray:
-    """Arch-appropriate deterministic reconstruction of a batch."""
-    wave = np.asarray(batch["wave"], dtype=np.float32)
-    with T.no_grad():
-        if net.arch == "sing_ae":
-            out = net.forward(Tensor(wave[:, None, :]))
-            return out.data.reshape(wave.shape)
-        if net.arch == "ddsp":
-            return ddsp_render(net, batch).data
-    raise ValueError(f"render() supports sing_ae and ddsp, not '{net.arch}'")

@@ -13,6 +13,10 @@ From that wiring both pruning modes follow:
 The two must agree: a trimmed forward pass matches the equivalently
 masked one to float precision. Checkpoints serialise the full structure
 (not just weights) so a trimmed network round-trips byte for byte.
+
+Each arch name maps to one registered ArchSpec record (builder, forward,
+batch inputs, loss, sampler, frame hop); `models` registers the audio
+families, this module the plain "sequential" chain.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import json
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,11 +144,43 @@ class Pool:
     orig: int
 
 
-_FORWARDS: dict = {}
+# -- architecture registry ---------------------------------------------
 
 
-def register_forward(arch: str, fn):
-    _FORWARDS[arch] = fn
+def _missing(what: str):
+    def fail(owner, *args, **kwargs):
+        raise StructureError(f"no {what} registered for arch '{owner.arch}' "
+                             "(unknown arch, or its record has none)")
+    return fail
+
+
+@dataclass(frozen=True)
+class ArchSpec:
+    """Everything that sets one architecture apart. build(model_config,
+    rng) makes a Network; inputs(batch) is forward(net, x)'s argument
+    from a batch dict; loss(net, batch) is the training objective;
+    sample(net, n_samples, seed, conditioning) generates a waveform from
+    the seed or renders the first item of the batch conditioning()
+    builds; frame_hop(config) is the samples per invocation of a
+    frame-rate model, None for a per-sample one. Unregistered archs get
+    every default."""
+    build: Callable = _missing("builder")
+    forward: Callable = _missing("forward")
+    inputs: Callable = lambda batch: Tensor(np.asarray(batch["x"], dtype=np.float32))
+    loss: Callable = _missing("loss")
+    sample: Callable = _missing("sampler")
+    frame_hop: Callable = lambda config: None
+
+
+_ARCHS: dict[str, ArchSpec] = {}
+
+
+def register_arch(name: str, spec: ArchSpec):
+    _ARCHS[name] = spec
+
+
+def arch_spec(name: str) -> ArchSpec:
+    return _ARCHS.get(name, ArchSpec())
 
 
 class Tape:
@@ -313,10 +350,7 @@ class Network:
         return self
 
     def forward(self, *args, **kwargs):
-        fn = _FORWARDS.get(self.arch)
-        if fn is None:
-            raise StructureError(f"no forward registered for arch '{self.arch}'")
-        return fn(self, *args, **kwargs)
+        return arch_spec(self.arch).forward(self, *args, **kwargs)
 
     def clone(self) -> "Network":
         layers = []
@@ -601,7 +635,7 @@ def sequential_forward(net: Network, x: Tensor) -> Tensor:
     return x
 
 
-register_forward("sequential", sequential_forward)
+register_arch("sequential", ArchSpec(forward=sequential_forward))
 
 
 # -- checkpoints ---------------------------------------------------------

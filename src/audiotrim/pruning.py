@@ -447,7 +447,8 @@ def sgd_trainer(steps: int, lr: float = 0.05, weight_decay: float = 0.0,
     return train
 
 
-def _mean_loss(net, items, loss_fn) -> float:
+def mean_loss(net, items, loss_fn) -> float:
+    """Mean loss over batches, in eval mode and without a graph."""
     net.eval()
     with T.no_grad():
         return float(np.mean([loss_fn(net, b).data for b in items]))
@@ -509,8 +510,8 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
     _, total_weights = cur.weight_counts()
 
     def measure():
-        valid_loss = _mean_loss(cur, data.valid, loss_fn)
-        test_loss = _mean_loss(cur, data.test, loss_fn)
+        valid_loss = mean_loss(cur, data.valid, loss_fn)
+        test_loss = mean_loss(cur, data.test, loss_fn)
         if mask is None:
             w_rem, w_orig = cur.weight_counts()
             weights_frac = w_rem / w_orig

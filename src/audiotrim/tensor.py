@@ -80,9 +80,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
@@ -379,8 +376,9 @@ def _unary(a: Tensor, fn, dfn, op: str) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
         out = _node(fn(a.data), (a,), op)
     if out.requires_grad:
+        y = out.data  # not out: a closure holding its own node makes a cycle
         def _bw(g):
-            a.accumulate_grad(g * dfn(a.data, out.data))
+            a.accumulate_grad(g * dfn(a.data, y))
         out._backward = _bw
     return out
 

@@ -167,6 +167,46 @@ class TestSynth:
         assert np.all(np.isfinite(wave))
 
 
+TINY_MODELS = {
+    # synth draws 40 samples: --duration 0.005 at 8 kHz
+    "wavenet": ({"arch": "wavenet", "sample_rate": 8000, "n_stacks": 1,
+                 "blocks_per_stack": 2, "residual_channels": 3,
+                 "gate_channels": 4, "skip_channels": 3, "head_channels": 4,
+                 "n_classes": 16},
+                8000, ["--duration", "0.005"], 40),
+    # synth renders one 0.25 s tone: 40 frames of 100 samples
+    "ddsp": ({"arch": "ddsp", "gru_units": 4, "dense_units": 4,
+              "n_partials": 4, "noise_bins": 5, "frame_hop": 100,
+              "spec_windows": [64, 128]},
+             16000, [], 4000),
+}
+
+
+@pytest.mark.parametrize("arch", sorted(TINY_MODELS))
+def test_train_then_synth(arch, tmp_path):
+    model, sr, synth_flags, n_samples = TINY_MODELS[arch]
+    doc = {"model": model,
+           "dataset": {"n_items": 10, "sr": sr, "duration": 0.25},
+           "training": {"epochs": 1, "batch_size": 8},
+           "output_dir": str(tmp_path / "dense"), "seed": 2}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    metrics = json.loads((tmp_path / "dense" / "metrics.json").read_text())
+    assert all(np.isfinite(v) for v in metrics.values())
+    waves = []
+    for name in ("a.wav", "b.wav"):
+        rc = cli.main(["synth", "--model", str(tmp_path / "dense" / "model.ckpt"),
+                       "--out", str(tmp_path / name), "--seed", "1"]
+                      + synth_flags)
+        assert rc == 0
+        waves.append((tmp_path / name).read_bytes())
+    assert waves[0] == waves[1]
+    wave = harness.read_wav(tmp_path / "a.wav", sr)
+    assert len(wave) == n_samples
+    assert np.all(np.isfinite(wave)) and np.all(np.abs(wave) <= 1)
+
+
 class TestEntryPoint:
     def test_console_script_or_module_runs(self, tmp_path):
         if shutil.which("audiotrim"):

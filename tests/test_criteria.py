@@ -44,12 +44,32 @@ def _probe_forward(net, x):
     return x
 
 
-nn.register_forward("probe", _probe_forward)
+nn.register_arch("probe", nn.ArchSpec(forward=_probe_forward))
 
 
 def probe_net(n_units):
     rng = np.random.default_rng(0)
     return nn.Network("probe", [nn.make_linear("probe", n_units, n_units, rng)])
+
+
+# one layer's raw scores, from the all-layer passes the criteria run
+def score_gradient(layer, net, batches, loss_fn=models.compute_loss,
+                   mode="per_batch"):
+    return cr._gradient_raw(net, batches, loss_fn, mode)[layer.name]
+
+
+def score_activation(layer, net, batches):
+    raw = cr._activation_raw(net, batches)
+    if layer.name not in raw:
+        raise ValueError(f"layer '{layer.name}' records no activations")
+    return raw[layer.name]
+
+
+def score_information(layer, net, items, mi_cfg=mi_mod.MiConfig(), window=256):
+    raw = cr._information_raw(net, items, mi_cfg, window, {layer.name})
+    if layer.name not in raw:
+        raise ValueError(f"layer '{layer.name}' records no activations")
+    return raw[layer.name]
 
 
 def _sum_loss(layer_names):
@@ -156,8 +176,8 @@ class TestGradient:
         net = nn.Network("custom", [nn.make_linear("lin", 2, 2,
                                                    np.random.default_rng(0))])
         batch = {"x": [[1.0, 2.0]]}
-        scores = cr.score_gradient(net.layers["lin"], net, [batch],
-                                   loss_fn=_sum_loss(["lin"]))
+        scores = score_gradient(net.layers["lin"], net, [batch],
+                                loss_fn=_sum_loss(["lin"]))
         assert np.array_equal(scores, [3.0, 3.0])
 
     def test_dead_downstream_scores_zero(self):
@@ -169,8 +189,8 @@ class TestGradient:
         net.layers["lin2"].params["w"].data[:] = 0.0
         loss_fn = _sum_loss(["lin1", "lin2"])
         batch = {"x": [[1.0, 2.0]]}
-        s1 = cr.score_gradient(net.layers["lin1"], net, [batch], loss_fn=loss_fn)
-        s2 = cr.score_gradient(net.layers["lin2"], net, [batch], loss_fn=loss_fn)
+        s1 = score_gradient(net.layers["lin1"], net, [batch], loss_fn=loss_fn)
+        s2 = score_gradient(net.layers["lin2"], net, [batch], loss_fn=loss_fn)
         assert np.array_equal(s1, np.zeros(3))
         assert s2.min() > 0.0
 
@@ -179,22 +199,22 @@ class TestGradient:
         net = models.build_model(sing_cfg(), seed=0)
         batch = tone_batch(np.random.default_rng(5))
         layer = net.layers["conv0"]
-        once = cr.score_gradient(layer, net, [batch], mode=mode)
-        twice = cr.score_gradient(layer, net, [batch, batch], mode=mode)
+        once = score_gradient(layer, net, [batch], mode=mode)
+        twice = score_gradient(layer, net, [batch, batch], mode=mode)
         assert np.array_equal(twice, 2.0 * once)
 
     def test_single_batch_modes_agree_exactly(self, trained_sing):
         net, items = trained_sing
         for lname in ("conv0", "conv1"):
-            a = cr.score_gradient(net.layers[lname], net, items[:1], mode="per_batch")
-            b = cr.score_gradient(net.layers[lname], net, items[:1], mode="dataset")
+            a = score_gradient(net.layers[lname], net, items[:1], mode="per_batch")
+            b = score_gradient(net.layers[lname], net, items[:1], mode="dataset")
             assert np.array_equal(a, b)
 
     def test_modes_rank_agreement_on_trained_model(self, trained_sing):
         net, items = trained_sing
         for lname in ("conv0", "conv1"):
-            a = cr.score_gradient(net.layers[lname], net, items, mode="per_batch")
-            b = cr.score_gradient(net.layers[lname], net, items, mode="dataset")
+            a = score_gradient(net.layers[lname], net, items, mode="per_batch")
+            b = score_gradient(net.layers[lname], net, items, mode="dataset")
             ra, rb = np.argsort(np.argsort(a)), np.argsort(np.argsort(b))
             rho = np.corrcoef(ra, rb)[0, 1]
             assert rho > 0.5, (lname, rho)
@@ -202,14 +222,14 @@ class TestGradient:
     def test_batch_order_irrelevant(self, trained_sing):
         net, items = trained_sing
         layer = net.layers["conv0"]
-        fwd = cr.score_gradient(layer, net, items[:2])
-        rev = cr.score_gradient(layer, net, items[1::-1])
+        fwd = score_gradient(layer, net, items[:2])
+        rev = score_gradient(layer, net, items[1::-1])
         assert np.array_equal(fwd, rev)
 
     def test_weights_and_grads_left_untouched(self, trained_sing):
         net, items = trained_sing
         before = net.param_state()
-        cr.score_gradient(net.layers["conv0"], net, items[:2])
+        score_gradient(net.layers["conv0"], net, items[:2])
         after = net.param_state()
         assert all(np.array_equal(before[k], after[k]) for k in before)
         assert all(p.grad is None for p in net.parameters())
@@ -217,13 +237,13 @@ class TestGradient:
     def test_empty_validation_rejected(self):
         net = models.build_model(sing_cfg(), seed=0)
         with pytest.raises(ValueError, match="nonempty"):
-            cr.score_gradient(net.layers["conv0"], net, [])
+            score_gradient(net.layers["conv0"], net, [])
 
     def test_unknown_mode_rejected(self):
         net = models.build_model(sing_cfg(), seed=0)
         batch = tone_batch(np.random.default_rng(0))
         with pytest.raises(ValueError, match="per_batch or dataset"):
-            cr.score_gradient(net.layers["conv0"], net, [batch], mode="weird")
+            score_gradient(net.layers["conv0"], net, [batch], mode="weird")
 
 
 class TestActivation:
@@ -233,7 +253,7 @@ class TestActivation:
         x[..., 1] = 0.5
         x[..., 2] = -0.25
         items = [{"x": x} for _ in range(3)]
-        scores = cr.score_activation(net.layers["probe"], net, items)
+        scores = score_activation(net.layers["probe"], net, items)
         assert np.array_equal(scores, [0.0, 3 * 8 * 0.5, 3 * 8 * 0.25])
         assert scores.argmin() == 0
 
@@ -243,7 +263,7 @@ class TestActivation:
         probe.eval()
         probe.init_masks()
         probe.mask_units({"conv0": [2]})
-        scores = cr.score_activation(probe.layers["conv0"], probe, items)
+        scores = score_activation(probe.layers["conv0"], probe, items)
         assert scores[2] == 0.0
         assert np.delete(scores, 2).min() > 0.0
 
@@ -252,19 +272,19 @@ class TestActivation:
         rng = np.random.default_rng(6)
         items = [{"x": rng.standard_normal((1, 16, 4)).astype(np.float32)}
                  for _ in range(5)]
-        fwd = cr.score_activation(net.layers["probe"], net, items)
-        rev = cr.score_activation(net.layers["probe"], net, items[::-1])
+        fwd = score_activation(net.layers["probe"], net, items)
+        rev = score_activation(net.layers["probe"], net, items[::-1])
         assert np.allclose(fwd, rev, rtol=1e-6)
 
     def test_unrecorded_layer_rejected(self, trained_sing):
         net, items = trained_sing
         with pytest.raises(ValueError, match="records no activations"):
-            cr.score_activation(net.layers["bn0"], net, items)
+            score_activation(net.layers["bn0"], net, items)
 
     def test_empty_validation_rejected(self):
         net = probe_net(2)
         with pytest.raises(ValueError, match="nonempty"):
-            cr.score_activation(net.layers["probe"], net, [])
+            score_activation(net.layers["probe"], net, [])
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +305,7 @@ def info_scores():
         items.append({"wave": wave[None, :], "x": x[None]})
     net = probe_net(4)
     cfg = mi_mod.MiConfig(max_samples=10000)
-    return cr.score_information(net.layers["probe"], net, items, mi_cfg=cfg)
+    return score_information(net.layers["probe"], net, items, mi_cfg=cfg)
 
 
 class TestInformation:
@@ -310,7 +330,7 @@ class TestInformation:
                   "x": rng.standard_normal((1, 512, 2)).astype(np.float32)}
                  for _ in range(3)]
         with pytest.raises(ValueError, match="degenerate"):
-            cr.score_information(net.layers["probe"], net, items)
+            score_information(net.layers["probe"], net, items)
 
     def test_multi_sample_batches_rejected(self):
         net = probe_net(2)
@@ -318,12 +338,12 @@ class TestInformation:
         items = [{"wave": rng.standard_normal((2, 512)).astype(np.float32),
                   "x": rng.standard_normal((2, 512, 2)).astype(np.float32)}]
         with pytest.raises(ValueError, match="single-item"):
-            cr.score_information(net.layers["probe"], net, items)
+            score_information(net.layers["probe"], net, items)
 
     def test_empty_validation_rejected(self):
         net = probe_net(2)
         with pytest.raises(ValueError, match="nonempty"):
-            cr.score_information(net.layers["probe"], net, [])
+            score_information(net.layers["probe"], net, [])
 
 
 class TestScaling:

@@ -1,9 +1,12 @@
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiotrim import models, nn
+from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
 from audiotrim.models import ModelConfig, MuLawCodec
 from audiotrim.tensor import Tensor
@@ -324,6 +327,23 @@ class TestBuildAndCheckpoint:
             models.build_model(ModelConfig(arch="mystery"))
 
     @pytest.mark.parametrize("cfg_fn", [tiny_wavenet_cfg, tiny_sing_cfg, tiny_ddsp_cfg])
+    def test_loss_graph_holds_no_reference_cycle(self, cfg_fn):
+        # a spent graph is freed by reference counting alone, so peak memory
+        # does not depend on when the cyclic collector happens to run
+        cfg = cfg_fn()
+        net = models.build_model(cfg, seed=0)
+        batch = ddsp_batch(cfg)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = models.compute_loss(net, batch)
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("cfg_fn", [tiny_wavenet_cfg, tiny_sing_cfg, tiny_ddsp_cfg])
     def test_checkpoint_preserves_forward(self, cfg_fn, tmp_path):
         cfg = cfg_fn()
         net = models.build_model(cfg, seed=8).eval()
@@ -341,3 +361,94 @@ class TestBuildAndCheckpoint:
                 a = net.forward(Tensor(x)).data
                 b = loaded.forward(Tensor(x)).data
         assert np.array_equal(a, b)
+
+
+# -- a fourth architecture, described by one record in this file ---------------
+
+TOY_HOP = 4  # the toy runs once per 4-sample frame
+
+
+def _build_toy(cfg: ModelConfig, rng) -> nn.Network:
+    layers = [nn.make_linear("hidden", 1, 3, rng),
+              nn.make_linear("out", 3, 1, rng, in_source="hidden")]
+    return nn.Network("toy", layers, protected={"out"},
+                      meta={"config": dataclasses.asdict(cfg)})
+
+
+def _forward_toy(net, x):
+    """x: (batch, time, 1); returns (batch, time, 1)."""
+    h = T.tanh(nn.linear_forward(net.layers["hidden"], x))
+    nn.record("hidden", h, -1)
+    return nn.linear_forward(net.layers["out"], h)
+
+
+def _toy_loss(net, batch):
+    wave = np.asarray(batch["wave"], dtype=np.float32)
+    d = T.sub(T.reshape(models.forward_batch(net, batch), wave.shape), Tensor(wave))
+    return T.tmean(T.mul(d, d))
+
+
+def _toy_sample(net, n_samples, seed, conditioning):
+    noise = np.random.default_rng(seed).uniform(-1, 1, (1, n_samples, 1))
+    with T.no_grad():
+        return np.tanh(net.forward(Tensor(noise)).data.reshape(-1))
+
+
+nn.register_arch("toy", nn.ArchSpec(
+    build=_build_toy, forward=_forward_toy, loss=_toy_loss, sample=_toy_sample,
+    inputs=lambda batch: Tensor(np.asarray(batch["wave"], dtype=np.float32)[:, :, None]),
+    frame_hop=lambda config: TOY_HOP))
+
+
+class TestRegisteredArch:
+    def toy_net(self):
+        return models.build_model(ModelConfig(arch="toy", sample_rate=8000), seed=0)
+
+    def splits(self):
+        rng = np.random.default_rng(1)
+        batches = [{"wave": rng.uniform(-0.5, 0.5, (1, 64)).astype(np.float32)}
+                   for _ in range(4)]
+        return pruning.Splits(train=batches[:2], valid=batches[2:3],
+                              test=batches[3:])
+
+    def test_forward_loss_and_cost_come_from_the_record(self):
+        net = self.toy_net()
+        batch = self.splits().valid[0]
+        assert models.forward_batch(net, batch).shape == (1, 64, 1)
+        loss = models.compute_loss(net, batch)
+        loss.backward()
+        assert np.isfinite(loss.item())
+        assert net.layers["hidden"].params["w"].grad is not None
+        per_inv = sum(embed.layer_flops(l) for l in net.layers.values())
+        assert embed.count_flops(net) == 8000 / TOY_HOP * per_inv
+
+    def test_trainerless_imp_and_sampling(self, tmp_path):
+        net = self.toy_net()
+        cfg = pruning.ImpConfig(mode="trim", iterations=1, criterion="activation")
+        trace = pruning.run_imp(net, self.splits(), cfg, trainer=None,
+                                out_dir=tmp_path)
+        assert trace.aborted is None and len(trace.records) == 2
+        small = nn.load_checkpoint(tmp_path / "iter_01.ckpt")
+        assert small.units_remaining() < net.units_remaining()
+        sample = nn.arch_spec(small.arch).sample
+        wave = sample(small, 16, 0, lambda: None)
+        assert wave.shape == (16,) and np.all(np.abs(wave) <= 1)
+        assert np.array_equal(wave, sample(small, 16, 0, lambda: None))
+
+    def test_experiment_runs_end_to_end(self, tmp_path):
+        cfg = harness.ExperimentConfig(
+            model=ModelConfig(arch="toy", sample_rate=8000),
+            dataset=harness.DatasetConfig(n_items=10, sr=8000),
+            training=harness.TrainingConfig(epochs=1, batch_size=8),
+            imp=pruning.ImpConfig(iterations=1), output_dir=str(tmp_path))
+        harness.run_experiment(cfg)
+        waves = sorted((tmp_path / "samples").glob("*.wav"))
+        assert len(waves) == 2
+        assert len(harness.read_wav(waves[0], 8000)) == 2000
+
+    def test_unregistered_arch_names_what_is_missing(self):
+        with pytest.raises(ValueError, match="unknown arch"):
+            models.build_model(ModelConfig(arch="mystery"))
+        net = nn.Network("sequential", [])
+        with pytest.raises(ValueError, match="no loss"):
+            models.compute_loss(net, {"x": np.zeros((1, 2))})

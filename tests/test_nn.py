@@ -47,7 +47,7 @@ def _gru_probe_forward(net, x):
     return nn.linear_forward(net.layers["out"], h)
 
 
-nn.register_forward("gru_probe", _gru_probe_forward)
+nn.register_arch("gru_probe", nn.ArchSpec(forward=_gru_probe_forward))
 
 
 class TestStructure:

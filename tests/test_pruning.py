@@ -571,14 +571,19 @@ class TestImpDriver:
         assert trace.records[-1].units_remaining_frac < 0.5
 
     def test_retraining_gets_faster_as_the_net_shrinks(self):
+        # each iteration's wall time is the minimum over three repeats of
+        # the same deterministic run, so one load spike cannot decide it
         walls_first, walls_last = [], []
+        cfg = pruning.ImpConfig(mode="trim", iterations=4,
+                                criterion="magnitude", selection="local")
         for seed in (0, 1, 2):
-            net = models.build_model(sing_cfg(ch=12), seed=seed)
-            data = make_splits(seed, t=512)
-            cfg = pruning.ImpConfig(mode="trim", iterations=4,
-                                    criterion="magnitude", selection="local")
-            trace = pruning.run_imp(net, data, cfg,
-                                    trainer=pruning.sgd_trainer(25))
-            walls_first.append(trace.records[1].wall_seconds)
-            walls_last.append(trace.records[-1].wall_seconds)
+            repeats = []
+            for _ in range(3):
+                net = models.build_model(sing_cfg(ch=12), seed=seed)
+                trace = pruning.run_imp(net, make_splits(seed, t=512), cfg,
+                                        trainer=pruning.sgd_trainer(25))
+                repeats.append([r.wall_seconds for r in trace.records])
+            walls = np.min(repeats, axis=0)
+            walls_first.append(walls[1])
+            walls_last.append(walls[-1])
         assert np.median(walls_last) <= np.median(walls_first)
