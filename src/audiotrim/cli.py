@@ -155,7 +155,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    net = nn.load_checkpoint(args.model)
+    net = nn.load_checkpoint(args.model).eval()
     config = net.meta.get("config", {})
     sr = config.get("sample_rate", 16000)
 

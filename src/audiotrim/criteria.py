@@ -17,7 +17,6 @@ tied into one trim pool are averaged into a single score per unit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +47,6 @@ class ScalingScheme:
             raise ValueError(
                 f"scaling must be none, layer_max, or fan_scaled, got '{self.kind}'"
             )
-
-
-@dataclass(frozen=True)
-class CriterionScore:
-    layer_id: str
-    unit_index: int
-    raw: float
-    scaled: float
-    criterion: str
 
 
 def fan_in(layer: Layer) -> int:
@@ -276,27 +266,3 @@ def pool_scores(net: Network, criterion: str, batches=None,
             )
         out[pid] = score
     return out
-
-
-def score_table(net: Network, criterion: str, batches=None,
-                scheme: ScalingScheme = ScalingScheme(),
-                **kwargs) -> list[CriterionScore]:
-    raw = _raw_scores(net, criterion, batches, kwargs.get("loss_fn", models.compute_loss),
-                      kwargs.get("mi_cfg"), kwargs.get("grad_mode", "per_batch"),
-                      kwargs.get("info_window", 256))
-    scaled = scale_scores(raw, net, scheme)
-    rows = []
-    for name in raw:
-        for u in range(len(raw[name])):
-            rows.append(CriterionScore(name, u, float(raw[name][u]),
-                                       float(scaled[name][u]), criterion))
-    return rows
-
-
-def write_scores_csv(path, rows: list[CriterionScore]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer_id", "unit", "criterion", "raw", "scaled"])
-        for r in rows:
-            writer.writerow([r.layer_id, r.unit_index, r.criterion,
-                             f"{r.raw:.10g}", f"{r.scaled:.10g}"])

@@ -52,7 +52,6 @@ per sample).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -257,13 +256,6 @@ def report_row(r: EmbedReport) -> list:
             f"{r.rw_accesses_per_sample:.10g}", r.working_set_bytes,
             int(r.realtime_ok), int(r.embeddable_ok),
             f"{r.error_multiplier:.10g}"]
-
-
-def write_report_csv(path, reports: list[EmbedReport]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        writer.writerows(report_row(r) for r in reports)
 
 
 def summarize(reports: list[EmbedReport]) -> str:

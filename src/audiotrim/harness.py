@@ -473,7 +473,7 @@ def _emit_samples(out: Path, trace: pruning.ImpTrace, splits: pruning.Splits,
     sample_dir.mkdir(exist_ok=True)
     for idx in picks:
         it = trace.records[idx].iteration
-        net = nn.load_checkpoint(out / f"iter_{it:02d}.ckpt")
+        net = nn.load_checkpoint(out / f"iter_{it:02d}.ckpt").eval()
         wave = nn.arch_spec(net.arch).sample(net, int(0.25 * sr), 0,
                                              lambda: splits.test[0])
         write_wav(sample_dir / f"iter_{it:02d}.wav", wave, sr)

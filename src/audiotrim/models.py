@@ -309,6 +309,8 @@ def noise_band_basis(n_samples: int, n_bands: int, seed: int) -> np.ndarray:
     basis = _NOISE_BASIS_CACHE.get(key)
     if basis is not None:
         return basis
+    # the noise is drawn at the next power of two, which fixes the basis
+    # that existing checkpoints were trained against
     n = 1
     while n < n_samples:
         n *= 2
@@ -318,11 +320,7 @@ def noise_band_basis(n_samples: int, n_bands: int, seed: int) -> np.ndarray:
     band_of = np.minimum(np.arange(half) * n_bands // half, n_bands - 1)
     basis = np.zeros((n_samples, n_bands), dtype=np.float32)
     for k in range(n_bands):
-        sel = np.flatnonzero(band_of == k)
-        mask = np.zeros(n, dtype=np.float32)
-        mask[sel] = 1.0
-        mask[(-sel) % n] = 1.0
-        band = fourier.ifft(spec * mask).real[:n_samples]
+        band = fourier.ifft(np.where(band_of == k, spec, 0), n)[:n_samples]
         basis[:, k] = band / (np.abs(band).max() + 1e-9)
     _NOISE_BASIS_CACHE[key] = basis
     return basis

@@ -590,21 +590,21 @@ def frame(a: Tensor, window: int, hop: int) -> Tensor:
 def fft_mag2(a: Tensor) -> Tensor:
     """Squared magnitude of the one-sided DFT of the last axis.
 
-    Input length must be a power of two; output has n/2 + 1 bins.
+    Any length n >= 1; output has n//2 + 1 bins.
     """
     n = a.shape[-1]
-    if not fourier.is_pow2(n):
-        raise ShapeError(f"op 'fft_mag2' length must be a power of two, got {n}")
     spec = fourier.fft(a.data)
-    one_sided = spec[..., : n // 2 + 1]
-    out = _node((one_sided.real ** 2 + one_sided.imag ** 2), (a,), "fft_mag2")
+    out = _node((spec.real ** 2 + spec.imag ** 2), (a,), "fft_mag2")
     if out.requires_grad:
         def _bw(g):
-            h = np.zeros(a.shape, dtype=np.complex64)
-            h[..., : n // 2 + 1] = g * one_sided
-            # d|X_k|^2/dx_n = 2 Re(X_k e^{+2pi i k n / N})
-            gx = 2.0 * fourier.fft(np.conj(h)).real
-            a.accumulate_grad(gx)
+            # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
+            # interior bin twice (it and its mirror) but DC and Nyquist once,
+            # so those two are doubled here
+            h = g * spec
+            h[..., 0] *= 2.0
+            if n % 2 == 0 and n > 1:
+                h[..., n // 2] *= 2.0
+            a.accumulate_grad(n * fourier.ifft(h, n))
         out._backward = _bw
     return out
 

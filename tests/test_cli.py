@@ -1,5 +1,6 @@
 """Exit codes, artifact emission, and determinism of the command surface."""
 
+import csv
 import json
 import shutil
 import subprocess
@@ -8,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from audiotrim import cli, harness
+from audiotrim import cli, harness, models, nn
+from audiotrim import criteria as cr
+from audiotrim import tensor as T
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +130,20 @@ class TestAnalyze:
         assert len(rows) > 1
         assert "weakest" in capsys.readouterr().out
 
+    def test_out_csv_has_one_row_per_unit_equal_to_pool_scores(self, workspace,
+                                                               tmp_path):
+        ckpt = workspace / "run" / "iter_02.ckpt"
+        out = tmp_path / "scores.csv"
+        assert cli.main(["analyze", "--model", str(ckpt), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        scores = cr.pool_scores(nn.load_checkpoint(ckpt), "magnitude")
+        assert [(pid, int(u)) for pid, u, _ in rows] == [
+            (pid, u) for pid, vec in scores.items() for u in range(len(vec))]
+        got = np.array([float(s) for _, _, s in rows])
+        want = np.concatenate(list(scores.values()))
+        assert np.allclose(got, want, rtol=1e-9, atol=0)
+
     def test_data_driven_criterion_needs_config(self, workspace, capsys):
         rc = cli.main(["analyze", "--model",
                        str(workspace / "run" / "iter_02.ckpt"),
@@ -165,6 +182,39 @@ class TestSynth:
         wave = harness.read_wav(out, 16000)
         assert len(wave) > 0
         assert np.all(np.isfinite(wave))
+
+    def test_sing_renders_with_running_stats(self, workspace, tmp_path,
+                                             monkeypatch):
+        # batchnorm must use the trained running statistics, not the
+        # rendered item's own, and rendering must not update them
+        ckpt = workspace / "run" / "iter_02.ckpt"
+        loaded = []
+
+        def spy(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        load = nn.load_checkpoint
+        monkeypatch.setattr(nn, "load_checkpoint", spy)
+        out = tmp_path / "sample.wav"
+        assert cli.main(["synth", "--model", str(ckpt), "--out", str(out),
+                         "--seed", "5"]) == 0
+        monkeypatch.undo()
+
+        ref = nn.load_checkpoint(ckpt).eval()
+        batch = harness.collate(harness.gen_synthetic_tones(
+            1, 16000, 0.25, 5, frame_hop=harness._tone_hop(ref.arch,
+                                                           ref.meta["config"])))
+        with T.no_grad():
+            want = models.forward_batch(ref, batch).data.reshape(-1)
+        harness.write_wav(tmp_path / "want.wav", want, 16000)
+        assert out.read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+        (used,) = loaded
+        for name, layer in ref.layers.items():
+            for key, buf in layer.buffers.items():
+                assert np.array_equal(used.layers[name].buffers[key], buf), \
+                    (name, key)
 
 
 TINY_MODELS = {

@@ -2,6 +2,7 @@
 memory-access accounting, disk measurement, feasibility verdicts, and
 Pareto front extraction."""
 
+import csv
 import os
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiotrim import embed, models, nn
+from audiotrim import embed, harness, models, nn
 
 
 def sim_layer_ops(kind, n_in, n_out, k=1):
@@ -307,13 +308,25 @@ class TestFeasibility:
         assert all(r.platform in text for r in reports)
 
     def test_report_csv_roundtrip(self, tmp_path):
+        # the cells embed_reports.csv holds after its iteration column
         net = tiny_arch_net(np.random.default_rng(9))
         reports = embed.analyze(net, embed.load_platforms(), error_multiplier=1.25)
         path = tmp_path / "r.csv"
-        embed.write_report_csv(path, reports)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("platform,flops_per_audio_second")
-        assert len(lines) == 1 + len(reports)
+        harness.write_csv(path, embed.REPORT_COLUMNS,
+                          [embed.report_row(r) for r in reports])
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == embed.REPORT_COLUMNS
+        assert len(rows) == len(reports)
+        for row, r in zip(rows, reports):
+            assert row["platform"] == r.platform
+            for col in ("flops_per_audio_second", "rw_accesses_per_sample",
+                        "error_multiplier"):
+                assert float(row[col]) == pytest.approx(getattr(r, col), rel=1e-9)
+            for col in ("disk_bytes", "working_set_bytes"):
+                assert int(row[col]) == getattr(r, col)
+            for col in ("realtime_ok", "embeddable_ok"):
+                assert bool(int(row[col])) == getattr(r, col)
 
 
 def dominates(a, b):

@@ -364,6 +364,13 @@ class TestRunExperiment:
                                           "iter_02.wav"]
         for w in wavs:
             harness.read_wav(w, 16000)
+        # samples render with batchnorm's trained running statistics
+        splits, _, _ = harness.setup(cfg)
+        net = nn.load_checkpoint(out / "iter_02.ckpt").eval()
+        with T.no_grad():
+            want = models.forward_batch(net, splits.test[0]).data[0].reshape(-1)
+        harness.write_wav(tmp_path / "want.wav", want, 16000)
+        assert wavs[-1].read_bytes() == (tmp_path / "want.wav").read_bytes()
 
     def test_identical_config_reproduces_all_csv_bytes(self, tmp_path):
         cfg = tiny_cfg(tmp_path)

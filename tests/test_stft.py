@@ -5,45 +5,56 @@ from hypothesis import strategies as st
 
 from audiotrim import fourier
 from audiotrim import tensor as T
-from conftest import naive_dft
+from conftest import directional_gradcheck, naive_dft
 
 RNG = np.random.default_rng(99)
 
 
 class TestFft:
-    @pytest.mark.parametrize("n", [1, 2, 4, 32, 128, 1024])
+    """`fft` is the one-sided DFT of a real signal, `ifft` its inverse."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 31, 32, 128, 1024])
     def test_matches_naive_dft(self, n):
-        x = RNG.standard_normal(n).astype(np.float32)
+        x = RNG.standard_normal((3, n)).astype(np.float32)
         got = fourier.fft(x)
-        ref = naive_dft(x)
-        scale = np.abs(ref).max() + 1e-9
-        assert np.abs(got - ref).max() / scale < 1e-4
+        assert got.shape == (3, n // 2 + 1)
+        for row, got_row in zip(x, got):
+            ref = naive_dft(row)[: n // 2 + 1]
+            scale = np.abs(ref).max() + 1e-9
+            assert np.abs(got_row - ref).max() / scale < 1e-4
 
     def test_batched_matches_per_row(self):
-        x = RNG.standard_normal((3, 5, 64)).astype(np.float32)
-        got = fourier.fft(x)
-        for i in range(3):
-            for j in range(5):
-                assert np.allclose(got[i, j], naive_dft(x[i, j]), atol=1e-3)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            fourier.fft(np.zeros(12))
+        for n in (31, 64):
+            x = RNG.standard_normal((3, 5, n)).astype(np.float32)
+            got = fourier.fft(x)
+            assert got.shape == (3, 5, n // 2 + 1)
+            for i in range(3):
+                for j in range(5):
+                    ref = naive_dft(x[i, j])[: n // 2 + 1]
+                    assert np.allclose(got[i, j], ref, atol=1e-3)
 
     def test_ifft_roundtrip(self):
-        x = (RNG.standard_normal(256) + 1j * RNG.standard_normal(256)).astype(np.complex64)
-        back = fourier.ifft(fourier.fft(x))
-        assert np.abs(back - x).max() < 1e-4
+        for n in (1, 2, 31, 256):
+            x = RNG.standard_normal((2, n)).astype(np.float32)
+            back = fourier.ifft(fourier.fft(x), n)
+            assert back.shape == x.shape
+            assert np.abs(back - x).max() < 1e-4
 
     @settings(max_examples=25, deadline=None)
     @given(
-        log_n=st.integers(min_value=1, max_value=9),
+        n=st.integers(min_value=1, max_value=512),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_parseval_energy(self, log_n, seed):
-        n = 2 ** log_n
+    def test_parseval_energy(self, n, seed):
         x = np.random.default_rng(seed).standard_normal(n).astype(np.float32)
-        spec_energy = float((np.abs(fourier.fft(x)) ** 2).sum()) / n
+        power = np.abs(fourier.fft(x).astype(np.complex128)) ** 2
+        # every bin but DC and (for even n) Nyquist stands for itself and
+        # its mirror image in the full spectrum
+        weight = np.full(power.shape, 2.0)
+        weight[0] = 1.0
+        if n % 2 == 0:
+            weight[-1] = 1.0
+        spec_energy = float((weight * power).sum()) / n
         time_energy = float((x.astype(np.float64) ** 2).sum())
         assert spec_energy == pytest.approx(time_energy, rel=1e-4)
 
@@ -68,6 +79,23 @@ class TestFftMag2:
         got = T.fft_mag2(T.Tensor(x)).data
         ref = np.abs(naive_dft(x))[:33] ** 2
         assert np.allclose(got, ref, rtol=1e-4, atol=1e-3)
+
+    @pytest.mark.parametrize("n", [12, 31])
+    def test_matches_naive_power_at_non_power_of_two(self, n):
+        x = RNG.standard_normal((2, n)).astype(np.float32)
+        got = T.fft_mag2(T.Tensor(x)).data
+        ref = np.abs(naive_dft(x))[..., : n // 2 + 1] ** 2
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-4, atol=1e-3)
+
+    @pytest.mark.parametrize("n", [1, 2, 31])
+    def test_gradcheck_edge_bins(self, n):
+        # n = 1 is all DC, n = 2 is DC plus Nyquist, n = 31 has no Nyquist
+        rng = np.random.default_rng(160 + n)
+        x0 = rng.standard_normal((3, n)).astype(np.float32)
+        weight = T.Tensor((rng.random(n // 2 + 1) + 0.5).astype(np.float32))
+        directional_gradcheck(
+            lambda x: T.tmean(T.mul(T.fft_mag2(x), weight)), x0, rng)
 
     def test_constant_signal_concentrates_in_dc(self):
         x = np.full(32, 0.5, dtype=np.float32)
