@@ -37,25 +37,18 @@ def base_config(out_dir: str, seed: int, iterations: int) -> harness.ExperimentC
     )
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="runs/criterion_sweep")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--iterations", type=int, default=5)
-    ap.add_argument("--criteria", nargs="+",
-                    default=["magnitude", "gradient", "activation",
-                             "information"])
-    args = ap.parse_args()
-
-    out = Path(args.out)
+def sweep(base: harness.ExperimentConfig, criteria) -> list[list]:
+    """One IMP run per (criterion, selection) cell, each under its own
+    directory in base.output_dir; writes and returns the summary rows."""
+    out = Path(base.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for criterion in args.criteria:
+    for criterion in criteria:
         for selection in ("local", "global"):
-            cell = out / f"{criterion}_{selection}"
-            cfg = base_config(str(cell), args.seed, args.iterations)
-            cfg = dataclasses.replace(cfg, imp=dataclasses.replace(
-                cfg.imp, criterion=criterion, selection=selection))
+            cfg = dataclasses.replace(
+                base, output_dir=str(out / f"{criterion}_{selection}"),
+                imp=dataclasses.replace(base.imp, criterion=criterion,
+                                        selection=selection))
             t0 = time.time()
             trace = harness.run_experiment(cfg)
             dt = time.time() - t0
@@ -77,6 +70,19 @@ def main() -> int:
                          "test_error_multiplier"])
         writer.writerows(rows)
     print(f"summary written to {out / 'sweep_summary.csv'}")
+    return rows
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default="runs/criterion_sweep")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--iterations", type=int, default=5)
+    ap.add_argument("--criteria", nargs="+",
+                    default=["magnitude", "gradient", "activation",
+                             "information"])
+    args = ap.parse_args()
+    sweep(base_config(args.out, args.seed, args.iterations), args.criteria)
     return 0
 
 

@@ -117,7 +117,8 @@ def _cmd_imp(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    net = nn.load_checkpoint(args.model)
+    # scored as run_imp scores: batchnorm on its trained running statistics
+    net = nn.load_checkpoint(args.model).eval()
     batches = None
     if args.config is not None:
         cfg = harness.load_config(args.config)

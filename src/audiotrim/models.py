@@ -110,11 +110,28 @@ def _waves(batch: dict) -> np.ndarray:
     return np.asarray(batch["wave"], dtype=np.float32)
 
 
+def _batch_constant(batch: dict, key, build):
+    """build()'s value for this batch, computed on the first call only.
+
+    The value is stored in the batch dict itself, so it lives exactly as
+    long as the batch: a run's fixed batches pay for their constants once,
+    and nothing outlives them. key must name everything build reads
+    besides the batch.
+    """
+    store = batch.setdefault("_constants", {})
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
 def _spectral_loss(render):
-    """Multiscale spectral loss of render(net, batch) against the batch."""
+    """Multiscale spectral loss of render(net, batch) against the batch;
+    the batch's own log-spectrograms are a per-batch constant."""
     def loss(net: Network, batch: dict) -> Tensor:
         spec = ModelConfig(**net.meta["config"]).spectrogram()
-        return multiscale_spectral_loss(render(net, batch), _waves(batch), spec)
+        target = _batch_constant(batch, ("log_spectrograms", spec),
+                                 lambda: log_spectrograms(_waves(batch), spec))
+        return multiscale_spectral_loss(render(net, batch), target, spec)
     return loss
 
 
@@ -288,8 +305,18 @@ nn.register_arch("sing_ae", nn.ArchSpec(
 # -- harmonic-plus-noise synthesis -------------------------------------------
 
 
+_UPSAMPLE_CACHE: dict = {}
+
+
 def upsample_matrix(n_samples: int, n_frames: int, hop: int) -> np.ndarray:
-    """Linear interpolation weights from frame rate to sample rate."""
+    """Linear interpolation weights from frame rate to sample rate.
+
+    Built once per shape and shared, so the array is read-only.
+    """
+    key = (n_samples, n_frames, hop)
+    u = _UPSAMPLE_CACHE.get(key)
+    if u is not None:
+        return u
     pos = np.arange(n_samples) / hop
     lo = np.clip(np.floor(pos).astype(np.int64), 0, n_frames - 1)
     hi = np.minimum(lo + 1, n_frames - 1)
@@ -297,6 +324,8 @@ def upsample_matrix(n_samples: int, n_frames: int, hop: int) -> np.ndarray:
     u = np.zeros((n_samples, n_frames), dtype=np.float32)
     u[np.arange(n_samples), lo] += 1.0 - frac
     u[np.arange(n_samples), hi] += frac
+    u.flags.writeable = False
+    _UPSAMPLE_CACHE[key] = u
     return u
 
 
@@ -326,32 +355,48 @@ def noise_band_basis(n_samples: int, n_bands: int, seed: int) -> np.ndarray:
     return basis
 
 
+def sine_bank(f0_frames: np.ndarray, cfg: dict) -> np.ndarray:
+    """(batch, frames*hop, partials) sines of each partial's running phase,
+    zeroed where the partial lies above Nyquist; cfg is a model config dict.
+
+    It depends only on f0 and the config, not on any parameter.
+    """
+    hop, sr = cfg["frame_hop"], cfg["sample_rate"]
+    f0 = np.asarray(f0_frames, dtype=np.float32)
+    n_frames = f0.shape[1]
+    f0_up = f0 @ upsample_matrix(n_frames * hop, n_frames, hop).T
+    phase = 2.0 * np.pi * np.cumsum(f0_up / sr, axis=-1)
+    k = np.arange(1, cfg["n_partials"] + 1, dtype=np.float32)
+    alias_mask = (f0_up[..., None] * k) < (sr / 2.0)
+    return (np.sin(phase[..., None] * k) * alias_mask).astype(np.float32)
+
+
 def ddsp_synthesize(controls: dict[str, Tensor], f0_frames: np.ndarray,
-                    meta: dict) -> Tensor:
+                    meta: dict, bank: np.ndarray | None = None) -> Tensor:
     """Render (batch, frames*hop) audio from per-frame controls.
 
     Harmonics above Nyquist are masked out; the normalised harmonic
     distribution, sigmoid noise magnitudes, and sigmoid amplitude bound
     the output inside [-1, 1] by construction.
+
+    Only the controls carry gradients. What does not depend on them is
+    built outside the graph: the upsample matrix and the noise basis once
+    per shape and config, and the sine bank (phase, partial sines and
+    alias mask) from f0. A caller that renders the same f0 many times,
+    such as training on fixed batches, passes that bank in (see
+    sine_bank) instead of paying for it on every call.
     """
     cfg = meta["config"]
-    hop, sr = cfg["frame_hop"], cfg["sample_rate"]
-    n_partials, n_bands = cfg["n_partials"], cfg["noise_bins"]
-    f0 = np.asarray(f0_frames, dtype=np.float32)
-    batch, n_frames = f0.shape
+    hop = cfg["frame_hop"]
+    n_bands = cfg["noise_bins"]
+    batch, n_frames = np.shape(f0_frames)
     n_samples = n_frames * hop
-    u = upsample_matrix(n_samples, n_frames, hop)
+    if bank is None:
+        bank = sine_bank(f0_frames, cfg)
+    ut = Tensor(upsample_matrix(n_samples, n_frames, hop))
 
-    f0_up = f0 @ u.T  # (batch, samples)
-    phase = 2.0 * np.pi * np.cumsum(f0_up / sr, axis=-1)
-    k = np.arange(1, n_partials + 1, dtype=np.float32)
-    sins = np.sin(phase[..., None] * k)
-    alias_mask = (f0_up[..., None] * k) < (sr / 2.0)
-    sin_bank = Tensor((sins * alias_mask).astype(np.float32))
-
-    ut = Tensor(u)
     harm_up = T.matmul(ut, controls["harm"])  # (batch, samples, partials)
-    harmonic = T.tsum(T.mul(harm_up, sin_bank), axis=-1)
+    harmonic = T.tsum(T.mul(harm_up, Tensor(bank)), axis=-1)
 
     basis = Tensor(noise_band_basis(n_samples, n_bands, cfg["noise_seed"]))
     mags_up = T.matmul(ut, controls["noise"])  # (batch, samples, bands)
@@ -369,7 +414,11 @@ def ddsp_features(f0_frames: np.ndarray, loud_frames: np.ndarray) -> np.ndarray:
 
 
 def ddsp_render(net: Network, batch: dict) -> Tensor:
-    return ddsp_synthesize(forward_batch(net, batch), batch["f0"], net.meta)
+    """The net's audio for a batch; the sine bank is a per-batch constant."""
+    cfg = net.meta["config"]
+    key = ("sine_bank", cfg["frame_hop"], cfg["sample_rate"], cfg["n_partials"])
+    bank = _batch_constant(batch, key, lambda: sine_bank(batch["f0"], cfg))
+    return ddsp_synthesize(forward_batch(net, batch), batch["f0"], net.meta, bank)
 
 
 # -- ddsp ------------------------------------------------------------------------
@@ -432,13 +481,19 @@ def nll_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     return T.tmean(T.sub(lse, picked))
 
 
-def multiscale_spectral_loss(pred: Tensor, target: np.ndarray,
+def log_spectrograms(wave: np.ndarray, cfg: SpectrogramConfig) -> list[np.ndarray]:
+    """stft_logmag of a target waveform, as plain arrays (no graph)."""
+    with T.no_grad():
+        specs = T.stft_logmag(Tensor(np.asarray(wave, dtype=np.float32)), cfg)
+    return [s.data for s in specs]
+
+
+def multiscale_spectral_loss(pred: Tensor, target: list[np.ndarray],
                              cfg: SpectrogramConfig) -> Tensor:
-    """Sum over window sizes of mean |log-power difference|."""
-    pred_specs = T.stft_logmag(pred, cfg)
-    tgt_specs = T.stft_logmag(Tensor(np.asarray(target, dtype=np.float32)), cfg)
+    """Sum over window sizes of mean |log-power difference| between pred
+    and the target's log_spectrograms."""
     total = None
-    for p, q in zip(pred_specs, tgt_specs):
-        term = T.tmean(T.tabs(T.sub(p, q)))
+    for p, q in zip(T.stft_logmag(pred, cfg), target):
+        term = T.tmean(T.tabs(T.sub(p, Tensor(q))))
         total = term if total is None else T.add(total, term)
     return total

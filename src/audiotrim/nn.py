@@ -16,7 +16,7 @@ masked one to float precision. Checkpoints serialise the full structure
 
 Each arch name maps to one registered ArchSpec record (builder, forward,
 batch inputs, loss, sampler, frame hop); `models` registers the audio
-families, this module the plain "sequential" chain.
+families.
 """
 
 from __future__ import annotations
@@ -588,54 +588,74 @@ def batchnorm_forward(layer: Layer, x: Tensor, training: bool,
     return T.add(T.mul(xn, gamma), beta)
 
 
-def gru_cell(layer: Layer, x_t: Tensor, h: Tensor) -> Tensor:
-    p = layer.params
-    def gate(w, u, b, state):
-        return T.add(T.add(T.matmul(x_t, T.transpose(p[w])),
-                           T.matmul(state, T.transpose(p[u]))), p[b])
-    z = T.sigmoid(gate("wz", "uz", "bz", h))
-    r = T.sigmoid(gate("wr", "ur", "br", h))
-    hh = T.tanh(gate("wh", "uh", "bh", T.mul(r, h)))
-    return T.add(T.mul(T.sub(Tensor(1.0), z), h), T.mul(z, hh))
-
-
 def gru_scan(layer: Layer, x: Tensor) -> Tensor:
-    """Run a GRU over (batch, time, features); returns (batch, time, units)."""
+    """Run a GRU over (batch, time, features); returns (batch, time, units).
+
+    z = sigmoid(x Wz' + h Uz' + bz), r = sigmoid(x Wr' + h Ur' + br),
+    c = tanh(x Wh' + (r * h) Uh' + bh), h <- (1 - z) * h + z * c, from
+    h = 0. The whole sequence is one graph node whose backward pass is
+    numpy backpropagation through time. Every product still goes through
+    tensor.matmul (the input projection once over the sequence, then two
+    recurrent products per step, on grad-free tensors), so counted MACs
+    stay equal to embed's closed form.
+    """
     if x.ndim != 3:
         raise T.ShapeError(f"gru expects (batch, time, features), got {x.shape}")
-    b, t, _ = x.shape
-    h = Tensor(np.zeros((b, layer.n_units), dtype=np.float32))
-    steps = []
+    p = {k: layer.params[k] for k in layer.param_order()}
+    b, t, n_in = x.shape
+    n = layer.n_units
+    w = np.concatenate([p["wz"].data, p["wr"].data, p["wh"].data])
+    u_zr = np.concatenate([p["uz"].data, p["ur"].data])
+    u_h = p["uh"].data
+    b_zr = np.concatenate([p["bz"].data, p["br"].data])
+    xw = T.matmul(Tensor(x.data), Tensor(w.T)).data  # (batch, time, 3 units)
+    h = np.zeros((b, n), dtype=np.float32)
+    prev = np.empty((b, t, n), dtype=np.float32)   # state entering each step
+    zr = np.empty((b, t, 2 * n), dtype=np.float32)
+    rh = np.empty((b, t, n), dtype=np.float32)
+    cand = np.empty((b, t, n), dtype=np.float32)
+    hs = np.empty((b, t, n), dtype=np.float32)
     for i in range(t):
-        x_t = T.reshape(T.slice_axis(x, 1, i, i + 1), (b, -1))
-        h = gru_cell(layer, x_t, h)
-        steps.append(T.reshape(h, (b, 1, -1)))
-    return T.concat(steps, axis=1)
-
-
-_ACTIVATIONS = {"tanh": T.tanh, "relu": T.relu, "sigmoid": T.sigmoid}
-
-
-def sequential_forward(net: Network, x: Tensor) -> Tensor:
-    """Plain layer chain; activation per layer comes from net.meta."""
-    acts = net.meta.get("activations", {})
-    for name, layer in net.layers.items():
-        if layer.kind == "linear":
-            x = linear_forward(layer, x)
-        elif layer.kind == "conv1d":
-            x = conv_forward(layer, x)
-        elif layer.kind == "batchnorm":
-            x = batchnorm_forward(layer, x, net.training,
-                                  net.meta.get("bn_momentum", 0.1))
-        elif layer.kind == "gru":
-            x = gru_scan(layer, x)
-        act = acts.get(name)
-        if act is not None:
-            x = _ACTIVATIONS[act](x)
-    return x
-
-
-register_arch("sequential", ArchSpec(forward=sequential_forward))
+        prev[:, i] = h
+        hu = T.matmul(Tensor(h), Tensor(u_zr.T)).data
+        zr[:, i] = T.sigmoid_array(xw[:, i, : 2 * n] + hu + b_zr)
+        z, r = zr[:, i, :n], zr[:, i, n:]
+        rh[:, i] = r * h
+        ru = T.matmul(Tensor(rh[:, i]), Tensor(u_h.T)).data
+        cand[:, i] = np.tanh(xw[:, i, 2 * n :] + ru + p["bh"].data)
+        h = (np.float32(1.0) - z) * h + z * cand[:, i]
+        hs[:, i] = h
+    out = T._node(hs, (x,) + tuple(p.values()), "gru")
+    if out.requires_grad:
+        def _bw(g):
+            # gradients of the three gate pre-activations, per step
+            da = np.empty((b, t, 3 * n), dtype=np.float32)
+            dh = np.zeros((b, n), dtype=np.float32)
+            for i in reversed(range(t)):
+                dh = dh + g[:, i]
+                z, r, c = zr[:, i, :n], zr[:, i, n:], cand[:, i]
+                da[:, i, :n] = dh * (c - prev[:, i]) * z * (1.0 - z)
+                da[:, i, 2 * n :] = dh * z * (1.0 - c * c)
+                drh = da[:, i, 2 * n :] @ u_h
+                da[:, i, n : 2 * n] = drh * prev[:, i] * r * (1.0 - r)
+                dh = dh * (1.0 - z) + drh * r + da[:, i, : 2 * n] @ u_zr
+            flat = da.reshape(b * t, 3 * n)
+            grads = {}
+            dw = flat.T @ x.data.reshape(b * t, n_in)
+            du_zr = flat[:, : 2 * n].T @ prev.reshape(b * t, n)
+            db = flat.sum(axis=0)
+            grads["uh"] = flat[:, 2 * n :].T @ rh.reshape(b * t, n)
+            for k, gate in enumerate("zrh"):
+                grads["w" + gate] = dw[k * n : (k + 1) * n]
+                grads["b" + gate] = db[k * n : (k + 1) * n]
+            grads["uz"], grads["ur"] = du_zr[:n], du_zr[n:]
+            for k, param in p.items():
+                if param.requires_grad:
+                    param.accumulate_grad(grads[k])
+            if x.requires_grad:
+                x.accumulate_grad((flat @ w).reshape(b, t, n_in))
+        out._backward = _bw
+    return out
 
 
 # -- checkpoints ---------------------------------------------------------

@@ -383,15 +383,18 @@ def _unary(a: Tensor, fn, dfn, op: str) -> Tensor:
     return out
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated so that neither branch overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-    return _unary(a, fwd, lambda x, y: y * (1.0 - y), "sigmoid")
+    return _unary(a, sigmoid_array, lambda x, y: y * (1.0 - y), "sigmoid")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -556,59 +559,6 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def frame(a: Tensor, window: int, hop: int) -> Tensor:
-    """Slice overlapping windows from the last axis: (..., T) -> (..., F, window)."""
-    t = a.shape[-1]
-    if window < 1 or hop < 1:
-        raise ShapeError(f"op 'frame' window/hop must be positive, got {window}/{hop}")
-    if t < window:
-        raise ShapeError(
-            f"op 'frame' input length {t} is shorter than window {window}"
-        )
-    n_frames = (t - window) // hop + 1
-    starts = np.arange(n_frames) * hop
-    idx = starts[:, None] + np.arange(window)[None, :]
-    out = _node(a.data[..., idx], (a,), "frame")
-    if out.requires_grad:
-        def _bw(g):
-            gx = np.zeros(a.shape, dtype=np.float32)
-            if window % hop == 0:
-                # frames striped by in-window offset never overlap, so each
-                # stripe folds back with one vectorised add
-                for c in range(window // hop):
-                    lo = c * hop
-                    seg = g[..., :, lo : lo + hop]
-                    tgt = gx[..., lo : lo + n_frames * hop]
-                    tgt.reshape(*g.shape[:-2], n_frames, hop)[...] += seg
-            else:
-                np.add.at(gx, (..., idx), g)
-            a.accumulate_grad(gx)
-        out._backward = _bw
-    return out
-
-
-def fft_mag2(a: Tensor) -> Tensor:
-    """Squared magnitude of the one-sided DFT of the last axis.
-
-    Any length n >= 1; output has n//2 + 1 bins.
-    """
-    n = a.shape[-1]
-    spec = fourier.fft(a.data)
-    out = _node((spec.real ** 2 + spec.imag ** 2), (a,), "fft_mag2")
-    if out.requires_grad:
-        def _bw(g):
-            # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
-            # interior bin twice (it and its mirror) but DC and Nyquist once,
-            # so those two are doubled here
-            h = g * spec
-            h[..., 0] *= 2.0
-            if n % 2 == 0 and n > 1:
-                h[..., n // 2] *= 2.0
-            a.accumulate_grad(n * fourier.ifft(h, n))
-        out._backward = _bw
-    return out
-
-
 @dataclass(frozen=True)
 class SpectrogramConfig:
     window_sizes: tuple[int, ...] = (32, 128, 256, 512, 1024)
@@ -634,11 +584,53 @@ def hann_window(n: int) -> np.ndarray:
     return (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)).astype(np.float32)
 
 
+def _overlap_add(g: np.ndarray, length: int, hop: int) -> np.ndarray:
+    """Fold (..., frames, window) back onto (..., length): the adjoint of
+    slicing windows that start every `hop` samples."""
+    n_frames, window = g.shape[-2:]
+    lead = g.shape[:-2]
+    # one hop of slack lets every stripe below be a whole (frames, hop) view
+    out = np.zeros(lead + (length + hop,), dtype=np.float32)
+    # within one stripe of in-window offsets [lo, lo + hop), frames never
+    # overlap, so each stripe folds back with one vectorised add
+    for lo in range(0, window, hop):
+        width = min(hop, window - lo)
+        tgt = out[..., lo : lo + n_frames * hop].reshape(*lead, n_frames, hop)
+        tgt[..., :width] += g[..., lo : lo + width]
+    return out[..., :length]
+
+
+def _logmag_scale(a: Tensor, window: int, hop: int, eps: np.float32) -> Tensor:
+    """log(|rfft(hann * frame)|^2 + eps) of one window size, as one node."""
+    taper = hann_window(window)
+    frames = np.lib.stride_tricks.sliding_window_view(a.data, window, axis=-1)
+    spec = fourier.fft(frames[..., ::hop, :] * taper)
+    denom = spec.real ** 2 + spec.imag ** 2 + eps
+    out = _node(np.log(denom), (a,), "stft_logmag")
+    if out.requires_grad:
+        def _bw(g):
+            # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
+            # interior bin twice (it and its mirror) but DC and Nyquist once,
+            # so those two are doubled here
+            h = (g / denom) * spec
+            h[..., 0] *= 2.0
+            if window % 2 == 0:
+                h[..., window // 2] *= 2.0
+            gt = window * fourier.ifft(h, window)
+            a.accumulate_grad(_overlap_add(gt * taper, a.shape[-1], hop))
+        out._backward = _bw
+    return out
+
+
 def stft_logmag(signal: Tensor, cfg: SpectrogramConfig) -> list[Tensor]:
     """Log power spectrogram per configured window size.
 
     Returns one tensor of shape (..., frames, bins) per window, where each
-    entry is log(|stft|^2 + floor_epsilon).
+    entry is log(|stft|^2 + floor_epsilon) of Hann-tapered frames. Each
+    window size is one graph node: framing, taper, rfft, power and log run
+    in numpy, and the backward pass goes straight from the log's gradient
+    to the signal (one irfft, the taper, then overlap-add), so no framed
+    copy of the signal is kept in the graph.
     """
     t = signal.shape[-1]
     for w in cfg.window_sizes:
@@ -646,11 +638,5 @@ def stft_logmag(signal: Tensor, cfg: SpectrogramConfig) -> list[Tensor]:
             raise ShapeError(
                 f"signal length {t} is shorter than analysis window {w}"
             )
-    eps = Tensor(cfg.floor_epsilon)
-    outs = []
-    for w in cfg.window_sizes:
-        frames = frame(signal, w, cfg.hop(w))
-        tapered = mul(frames, Tensor(hann_window(w)))
-        power = fft_mag2(tapered)
-        outs.append(tlog(add(power, eps)))
-    return outs
+    eps = np.float32(cfg.floor_epsilon)
+    return [_logmag_scale(signal, w, cfg.hop(w), eps) for w in cfg.window_sizes]

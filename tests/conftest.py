@@ -1,7 +1,9 @@
-"""Shared oracles: finite-difference gradients and a naive DFT."""
+"""Shared oracles: finite-difference gradients, a naive DFT, the composed
+reference versions of the fused ops, and the test-only "sequential" arch."""
 
 import numpy as np
 
+from audiotrim import fourier, nn
 from audiotrim import tensor as T
 
 
@@ -48,3 +50,103 @@ def adjoint_dot_check(op, x0, rng, rtol=1e-4):
     T.tsum(T.mul(out, T.Tensor(y))).backward()
     rhs = float((x.grad.astype(np.float64) * x0).sum())
     assert abs(lhs - rhs) <= rtol * (abs(lhs) + abs(rhs) + 1.0), (lhs, rhs)
+
+
+# -- composed reference ops ---------------------------------------------------
+#
+# Built from the engine's elementary ops only, these are the oracles for the
+# fused nodes that replaced them in src: tensor.stft_logmag (one node per
+# window) and nn.gru_scan (one node per sequence).
+
+
+def frame(a, window, hop):
+    """Overlapping windows of the last axis: (..., T) -> (..., F, window)."""
+    t = a.shape[-1]
+    n_frames = (t - window) // hop + 1
+    idx = (np.arange(n_frames) * hop)[:, None] + np.arange(window)[None, :]
+    out = T._node(a.data[..., idx], (a,), "frame")
+    if out.requires_grad:
+        def _bw(g):
+            gx = np.zeros(a.shape, dtype=np.float32)
+            np.add.at(gx, (..., idx), g)
+            a.accumulate_grad(gx)
+        out._backward = _bw
+    return out
+
+
+def fft_mag2(a):
+    """Squared magnitude of the one-sided DFT of the last axis (n//2 + 1 bins)."""
+    n = a.shape[-1]
+    spec = fourier.fft(a.data)
+    out = T._node(spec.real ** 2 + spec.imag ** 2, (a,), "fft_mag2")
+    if out.requires_grad:
+        def _bw(g):
+            # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
+            # interior bin twice (it and its mirror) but DC and Nyquist once,
+            # so those two are doubled here
+            h = g * spec
+            h[..., 0] *= 2.0
+            if n % 2 == 0 and n > 1:
+                h[..., n // 2] *= 2.0
+            a.accumulate_grad(n * fourier.ifft(h, n))
+        out._backward = _bw
+    return out
+
+
+def stft_logmag_composed(signal, cfg):
+    """frame -> Hann -> |DFT|^2 -> log(. + eps), one elementary op at a time."""
+    eps = T.Tensor(cfg.floor_epsilon)
+    return [T.tlog(T.add(fft_mag2(T.mul(frame(signal, w, cfg.hop(w)),
+                                        T.Tensor(T.hann_window(w)))), eps))
+            for w in cfg.window_sizes]
+
+
+def gru_cell(layer, x_t, h):
+    """One GRU step as a graph of elementary ops."""
+    p = layer.params
+
+    def gate(w, u, b, state):
+        return T.add(T.add(T.matmul(x_t, T.transpose(p[w])),
+                           T.matmul(state, T.transpose(p[u]))), p[b])
+    z = T.sigmoid(gate("wz", "uz", "bz", h))
+    r = T.sigmoid(gate("wr", "ur", "br", h))
+    hh = T.tanh(gate("wh", "uh", "bh", T.mul(r, h)))
+    return T.add(T.mul(T.sub(T.Tensor(1.0), z), h), T.mul(z, hh))
+
+
+def gru_scan_composed(layer, x):
+    """gru_cell scanned over (batch, time, features), one node per op."""
+    b, t, _ = x.shape
+    h = T.Tensor(np.zeros((b, layer.n_units), dtype=np.float32))
+    steps = []
+    for i in range(t):
+        h = gru_cell(layer, T.reshape(T.slice_axis(x, 1, i, i + 1), (b, -1)), h)
+        steps.append(T.reshape(h, (b, 1, -1)))
+    return T.concat(steps, axis=1)
+
+
+# -- a plain layer chain for structure tests ------------------------------------
+
+_ACTIVATIONS = {"tanh": T.tanh, "relu": T.relu, "sigmoid": T.sigmoid}
+
+
+def sequential_forward(net, x):
+    """Layers in order; the activation per layer comes from net.meta."""
+    acts = net.meta.get("activations", {})
+    for name, layer in net.layers.items():
+        if layer.kind == "linear":
+            x = nn.linear_forward(layer, x)
+        elif layer.kind == "conv1d":
+            x = nn.conv_forward(layer, x)
+        elif layer.kind == "batchnorm":
+            x = nn.batchnorm_forward(layer, x, net.training,
+                                     net.meta.get("bn_momentum", 0.1))
+        elif layer.kind == "gru":
+            x = nn.gru_scan(layer, x)
+        act = acts.get(name)
+        if act is not None:
+            x = _ACTIVATIONS[act](x)
+    return x
+
+
+nn.register_arch("sequential", nn.ArchSpec(forward=sequential_forward))

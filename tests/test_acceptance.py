@@ -219,15 +219,18 @@ def _op_bank():
         c = T.Tensor(_signed(rng, (2, 4)))
         return lambda t: T.concat([t, T.mul(t, c)], axis=1), _signed(rng, (2, 4))
 
-    def frame(rng):
-        return lambda t: T.frame(t, 4, 2), _signed(rng, (2, 12))
+    def stft_logmag(rng):
+        # a floor of 1 keeps the log's curvature within float32 differencing
+        cfg = T.SpectrogramConfig(window_sizes=(32,), floor_epsilon=1.0)
+        return lambda t: T.stft_logmag(t, cfg)[0], _signed(rng, (2, 80))
 
-    def fft_mag2(rng):
-        return lambda t: T.fft_mag2(t), _signed(rng, (3, 8))
+    def gru_scan(rng):
+        layer = nn.make_gru("g", 3, 4, rng)
+        return lambda t: nn.gru_scan(layer, t), _signed(rng, (2, 5, 3))
 
     return [add, sub, mul, div, matmul, conv, sigmoid, tanh, relu, texp,
             tlog, tabs, tsqrt, softmax, tsum, tmean, reshape, transpose,
-            slice_axis, concat, frame, fft_mag2]
+            slice_axis, concat, stft_logmag, gru_scan]
 
 
 def _directional_rel_err(builder, rng, eps=8e-3):

@@ -162,6 +162,44 @@ class TestAnalyze:
         assert len(out.read_text().splitlines()) > 1
 
 
+    def test_scores_sing_in_eval_mode(self, workspace, tmp_path, monkeypatch):
+        # data-driven scores must see the trained running statistics, as
+        # run_imp's do, and scoring must not update them
+        ckpt = workspace / "run" / "iter_02.ckpt"
+        loaded = []
+
+        def spy(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        load = nn.load_checkpoint
+        monkeypatch.setattr(nn, "load_checkpoint", spy)
+        out = tmp_path / "grad.csv"
+        assert cli.main(["analyze", "--model", str(ckpt),
+                         "--criterion", "gradient",
+                         "--config", str(workspace / "config.json"),
+                         "--out", str(out)]) == 0
+        monkeypatch.undo()
+
+        ref = nn.load_checkpoint(ckpt).eval()
+        assert ref.arch == "sing_ae"
+        cfg = harness.load_config(workspace / "config.json")
+        split = harness.split_dataset(harness._build_dataset(cfg), cfg.seed)
+        want = cr.pool_scores(ref, "gradient",
+                              batches=[harness.collate([it]) for it in split.valid])
+        with open(out, newline="") as fh:
+            got = np.array([float(s) for _, _, s in list(csv.reader(fh))[1:]])
+        assert np.allclose(got, np.concatenate(list(want.values())),
+                           rtol=1e-9, atol=0)
+
+        (used,) = loaded
+        fresh = nn.load_checkpoint(ckpt)
+        for name, layer in fresh.layers.items():
+            for key, buf in layer.buffers.items():
+                assert np.array_equal(used.layers[name].buffers[key], buf), \
+                    (name, key)
+
+
 class TestEmbedCheck:
     def test_lists_all_reference_platforms(self, workspace, capsys):
         rc = cli.main(["embed-check", "--model",

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -217,7 +218,9 @@ class TestSing:
     def test_spectral_loss_zero_on_identical(self):
         cfg = tiny_sing_cfg()
         wave = np.random.default_rng(12).uniform(-1, 1, (2, 128)).astype(np.float32)
-        loss = models.multiscale_spectral_loss(Tensor(wave), wave, cfg.spectrogram())
+        spec = cfg.spectrogram()
+        loss = models.multiscale_spectral_loss(
+            Tensor(wave), models.log_spectrograms(wave, spec), spec)
         assert loss.item() == 0.0
 
     def test_spectral_loss_positive_on_different(self):
@@ -225,7 +228,9 @@ class TestSing:
         rng = np.random.default_rng(13)
         a = rng.uniform(-1, 1, (1, 128)).astype(np.float32)
         b = rng.uniform(-1, 1, (1, 128)).astype(np.float32)
-        assert models.multiscale_spectral_loss(Tensor(a), b, cfg.spectrogram()).item() > 0.1
+        spec = cfg.spectrogram()
+        target = models.log_spectrograms(b, spec)
+        assert models.multiscale_spectral_loss(Tensor(a), target, spec).item() > 0.1
 
 
 class TestDdsp:
@@ -312,6 +317,65 @@ class TestDdsp:
         b = models.noise_band_basis(100, 4, seed=0)
         assert a is b
         assert np.abs(a).max() <= 1.0 + 1e-6
+
+
+class TestBatchConstants:
+    """The target log-spectrograms and the sine bank are built once per
+    batch and kept in the batch itself."""
+
+    @staticmethod
+    def _loss_and_grads(net, batch):
+        net.zero_grad()
+        loss = models.compute_loss(net, batch)
+        loss.backward()
+        return loss.data, [p.grad for p in net.parameters()]
+
+    @pytest.mark.parametrize("cfg_fn", [tiny_ddsp_cfg, tiny_sing_cfg])
+    def test_cached_batch_gives_the_fresh_copy_loss_bit_for_bit(self, cfg_fn,
+                                                                monkeypatch):
+        cfg = cfg_fn()
+        net = models.build_model(cfg, seed=8)
+        batch = ddsp_batch(cfg, seed=8)
+        builds = []
+        for name in ("sine_bank", "log_spectrograms"):
+            def spy(*args, fn=getattr(models, name)):
+                builds.append(fn)
+                return fn(*args)
+            monkeypatch.setattr(models, name, spy)
+        self._loss_and_grads(net, batch)
+        n_built = len(builds)
+        assert n_built == (2 if cfg.arch == "ddsp" else 1)
+        cached = self._loss_and_grads(net, batch)
+        assert len(builds) == n_built
+        fresh = self._loss_and_grads(net, {k: v.copy() for k, v in batch.items()
+                                           if k != "_constants"})
+        assert cached[0].tobytes() == fresh[0].tobytes()
+        for a, b in zip(cached[1], fresh[1]):
+            assert np.array_equal(a, b)
+
+    def test_render_with_the_cached_bank_equals_an_uncached_render(self):
+        cfg = tiny_ddsp_cfg()
+        net = models.build_model(cfg, seed=9)
+        batch = ddsp_batch(cfg, seed=9)
+        with T.no_grad():
+            models.ddsp_render(net, batch)
+            got = models.ddsp_render(net, batch).data
+            want = models.ddsp_synthesize(models.forward_batch(net, batch),
+                                          batch["f0"], net.meta).data
+        assert np.array_equal(got, want)
+
+    def test_constants_live_exactly_as_long_as_the_batch(self):
+        cfg = tiny_ddsp_cfg()
+        net = models.build_model(cfg, seed=10)
+        batch = ddsp_batch(cfg, seed=10)
+        models.compute_loss(net, batch).backward()
+        store = batch["_constants"]
+        arrays = [v for val in store.values()
+                  for v in (val if isinstance(val, list) else [val])]
+        refs = [weakref.ref(a) for a in arrays]
+        del batch, store, arrays
+        gc.collect()
+        assert refs and all(r() is None for r in refs)
 
 
 class TestBuildAndCheckpoint:

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiotrim import nn
+from audiotrim import embed, nn
 from audiotrim import tensor as T
 from audiotrim.tensor import Tensor
+from conftest import directional_gradcheck, gru_scan_composed
 
 
 def conv_chain(seed=0) -> nn.Network:
@@ -308,6 +309,62 @@ class TestForwardHelpers:
         net = nn.Network("nope", [nn.make_linear("a", 2, 2, rng)])
         with pytest.raises(nn.StructureError, match="no forward"):
             net.forward(Tensor(np.zeros((1, 2))))
+
+
+class TestFusedGru:
+    """gru_scan is one graph node; the composed gru_cell scan is its oracle."""
+
+    @staticmethod
+    def _outputs_and_grads(scan, layer, x0):
+        for p in layer.params.values():
+            p.zero_grad()
+        x = Tensor(x0, requires_grad=True)
+        out = scan(layer, x)
+        weight = np.random.default_rng(1).standard_normal(out.shape)
+        T.tsum(T.mul(out, Tensor(weight.astype(np.float32)))).backward()
+        grads = {k: p.grad for k, p in layer.params.items()}
+        grads["x"] = x.grad
+        return out.data, grads
+
+    @pytest.mark.parametrize("shape", [(3, 9, 4), (1, 1, 4), (2, 30, 4)])
+    def test_matches_composed_cell_scan(self, shape):
+        layer = gru_probe(shape[1]).layers["gru"]
+        x0 = np.random.default_rng(shape[1]).standard_normal(shape).astype(np.float32)
+        got, got_g = self._outputs_and_grads(nn.gru_scan, layer, x0)
+        want, want_g = self._outputs_and_grads(gru_scan_composed, layer, x0)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        assert set(got_g) == set(want_g)
+        for k, g in want_g.items():
+            assert np.abs(got_g[k] - g).max() <= 1e-6 * np.abs(g).max(), k
+
+    def test_gradcheck_input_and_recurrent_weights(self):
+        rng = np.random.default_rng(13)
+        layer = gru_probe(2).layers["gru"]
+        x0 = rng.standard_normal((2, 6, 4)).astype(np.float32)
+        directional_gradcheck(lambda x: T.tsum(nn.gru_scan(layer, x)), x0, rng)
+        xt = Tensor(x0)
+        for name in ("uz", "ur", "uh"):
+            def build(u, name=name):
+                layer.params[name] = u
+                return T.tsum(T.tanh(nn.gru_scan(layer, xt)))
+            directional_gradcheck(build, layer.params[name].data.copy(), rng)
+
+    def test_one_node_whose_products_all_go_through_matmul(self, monkeypatch):
+        layer = gru_probe().layers["gru"]
+        b, t, n_in = 3, 7, 4
+        macs = []
+        matmul = T.matmul
+
+        def counting(a, w):
+            macs.append(a.data.size * w.shape[-1])  # (..., k) @ (k, n)
+            return matmul(a, w)
+
+        monkeypatch.setattr(T, "matmul", counting)
+        x = Tensor(np.ones((b, t, n_in), dtype=np.float32))
+        out = nn.gru_scan(layer, x)
+        assert out._parents[1:] == tuple(layer.params[k] for k in layer.param_order())
+        flops = embed.layer_flops(layer) - 9 * layer.n_units
+        assert embed.FLOPS_PER_MAC * sum(macs) == flops * b * t
 
 
 class TestCheckpoints:

@@ -1,0 +1,52 @@
+"""Smoke runs of the experiment scripts, at tiny sizes, through their loops."""
+
+import csv
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+from audiotrim import harness
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tiny(cfg, **dataset):
+    return dataclasses.replace(
+        cfg, dataset=dataclasses.replace(cfg.dataset, n_items=10, **dataset),
+        training=harness.TrainingConfig(epochs=1, batch_size=8),
+        imp=dataclasses.replace(cfg.imp, rewind_step=1))
+
+
+def test_criterion_sweep_writes_one_row_per_cell_and_iteration(tmp_path):
+    script = _load("criterion_sweep")
+    # information scoring needs 100 frames in a validation item: 1.25 s
+    cfg = _tiny(script.base_config(str(tmp_path), seed=0, iterations=1),
+                duration=1.25)
+    criteria = ["magnitude", "gradient", "activation", "information"]
+    rows = script.sweep(cfg, criteria)
+    with open(tmp_path / "sweep_summary.csv", newline="") as fh:
+        written = list(csv.reader(fh))
+    assert written[1:] == [[str(v) for v in row] for row in rows]
+    assert [tuple(r[:3]) for r in rows] == [
+        (c, s, i) for c in criteria
+        for s in ("local", "global") for i in (0, 1)]
+    assert all(float(r[3]) < 1.0 for r in rows if r[2] == 1)
+
+
+def test_mask_vs_trim_runs_both_parts(tmp_path):
+    script = _load("mask_vs_trim")
+    cfg = _tiny(script.paired_config(str(tmp_path), seed=0, iterations=1))
+    deep = dataclasses.replace(script.DEEP_MODEL, conv_channels=8,
+                               n_conv_layers=3)
+    sparsity, removable = script.compare(cfg, deep)
+    assert (tmp_path / "paired.csv").exists()
+    assert 0.98 < sparsity < 1.0 and 0.0 <= removable <= 1.0
+    report = (tmp_path / "prunability.txt").read_text()
+    assert f"masked_weight_sparsity: {sparsity:.6f}" in report

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from audiotrim import fourier
 from audiotrim import tensor as T
-from conftest import directional_gradcheck, naive_dft
+from conftest import directional_gradcheck, fft_mag2, naive_dft, stft_logmag_composed
 
 RNG = np.random.default_rng(99)
 
@@ -76,14 +76,14 @@ class TestFft:
 class TestFftMag2:
     def test_matches_naive_power(self):
         x = RNG.standard_normal(64).astype(np.float32)
-        got = T.fft_mag2(T.Tensor(x)).data
+        got = fft_mag2(T.Tensor(x)).data
         ref = np.abs(naive_dft(x))[:33] ** 2
         assert np.allclose(got, ref, rtol=1e-4, atol=1e-3)
 
     @pytest.mark.parametrize("n", [12, 31])
     def test_matches_naive_power_at_non_power_of_two(self, n):
         x = RNG.standard_normal((2, n)).astype(np.float32)
-        got = T.fft_mag2(T.Tensor(x)).data
+        got = fft_mag2(T.Tensor(x)).data
         ref = np.abs(naive_dft(x))[..., : n // 2 + 1] ** 2
         assert got.shape == ref.shape
         assert np.allclose(got, ref, rtol=1e-4, atol=1e-3)
@@ -95,13 +95,63 @@ class TestFftMag2:
         x0 = rng.standard_normal((3, n)).astype(np.float32)
         weight = T.Tensor((rng.random(n // 2 + 1) + 0.5).astype(np.float32))
         directional_gradcheck(
-            lambda x: T.tmean(T.mul(T.fft_mag2(x), weight)), x0, rng)
+            lambda x: T.tmean(T.mul(fft_mag2(x), weight)), x0, rng)
 
     def test_constant_signal_concentrates_in_dc(self):
         x = np.full(32, 0.5, dtype=np.float32)
-        got = T.fft_mag2(T.Tensor(x)).data
+        got = fft_mag2(T.Tensor(x)).data
         assert got[0] == pytest.approx((0.5 * 32) ** 2, rel=1e-5)
         assert np.abs(got[1:]).max() < 1e-3
+
+
+class TestStftNode:
+    """Each window of stft_logmag is one node; the composed frame -> Hann ->
+    fft_mag2 -> log chain is its oracle."""
+
+    @staticmethod
+    def _values_and_grad(stft, x0, cfg):
+        x = T.Tensor(x0, requires_grad=True)
+        outs = stft(x, cfg)
+        rng = np.random.default_rng(5)
+        total = None
+        for o in outs:
+            w = T.Tensor(rng.standard_normal(o.shape).astype(np.float32))
+            term = T.tsum(T.mul(o, w))
+            total = term if total is None else T.add(total, term)
+        total.backward()
+        return [o.data for o in outs], x.grad
+
+    # 0.3 gives hops (9, 19, 38) that do not divide the windows
+    @pytest.mark.parametrize("hop_fraction", [0.25, 0.3, 1.0])
+    def test_matches_composed_chain(self, hop_fraction):
+        cfg = T.SpectrogramConfig(window_sizes=(32, 64, 128),
+                                  hop_fraction=hop_fraction)
+        x0 = RNG.standard_normal((2, 3, 300)).astype(np.float32)
+        got, got_g = self._values_and_grad(T.stft_logmag, x0, cfg)
+        want, want_g = self._values_and_grad(stft_logmag_composed, x0, cfg)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max()
+        assert np.abs(got_g - want_g).max() <= 1e-6 * np.abs(want_g).max()
+
+    def test_one_node_per_window(self):
+        x = T.Tensor(RNG.standard_normal(256).astype(np.float32), requires_grad=True)
+        outs = T.stft_logmag(x, T.SpectrogramConfig(window_sizes=(32, 64)))
+        assert [o._parents for o in outs] == [(x,), (x,)]
+
+    @pytest.mark.parametrize("window", [32, 64])
+    def test_gradcheck_dc_and_nyquist_bins(self, window):
+        # only the two bins whose backward rule differs from the rest
+        rng = np.random.default_rng(170 + window)
+        cfg = T.SpectrogramConfig(window_sizes=(window,))
+        x0 = rng.standard_normal((2, 3 * window)).astype(np.float32)
+
+        def build(x):
+            (spec,) = T.stft_logmag(x, cfg)
+            return T.add(T.tmean(T.slice_axis(spec, -1, 0, 1)),
+                         T.tmean(T.slice_axis(spec, -1, window // 2, window // 2 + 1)))
+
+        directional_gradcheck(build, x0, rng)
 
 
 class TestSpectrogramConfig:
