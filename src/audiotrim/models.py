@@ -468,17 +468,32 @@ nn.register_arch("ddsp", nn.ArchSpec(
 
 
 def nll_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood; logits (batch, classes, time)."""
+    """Mean negative log-likelihood; logits (batch, classes, time).
+
+    One graph node: the forward pass is a max-shifted log-sum-exp over
+    classes minus the gathered target logit, and the backward pass writes
+    softmax - onehot into one fresh array, scaled by g / (batch * time).
+    """
     b, c, t = logits.shape
     if targets.shape != (b, t):
         raise T.ShapeError(f"targets {targets.shape} do not match logits {logits.shape}")
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
-    z = T.sub(logits, shift)
-    lse = T.add(T.tlog(T.tsum(T.texp(z), axis=1, keepdims=True)), shift)
-    onehot = np.zeros((b, c, t), dtype=np.float32)
-    onehot[np.arange(b)[:, None], targets, np.arange(t)[None, :]] = 1.0
-    picked = T.tsum(T.mul(logits, Tensor(onehot)), axis=1, keepdims=True)
-    return T.tmean(T.sub(lse, picked))
+    x = logits.data
+    shift = x.max(axis=1, keepdims=True)
+    z = x - shift
+    np.exp(z, out=z)
+    lse = np.log(z.sum(axis=1, keepdims=True)) + shift
+    at = (np.arange(b)[:, None], targets, np.arange(t)[None, :])
+    loss = (lse[:, 0, :] - x[at]).mean()
+    out = T._node(np.asarray(loss), (logits,), "nll")
+    if out.requires_grad:
+        def _bw(g):
+            p = x - lse
+            np.exp(p, out=p)
+            p[at] -= 1.0
+            p *= g / (b * t)
+            logits.accumulate_grad(p)
+        out._backward = _bw
+    return out
 
 
 def log_spectrograms(wave: np.ndarray, cfg: SpectrogramConfig) -> list[np.ndarray]:

@@ -560,8 +560,8 @@ def linear_forward(layer: Layer, x: Tensor) -> Tensor:
 
 
 def conv_forward(layer: Layer, x: Tensor) -> Tensor:
-    y = T.conv1d_dilated_causal(x, layer.params["w"], layer.dilation)
-    return T.add(y, T.reshape(layer.params["b"], (-1, 1)))
+    return T.conv1d_dilated_causal(x, layer.params["w"], layer.dilation,
+                                   bias=layer.params["b"])
 
 
 def batchnorm_forward(layer: Layer, x: Tensor, training: bool,

@@ -10,11 +10,36 @@ instead of as a NaN loss many steps later.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fourier
+
+
+def _pin_malloc_thresholds():
+    """Keep freed numpy buffers in the process instead of unmapping them.
+
+    glibc adapts its mmap and trim thresholds to the allocation history,
+    so a train step's freed arrays often go back to the kernel and the
+    next step faults the same pages in again. Pinning the mmap threshold
+    at glibc's maximum (32 MiB) and the trim threshold at 1 GiB keeps
+    every array below 32 MiB on the heap and the heap resident once
+    grown. A no-op where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 1 << 30)
+
+
+_pin_malloc_thresholds()
 
 
 class ShapeError(ValueError):
@@ -95,8 +120,12 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self):
-        """Add d(self)/d(node) into .grad for every node in the graph.
+        """Add d(self)/d(leaf) into .grad for every leaf of the graph.
 
+        A leaf is a tensor that requires grad and no op produced
+        (parameters, inputs). Interior nodes keep .grad None: each one's
+        flow is dropped as soon as its own backward has pushed it to its
+        inputs, so a pass holds the flows of one frontier, not the graph's.
         Each call contributes exactly one gradient pass, so calling twice
         without zero_grad doubles the leaves' grads.
         """
@@ -125,9 +154,10 @@ class Tensor:
         _FLOWS = flows
         try:
             for node in reversed(order):
-                g = flows.get(id(node))
-                if node._backward is not None and g is not None:
-                    node._backward(g)
+                if node._backward is not None:
+                    g = flows.pop(id(node), None)
+                    if g is not None:
+                        node._backward(g)
         finally:
             _FLOWS = None
         for node in order:
@@ -323,11 +353,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
-    """Causal dilated 1-d convolution.
+def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
+                          bias: Tensor | None = None) -> Tensor:
+    """Causal dilated 1-d convolution, plus an optional per-channel bias.
 
-    x: (C, T) or (B, C, T); w: (O, C, K). Left-pads with (K-1)*dilation
-    zeros so y[t] only reads x[<= t]; output keeps length T.
+    x: (C, T) or (B, C, T); w: (O, C, K); bias: (O,). Output keeps length
+    T and y[t] only reads x[<= t]: tap j reads x shifted right by
+    s = (K-1-j)*dilation, applied as y[..., s:] += w[:, :, j] @ x[..., :T-s]
+    with no padded copy of x, and a tap with s >= T reads nothing. The
+    backward pass mirrors the same slices.
     """
     xd, wd = x.data, w.data
     if wd.ndim != 3:
@@ -342,32 +376,40 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
         raise ShapeError(
             f"op 'conv1d' channel mismatch: input {x.shape} vs weight {w.shape}"
         )
+    if bias is not None and bias.shape != (n_out,):
+        raise ShapeError(
+            f"op 'conv1d' bias must be ({n_out},), got {bias.shape}"
+        )
     t = xd.shape[-1]
-    pad = (k - 1) * dilation
-    pad_spec = [(0, 0)] * (xd.ndim - 1) + [(pad, 0)]
-    xp = np.pad(xd, pad_spec)
+    # (tap, shift) for every tap that reaches inside the signal
+    taps = [(j, (k - 1 - j) * dilation) for j in range(k)
+            if (k - 1 - j) * dilation < t]
     acc = np.zeros(xd.shape[:-2] + (n_out, t), dtype=np.float32)
-    for j in range(k):
-        acc += np.matmul(wd[:, :, j], xp[..., j * dilation : j * dilation + t])
-    out = _node(acc, (x, w), "conv1d")
+    for j, s in taps:
+        acc[..., s:] += np.matmul(wd[:, :, j], xd[..., : t - s])
+    if bias is not None:
+        acc += bias.data[:, None]
+    parents = (x, w) if bias is None else (x, w, bias)
+    out = _node(acc, parents, "conv1d")
     if out.requires_grad:
         def _bw(g):
             if w.requires_grad:
                 gw = np.zeros_like(wd)
-                for j in range(k):
-                    seg = xp[..., j * dilation : j * dilation + t]
+                for j, s in taps:
                     if xd.ndim == 2:
-                        gw[:, :, j] = g @ seg.T
+                        gw[:, :, j] = g[:, s:] @ xd[:, : t - s].T
                     else:
-                        gw[:, :, j] = np.tensordot(g, seg, axes=([0, 2], [0, 2]))
+                        gw[:, :, j] = np.tensordot(g[..., s:], xd[..., : t - s],
+                                                   axes=([0, 2], [0, 2]))
                 w.accumulate_grad(gw)
             if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for j in range(k):
-                    gxp[..., j * dilation : j * dilation + t] += np.matmul(
-                        wd[:, :, j].T, g
-                    )
-                x.accumulate_grad(gxp[..., pad:])
+                gx = np.zeros_like(xd)
+                for j, s in taps:
+                    gx[..., : t - s] += np.matmul(wd[:, :, j].T, g[..., s:])
+                x.accumulate_grad(gx)
+            if bias is not None and bias.requires_grad:
+                gb = g.sum(axis=0) if g.ndim == 3 else g
+                bias.accumulate_grad(gb.sum(axis=1))
         out._backward = _bw
     return out
 

@@ -56,7 +56,53 @@ def adjoint_dot_check(op, x0, rng, rtol=1e-4):
 #
 # Built from the engine's elementary ops only, these are the oracles for the
 # fused nodes that replaced them in src: tensor.stft_logmag (one node per
-# window) and nn.gru_scan (one node per sequence).
+# window), nn.gru_scan (one node per sequence), models.nll_from_logits (one
+# node per loss) and tensor.conv1d_dilated_causal's pad-free taps and bias.
+
+
+def conv1d_padded(x, w, dilation=1, bias=None):
+    """Causal conv as a zero-padded copy of x read through every tap, then
+    the bias as a separate broadcast add."""
+    wd = w.data
+    k = wd.shape[2]
+    t = x.shape[-1]
+    pad = (k - 1) * dilation
+    xd = np.pad(x.data, [(0, 0)] * (x.ndim - 1) + [(pad, 0)])
+    acc = np.zeros(x.shape[:-2] + (wd.shape[0], t), dtype=np.float32)
+    for j in range(k):
+        acc += np.matmul(wd[:, :, j], xd[..., j * dilation : j * dilation + t])
+    y = T._node(acc, (x, w), "conv1d_padded")
+    if y.requires_grad:
+        def _bw(g):
+            if w.requires_grad:
+                gw = np.zeros_like(wd)
+                for j in range(k):
+                    seg = xd[..., j * dilation : j * dilation + t]
+                    axes = [0, 2] if g.ndim == 3 else [1]
+                    gw[:, :, j] = np.tensordot(g, seg, axes=(axes, axes))
+                w.accumulate_grad(gw)
+            if x.requires_grad:
+                gxp = np.zeros_like(xd)
+                for j in range(k):
+                    gxp[..., j * dilation : j * dilation + t] += np.matmul(
+                        wd[:, :, j].T, g)
+                x.accumulate_grad(gxp[..., pad:])
+        y._backward = _bw
+    return y if bias is None else T.add(y, T.reshape(bias, (-1, 1)))
+
+
+def nll_composed(logits, targets):
+    """Mean NLL through shift, exp, sum, log and a dense one-hot product."""
+    b, c, t = logits.shape
+    if targets.shape != (b, t):
+        raise T.ShapeError(f"targets {targets.shape} do not match logits {logits.shape}")
+    shift = T.Tensor(logits.data.max(axis=1, keepdims=True))
+    z = T.sub(logits, shift)
+    lse = T.add(T.tlog(T.tsum(T.texp(z), axis=1, keepdims=True)), shift)
+    onehot = np.zeros((b, c, t), dtype=np.float32)
+    onehot[np.arange(b)[:, None], targets, np.arange(t)[None, :]] = 1.0
+    picked = T.tsum(T.mul(logits, T.Tensor(onehot)), axis=1, keepdims=True)
+    return T.tmean(T.sub(lse, picked))
 
 
 def frame(a, window, hop):

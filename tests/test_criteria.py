@@ -501,6 +501,12 @@ def _bottom_vs_top_cells(net, items, criteria, **score_kw):
     return out
 
 
+def _pool_medians(hosts, crit):
+    """Each pool's median bottom-vs-top margin over the hosts (seeds)."""
+    cells = [_bottom_vs_top_cells(net, items, (crit,))[crit] for net, items in hosts]
+    return list(np.median(cells, axis=0))
+
+
 @pytest.fixture(scope="module")
 def wavenet_hosts():
     # next-sample prediction on tones; 6 pools per model
@@ -531,9 +537,12 @@ def sing_hosts():
     # reconstruction with light weight decay. Its budget (lr * wd * steps =
     # 0.9) cannot decay a gradient-free gamma below (1 - 0.0015)^600 ~ 0.41,
     # above most trained conv0 gammas, so |gamma| here says little about
-    # need; normalization is ranked on decayed_sing_hosts instead
+    # need; normalization is ranked on decayed_sing_hosts instead. One
+    # host's cells follow float rounding (a change of summation order in
+    # the conv moved seed 1's magnitude margins from 0.33 and -0.03 to 0.43
+    # and -0.28), so tests read each pool's median over twelve seeds
     hosts = []
-    for seed in (0, 1, 2, 3, 4):
+    for seed in range(12):
         cfg = models.ModelConfig(arch="sing_ae", conv_channels=12, n_conv_layers=3,
                                  sing_kernel=5, spec_windows=(32, 64))
         net = models.build_model(cfg, seed=seed)
@@ -587,17 +596,17 @@ class TestRankingSanity:
     the gamma of units the loss does not hold up; under the light decay of
     sing_hosts an unneeded gamma would still sit near 0.41, above most
     trained ones, and its size says little. Magnitude rankings are
-    noisier under batchnorm, so magnitude asserts a positive mean margin
-    over the grid. The information criterion's ranking is validated against
-    constructed dependencies instead (see TestInformation): on organically
+    noisier under batchnorm, so magnitude asserts a positive mean of the
+    pools' median margins. The information criterion's ranking is
+    validated against constructed dependencies instead (see
+    TestInformation): on organically
     trained tiny models its bottom-vs-top outcome is near chance because
     rank-based dependence ignores unit scale.
     """
 
     def test_gradient_bottom_vs_top(self, wavenet_hosts, sing_hosts):
-        margins = []
-        for net, items in wavenet_hosts + sing_hosts:
-            margins += _bottom_vs_top_cells(net, items, ("gradient",))["gradient"]
+        margins = (_pool_medians(wavenet_hosts, "gradient")
+                   + _pool_medians(sing_hosts, "gradient"))
         wins = np.mean([m >= -1e-9 for m in margins])
         assert wins >= 0.7, (wins, np.round(margins, 4))
 
@@ -617,8 +626,6 @@ class TestRankingSanity:
         assert wins >= 0.7, (wins, np.round(margins, 4))
 
     def test_magnitude_mean_margin_positive(self, sing_hosts):
-        margins = []
-        for net, items in sing_hosts:
-            margins += _bottom_vs_top_cells(net, items, ("magnitude",))["magnitude"]
+        margins = _pool_medians(sing_hosts, "magnitude")
         assert np.mean(margins) > 0.0, np.round(margins, 4)
 

@@ -11,6 +11,7 @@ from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
 from audiotrim.models import ModelConfig, MuLawCodec
 from audiotrim.tensor import Tensor
+from conftest import directional_gradcheck, nll_composed
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -115,6 +116,36 @@ class TestNll:
         onehot = np.zeros_like(raw)
         onehot[np.arange(2)[:, None], targets, np.arange(3)[None, :]] = 1.0
         assert np.allclose(logits.grad, (p - onehot) / 6.0, atol=1e-4)
+
+    @pytest.mark.parametrize("shape,scale", [((2, 5, 3), 1.0), ((3, 256, 40), 4.0)])
+    def test_matches_composed_chain(self, shape, scale):
+        rng = np.random.default_rng(3)
+        raw = (scale * rng.standard_normal(shape)).astype(np.float32)
+        targets = rng.integers(0, shape[1], size=(shape[0], shape[2]))
+        out = {}
+        for name, fn in (("node", models.nll_from_logits), ("composed", nll_composed)):
+            logits = Tensor(raw, requires_grad=True)
+            loss = fn(logits, targets)
+            loss.backward()
+            out[name] = (loss.item(), logits.grad)
+        assert out["node"][0] == pytest.approx(out["composed"][0], rel=1e-6)
+        assert np.allclose(out["node"][1], out["composed"][1], rtol=1e-6, atol=1e-6)
+
+    def test_is_one_node(self):
+        logits = Tensor(np.zeros((2, 4, 3), dtype=np.float32), requires_grad=True)
+        loss = models.nll_from_logits(logits, np.zeros((2, 3), dtype=np.int64))
+        assert loss._parents == (logits,)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(4)
+        x0 = rng.standard_normal((2, 6, 5)).astype(np.float32)
+        targets = rng.integers(0, 6, size=(2, 5))
+        directional_gradcheck(lambda x: models.nll_from_logits(x, targets), x0, rng)
+
+    def test_mismatched_targets_raise(self):
+        logits = Tensor(np.zeros((2, 4, 3), dtype=np.float32))
+        with pytest.raises(T.ShapeError, match="targets"):
+            models.nll_from_logits(logits, np.zeros((2, 4), dtype=np.int64))
 
 
 class TestWavenet:

@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from audiotrim import harness
@@ -50,3 +53,16 @@ def test_mask_vs_trim_runs_both_parts(tmp_path):
     assert 0.98 < sparsity < 1.0 and 0.0 <= removable <= 1.0
     report = (tmp_path / "prunability.txt").read_text()
     assert f"masked_weight_sparsity: {sparsity:.6f}" in report
+
+
+def test_fault_count_reports_each_call_and_medians():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "fault_count.py"),
+         "--workload", "ddsp_info_trim", "--calls", "2"],
+        stdout=subprocess.PIPE, text=True, check=True, timeout=300)
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["call"] for r in lines[:-1]] == [0, 1]
+    assert all(r["failed"] == 0 and r["wall_s"] > 0 for r in lines[:-1])
+    summary = lines[-1]["median"]
+    assert summary["calls"] == 2 and summary["minflt"] >= 0
+    assert summary["peak_rss_mb"] > 0

@@ -1,10 +1,14 @@
+import ctypes
+import resource
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiotrim import tensor as T
-from conftest import adjoint_dot_check, directional_gradcheck, fft_mag2, frame
+from conftest import (adjoint_dot_check, conv1d_padded, directional_gradcheck,
+                      fft_mag2, frame)
 
 RNG = np.random.default_rng(1234)
 
@@ -219,6 +223,111 @@ class TestBackward:
             return T.tsum(T.concat([T.tmean(p, keepdims=True).reshape(1) for p in parts]))
 
         directional_gradcheck(build, x0, rng)
+
+
+class TestConvNode:
+    """The pad-free, bias-fused conv against zero padding plus an add node."""
+
+    @staticmethod
+    def _run(conv, x0, w0, b0, dilation, y):
+        x = T.Tensor(x0, requires_grad=True)
+        w = T.Tensor(w0, requires_grad=True)
+        b = T.Tensor(b0, requires_grad=True)
+        out = conv(x, w, dilation, bias=b)
+        T.tsum(T.mul(out, T.Tensor(y))).backward()
+        return out.data, x.grad, w.grad, b.grad
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("k,dilation,t", [
+        (1, 1, 9), (2, 1, 9), (2, 4, 9), (3, 2, 9),
+        (3, 4, 6),   # (k-1)*d = 8 >= t: the first tap reads nothing
+        (2, 7, 7),   # (k-1)*d = t exactly
+    ])
+    def test_matches_padded_oracle(self, lead, k, dilation, t):
+        rng = np.random.default_rng(100 + 10 * k + dilation)
+        x0 = rng.standard_normal(lead + (4, t)).astype(np.float32)
+        w0 = rng.standard_normal((5, 4, k)).astype(np.float32)
+        b0 = rng.standard_normal(5).astype(np.float32)
+        y = rng.standard_normal(lead + (5, t)).astype(np.float32)
+        got = self._run(T.conv1d_dilated_causal, x0, w0, b0, dilation, y)
+        ref = self._run(conv1d_padded, x0, w0, b0, dilation, y)
+        for name, a, r in zip(("out", "x", "w", "bias"), got, ref):
+            assert a.shape == r.shape, name
+            assert np.allclose(a, r, rtol=1e-6, atol=1e-6), name
+
+    def test_bias_folds_into_one_node(self):
+        rng = np.random.default_rng(110)
+        x = T.Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
+        w = T.Tensor(rng.standard_normal((4, 3, 2)).astype(np.float32), requires_grad=True)
+        b = T.Tensor(np.arange(4, dtype=np.float32), requires_grad=True)
+        out = T.conv1d_dilated_causal(x, w, 2, bias=b)
+        assert out._op == "conv1d" and out._parents == (x, w, b)
+        bare = T.conv1d_dilated_causal(x, w, 2).data
+        assert np.array_equal(out.data, bare + np.arange(4, dtype=np.float32)[:, None])
+
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(T.ShapeError, match="bias"):
+            T.conv1d_dilated_causal(T.Tensor(np.zeros((3, 8))), T.Tensor(np.zeros((4, 3, 2))),
+                                    bias=T.Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("which", ["x", "w", "bias"])
+    def test_gradcheck_with_bias(self, which):
+        rng = np.random.default_rng(111)
+        arrays = {"x": rng.standard_normal((2, 3, 10)).astype(np.float32),
+                  "w": rng.standard_normal((4, 3, 3)).astype(np.float32),
+                  "bias": rng.standard_normal(4).astype(np.float32)}
+
+        def build(t):
+            args = {k: t if k == which else T.Tensor(v) for k, v in arrays.items()}
+            return T.tmean(T.tanh(T.conv1d_dilated_causal(
+                args["x"], args["w"], 3, bias=args["bias"])))
+
+        directional_gradcheck(build, arrays[which], rng)
+
+
+class TestLeafOnlyGrads:
+    def test_interior_grads_stay_none(self):
+        a = T.Tensor([2.0, -3.0], requires_grad=True)
+        b = T.Tensor([5.0, 7.0], requires_grad=True)
+        prod = T.mul(a, b)
+        act = T.tanh(prod)
+        T.tsum(act).backward()
+        assert prod.grad is None and act.grad is None
+        dtanh = 1.0 - np.tanh(a.data * b.data) ** 2
+        assert np.allclose(a.grad, dtanh * b.data)
+        assert np.allclose(b.grad, dtanh * a.data)
+
+    def test_leaf_root_gets_its_own_grad(self):
+        x = T.Tensor(3.0, requires_grad=True)
+        x.backward()
+        assert np.array_equal(x.grad, np.float32(1.0))
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="C library has no mallopt")
+def test_freed_arrays_are_not_faulted_in_again():
+    """Importing audiotrim.tensor pins glibc's malloc thresholds, so
+    repeatedly allocating, touching and freeing 80 MiB of numpy arrays
+    faults the pages in once, not on every round. Unpinned, glibc's
+    adaptive trim threshold (at most 64 MiB) hands the freed heap top back
+    to the kernel each round, about 20 000 faults a round. Each array is
+    1 MiB, under numpy's 4 MiB huge-page hint."""
+    def churn():
+        arrays = [np.ones(1 << 18, dtype=np.float32) for _ in range(80)]
+        del arrays
+
+    churn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(8):
+        churn()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2048, f"{faults} minor faults over 8 rounds of 20 480 pages"
 
 
 class TestLinearAdjoints:
