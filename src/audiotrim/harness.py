@@ -370,9 +370,10 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
     The learning rate halves after ``plateau_patience`` consecutive epochs
     without a validation improvement; training ends at the epoch budget or
     once validation has stalled through two full patience windows. The
-    returned callable follows the pruning trainer contract: it trains the
-    net in place and returns the parameter snapshot after ``record_step``
-    optimizer steps (0 = the initial values) when one is requested.
+    returned callable keeps the trainer contract ``pruning.run_imp``
+    states: it trains the net in place and returns the parameter snapshot
+    after ``record_step`` optimizer steps (0 = the initial values) when
+    one is requested.
     Batching is fixed upstream, in the splits.
     """
 

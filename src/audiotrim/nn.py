@@ -4,15 +4,14 @@ A Network is an ordered set of layers plus the wiring needed to remove
 whole units safely: trim groups tie layers whose output channels must
 stay aligned (residual streams, gated filter/gate pairs), and each
 layer's `in_source` names the layer whose units feed its input axis.
-From that wiring both pruning modes follow:
-
-* masking zeroes a unit's outgoing rows, bias, and every consumer's
-  matching input columns, keeping shapes intact;
-* trimming deletes the same slices physically, shrinking the arrays.
-
-The two must agree: a trimmed forward pass matches the equivalently
-masked one to float precision. Checkpoints serialise the full structure
-(not just weights) so a trimmed network round-trips byte for byte.
+From that wiring trimming follows: it deletes a unit's outgoing rows,
+bias, recurrent columns, normalisation entries and every consumer's
+matching input columns, shrinking the arrays. Trimming is the only
+pruned state a Network holds. Zeroing the same slices in place (unit
+masking) is not a network mode; the tests keep it as trimming's oracle,
+and a trimmed forward pass must match the masked one to float
+precision. Checkpoints serialise the full structure (not just weights)
+so a trimmed network round-trips byte for byte.
 
 Each arch name maps to one registered ArchSpec record (builder, forward,
 batch inputs, loss, sampler, frame hop); `models` registers the audio
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -242,7 +242,6 @@ class Network:
         self.protected = frozenset(protected)
         self.meta = dict(meta or {})
         self.training = True
-        self.masks: dict[str, np.ndarray] | None = None
         self._validate_structure()
         self._build_pools(kept_units or {}, orig_units or {})
 
@@ -306,14 +305,15 @@ class Network:
         kept = np.asarray(kept_units.get(pid, np.arange(n)), dtype=np.int64)
         return Pool(pid, members, kept, int(orig_units.get(pid, n)))
 
-    def consumers_of(self, pid: str) -> list[str]:
-        out = []
-        for name, layer in self.layers.items():
-            if layer.in_source is None:
-                continue
-            if self.pool_of.get(layer.in_source) == pid and self.pool_of.get(name) != pid:
-                out.append(name)
-        return out
+    def _pooled_axes(self, layer: Layer, name: str):
+        """(axis, pool id) for each axis of a layer's parameter or buffer
+        `name` that indexes a pool's units."""
+        own = self.pool_of.get(layer.name)
+        src = self.pool_of.get(layer.in_source)
+        for axis, role in enumerate(_AXIS_ROLES[layer.kind][name]):
+            pid = own if role in ("out", "self") else src if role == "in" else None
+            if pid is not None:
+                yield axis, pid
 
     # -- parameters ----------------------------------------------------
 
@@ -364,129 +364,31 @@ class Network:
                       kept_units={pid: p.kept.copy() for pid, p in self.pools.items()},
                       orig_units={pid: p.orig for pid, p in self.pools.items()})
         net.training = self.training
-        if self.masks is not None:
-            net.masks = {pid: m.copy() for pid, m in self.masks.items()}
         return net
 
     # -- unit and weight bookkeeping ------------------------------------
 
-    def _kept_count(self, pid: str) -> int:
-        if self.masks is not None:
-            return int(self.masks[pid].sum())
-        return len(self.pools[pid].kept)
-
     def units_remaining(self) -> int:
-        return sum(self._kept_count(pid) for pid in self.pools)
+        return sum(len(p.kept) for p in self.pools.values())
 
     def units_original(self) -> int:
         return sum(p.orig for p in self.pools.values())
 
-    def _axis_count(self, layer: Layer, role, dim: int, orig: bool) -> int:
-        if role == "out" or role == "self":
-            pid = self.pool_of.get(layer.name)
-        elif role == "in":
-            pid = self.pool_of.get(layer.in_source) if layer.in_source else None
-        else:
-            pid = None
-        if pid is None:
-            return dim
-        if orig:
-            return self.pools[pid].orig
-        return self._kept_count(pid)
-
     def weight_counts(self) -> tuple[int, int]:
         """(remaining, original) trainable parameter entries.
 
-        Masked-out entries count as removed even though the arrays still
-        hold them, so both pruning modes report comparable numbers.
+        Remaining is the current parameter sizes; original replaces each
+        pooled axis with its pool's untrimmed unit count.
         """
-        remaining = 0
+        remaining = sum(p.data.size for p in self.parameters())
         original = 0
         for layer in self.layers.values():
-            roles = _AXIS_ROLES[layer.kind]
             for pname in layer.param_order():
-                shape = layer.params[pname].shape
-                rem, orig = 1, 1
-                for axis, role in enumerate(roles[pname]):
-                    rem *= self._axis_count(layer, role, shape[axis], orig=False)
-                    orig *= self._axis_count(layer, role, shape[axis], orig=True)
-                remaining += rem
-                original += orig
+                shape = list(layer.params[pname].shape)
+                for axis, pid in self._pooled_axes(layer, pname):
+                    shape[axis] = self.pools[pid].orig
+                original += math.prod(shape)
         return remaining, original
-
-    # -- masking ---------------------------------------------------------
-
-    def init_masks(self):
-        for pool in self.pools.values():
-            if len(pool.kept) != pool.orig:
-                raise StructureError("masking must start from an untrimmed network")
-        self.masks = {pid: np.ones(p.orig, dtype=bool) for pid, p in self.pools.items()}
-
-    def mask_units(self, plan: dict[str, np.ndarray]):
-        """Mark units dead. plan maps pool id -> unit indices to remove."""
-        if self.masks is None:
-            raise StructureError("init_masks() before mask_units()")
-        _validate_plan(self, plan)
-        for pid, idx in plan.items():
-            self.masks[pid][np.asarray(idx, dtype=np.int64)] = False
-        self.enforce_masks()
-
-    def enforce_masks(self):
-        """Zero every entry belonging to a dead unit. Idempotent; call
-        after each optimiser step so masked entries stay exactly zero."""
-        if self.masks is None:
-            return
-        for pid, keep in self.masks.items():
-            dead = np.flatnonzero(~keep)
-            if dead.size == 0:
-                continue
-            for member in self.pools[pid].members:
-                self._zero_axes(self.layers[member], ("out", "self"), dead)
-            for cname in self.consumers_of(pid):
-                self._zero_axes(self.layers[cname], ("in",), dead)
-
-    def _zero_axes(self, layer: Layer, roles_to_zero, dead):
-        roles = _AXIS_ROLES[layer.kind]
-        for pname in layer.param_order():
-            arr = layer.params[pname].data
-            for axis, role in enumerate(roles[pname]):
-                if role in roles_to_zero:
-                    idx = [slice(None)] * arr.ndim
-                    idx[axis] = dead
-                    arr[tuple(idx)] = 0.0
-        for bname in layer.buffer_order():
-            arr = layer.buffers[bname]
-            for axis, role in enumerate(roles[bname]):
-                if role in roles_to_zero:
-                    idx = [slice(None)] * arr.ndim
-                    idx[axis] = dead
-                    arr[tuple(idx)] = 0.0
-
-
-def _validate_plan(net: Network, plan: dict[str, np.ndarray]):
-    # mask-mode plans index the original unit space (the mask array);
-    # trim-mode plans index the current kept order
-    for pid, idx in plan.items():
-        if pid not in net.pools:
-            raise StructureError(f"unknown pool '{pid}' in removal plan")
-        idx = np.asarray(idx, dtype=np.int64)
-        space = net.masks[pid].size if net.masks is not None else net._kept_count(pid)
-        if idx.size and (idx.min() < 0 or idx.max() >= space):
-            raise StructureError(
-                f"pool '{pid}' removal indices out of range for {space} units"
-            )
-        if len(np.unique(idx)) != idx.size:
-            raise StructureError(f"pool '{pid}' removal indices repeat")
-        if net.masks is not None:
-            left_after = int(net.masks[pid].sum())
-            if idx.size:
-                left_after -= int(net.masks[pid][idx].sum())
-        else:
-            left_after = space - idx.size
-        if left_after < 1:
-            raise StructureError(
-                f"pool '{pid}' would lose all its units; at least one must stay"
-            )
 
 
 def apply_trim(net: Network, plan: dict[str, np.ndarray]) -> Network:
@@ -495,34 +397,37 @@ def apply_trim(net: Network, plan: dict[str, np.ndarray]) -> Network:
     plan maps pool id -> unit indices to remove, in the network's current
     (post any earlier trims) index space.
     """
-    if net.masks is not None:
-        raise StructureError("cannot trim a masked network; modes are exclusive")
-    _validate_plan(net, plan)
-    out = net.clone()
     keep_cur: dict[str, np.ndarray] = {}
     for pid, idx in plan.items():
-        n = len(out.pools[pid].kept)
+        if pid not in net.pools:
+            raise StructureError(f"unknown pool '{pid}' in removal plan")
+        idx = np.asarray(idx, dtype=np.int64)
+        n = len(net.pools[pid].kept)
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise StructureError(f"pool '{pid}' removal indices out of range for {n} units")
+        if len(np.unique(idx)) != idx.size:
+            raise StructureError(f"pool '{pid}' removal indices repeat")
+        if n - idx.size < 1:
+            raise StructureError(
+                f"pool '{pid}' would lose all its units; at least one must stay"
+            )
         mask = np.ones(n, dtype=bool)
-        mask[np.asarray(idx, dtype=np.int64)] = False
+        mask[idx] = False
         keep_cur[pid] = np.flatnonzero(mask)
+    out = net.clone()
+
+    def take(layer, name, arr):
+        for axis, pid in out._pooled_axes(layer, name):
+            if pid in keep_cur:
+                arr = np.take(arr, keep_cur[pid], axis=axis)
+        return arr
+
     for layer in out.layers.values():
-        roles = _AXIS_ROLES[layer.kind]
-        own = out.pool_of.get(layer.name)
-        src = out.pool_of.get(layer.in_source) if layer.in_source else None
         for pname in layer.param_order():
-            arr = layer.params[pname].data
-            for axis, role in enumerate(roles[pname]):
-                pid = own if role in ("out", "self") else src if role == "in" else None
-                if pid in keep_cur:
-                    arr = np.take(arr, keep_cur[pid], axis=axis)
-            layer.params[pname] = Tensor(arr, requires_grad=True)
+            layer.params[pname] = Tensor(take(layer, pname, layer.params[pname].data),
+                                         requires_grad=True)
         for bname in layer.buffer_order():
-            arr = layer.buffers[bname]
-            for axis, role in enumerate(roles[bname]):
-                pid = own if role in ("out", "self") else None
-                if pid in keep_cur:
-                    arr = np.take(arr, keep_cur[pid], axis=axis)
-            layer.buffers[bname] = arr
+            layer.buffers[bname] = take(layer, bname, layer.buffers[bname])
     for pid, keep in keep_cur.items():
         pool = out.pools[pid]
         out.pools[pid] = Pool(pool.pid, pool.members, pool.kept[keep], pool.orig)
@@ -540,15 +445,9 @@ def restrict_param(net: Network, layer_name: str, pname: str,
     arrays keep their original shapes, this picks out the rows/columns that
     are still present.
     """
-    layer = net.layers[layer_name]
-    roles = _AXIS_ROLES[layer.kind][pname]
-    own = net.pool_of.get(layer_name)
-    src = net.pool_of.get(layer.in_source) if layer.in_source else None
     arr = full
-    for axis, role in enumerate(roles):
-        pid = own if role in ("out", "self") else src if role == "in" else None
-        if pid is not None:
-            arr = np.take(arr, net.pools[pid].kept, axis=axis)
+    for axis, pid in net._pooled_axes(net.layers[layer_name], pname):
+        arr = np.take(arr, net.pools[pid].kept, axis=axis)
     return arr
 
 
@@ -661,7 +560,7 @@ def gru_scan(layer: Layer, x: Tensor) -> Tensor:
 # -- checkpoints ---------------------------------------------------------
 
 _MAGIC = b"ULGA"
-_VERSION = 1
+_VERSION = 2
 
 
 def _structure_doc(net: Network) -> dict:
@@ -685,8 +584,6 @@ def _structure_doc(net: Network) -> dict:
         "protected": sorted(net.protected),
         "pools": {pid: {"kept": p.kept.tolist(), "orig": p.orig}
                   for pid, p in sorted(net.pools.items())},
-        "masks": None if net.masks is None else
-                 {pid: m.astype(int).tolist() for pid, m in sorted(net.masks.items())},
     }
 
 
@@ -748,12 +645,9 @@ def load_checkpoint(path) -> Network:
                             spec["in_source"], spec["dilation"], spec["eps"]))
     if offset != len(body):
         raise ValueError("checkpoint corrupted: trailing or missing data")
-    net = Network(
+    return Network(
         doc["arch"], layers, doc["trim_groups"], doc["protected"], doc["meta"],
         kept_units={pid: np.asarray(p["kept"], dtype=np.int64)
                     for pid, p in doc["pools"].items()},
         orig_units={pid: p["orig"] for pid, p in doc["pools"].items()},
     )
-    if doc["masks"] is not None:
-        net.masks = {pid: np.asarray(m, dtype=bool) for pid, m in doc["masks"].items()}
-    return net

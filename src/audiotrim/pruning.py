@@ -364,8 +364,6 @@ def rewind(net: nn.Network, dense_state: dict[str, np.ndarray],
     net.load_param_state(restricted)
     if mask is not None:
         mask.enforce(net)
-    if net.masks is not None:
-        net.enforce_masks()
 
 
 # -- the IMP driver ---------------------------------------------------------------
@@ -414,39 +412,6 @@ class ImpTrace:
                 ])
 
 
-def sgd_trainer(steps: int, lr: float = 0.05, weight_decay: float = 0.0,
-                loss_fn=models.compute_loss):
-    """Plain deterministic SGD trainer with decoupled weight decay.
-
-    Returns a callable (net, splits, record_step, after_step) -> state_k
-    that trains in place, snapshots parameters after ``record_step``
-    optimizer steps when asked, and calls ``after_step(net)`` after every
-    update so masked weights stay exactly zero.
-    """
-    def train(net, splits, record_step=None, after_step=None):
-        state_k = net.param_state() if record_step == 0 else None
-        net.train()
-        for i in range(steps):
-            batch = splits.train[i % len(splits.train)]
-            net.zero_grad()
-            loss_fn(net, batch).backward()
-            for p in net.parameters():
-                if p.grad is not None:
-                    p.data -= lr * (p.grad + weight_decay * p.data)
-            if after_step is not None:
-                after_step(net)
-            if record_step == i + 1:
-                state_k = net.param_state()
-        net.zero_grad()
-        net.eval()
-        if record_step is not None and state_k is None:
-            raise ValueError(f"rewind step {record_step} lies beyond "
-                             f"{steps} training steps")
-        return state_k
-
-    return train
-
-
 def mean_loss(net, items, loss_fn) -> float:
     """Mean loss over batches, in eval mode and without a graph."""
     net.eval()
@@ -456,7 +421,7 @@ def mean_loss(net, items, loss_fn) -> float:
 
 def _pool_units(net: nn.Network, mask: WeightMask | None) -> dict[str, int]:
     if mask is None:
-        return {pid: net._kept_count(pid) for pid in net.pools}
+        return {pid: len(pool.kept) for pid, pool in net.pools.items()}
     removable = removable_units(net, mask)
     return {pid: len(net.pools[pid].kept) - int(removable[pid].sum())
             for pid in net.pools}
@@ -484,8 +449,13 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
             on_iteration=None) -> ImpTrace:
     """Train, score, prune, rewind, retrain for cfg.iterations rounds.
 
-    ``trainer`` is a callable with the ``sgd_trainer`` contract; None runs
-    the schedule without any training (arithmetic checks, smoke tests).
+    ``trainer(net, splits, record_step, after_step)`` trains ``net`` in
+    place, calls ``after_step(net)`` (when given) after every optimizer
+    step, and returns the parameter state after ``record_step`` steps
+    (0 = before the first) when ``record_step`` is not None, raising
+    ValueError if training takes fewer steps; ``harness.adam_trainer``
+    is the one implementation. None runs the schedule without any
+    training (arithmetic checks, smoke tests).
     Emits per-iteration checkpoints and the trace CSV under ``out_dir``
     when given. A non-finite validation loss aborts with the trace so far;
     exceeding ``stop_error_multiplier`` or hitting the min_units /

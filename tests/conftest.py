@@ -1,5 +1,6 @@
 """Shared oracles: finite-difference gradients, a naive DFT, the composed
-reference versions of the fused ops, and the test-only "sequential" arch."""
+reference versions of the fused ops, unit masking (trimming's oracle),
+and the test-only "sequential" arch."""
 
 import numpy as np
 
@@ -169,6 +170,34 @@ def gru_scan_composed(layer, x):
         h = gru_cell(layer, T.reshape(T.slice_axis(x, 1, i, i + 1), (b, -1)), h)
         steps.append(T.reshape(h, (b, 1, -1)))
     return T.concat(steps, axis=1)
+
+
+# -- unit masking: trimming's oracle ---------------------------------------------
+
+
+def mask_units(net, plan):
+    """A clone of net in which each planned unit is zeroed instead of
+    removed: its own rows, its recurrent columns, its batchnorm params and
+    buffers, and the input columns of every layer that reads its pool.
+
+    plan maps pool id -> unit indices in the current kept order, as for
+    nn.apply_trim. Built from the pools and the axis roles alone, so a
+    trimmed forward pass must match the masked clone's to float precision.
+    """
+    out = net.clone()
+    for layer in out.layers.values():
+        roles = nn._AXIS_ROLES[layer.kind]
+        own = out.pool_of.get(layer.name)
+        src = out.pool_of.get(layer.in_source)
+        arrays = {k: p.data for k, p in layer.params.items()} | layer.buffers
+        for name, arr in arrays.items():
+            for axis, role in enumerate(roles[name]):
+                pid = {"out": own, "self": own, "in": src}.get(role)
+                if pid in plan:
+                    idx = [slice(None)] * arr.ndim
+                    idx[axis] = np.asarray(plan[pid], dtype=np.int64)
+                    arr[tuple(idx)] = 0.0
+    return out
 
 
 # -- a plain layer chain for structure tests ------------------------------------

@@ -24,6 +24,7 @@ import pytest
 from audiotrim import embed, harness, mi, models, nn, pruning
 from audiotrim import tensor as T
 
+from conftest import mask_units
 from test_embed import random_chain, sim_net_ops, tiny_arch_net
 
 SEEDS = (0, 1, 2)
@@ -108,9 +109,7 @@ def test_trimming_equals_masking_on_random_networks():
         net, x = families[i % 4](rng)
         plan = _rand_plan(net, rng)
         trimmed = nn.apply_trim(net, plan)
-        masked = net.clone()
-        masked.init_masks()
-        masked.mask_units(plan)
+        masked = mask_units(net, plan)
         # batch statistics only differ from running ones for the bn family
         training = i % 8 == 0
         for m in (trimmed, masked):

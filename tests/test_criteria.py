@@ -8,6 +8,7 @@ from audiotrim import mi as mi_mod
 from audiotrim import models, nn
 from audiotrim import tensor as T
 from audiotrim.tensor import Tensor
+from conftest import mask_units
 
 SR = 16000
 
@@ -267,10 +268,7 @@ class TestActivation:
 
     def test_masked_unit_scores_zero(self, trained_sing):
         net, items = trained_sing
-        probe = net.clone()
-        probe.eval()
-        probe.init_masks()
-        probe.mask_units({"conv0": [2]})
+        probe = mask_units(net, {"conv0": [2]}).eval()
         scores = score_activation(probe.layers["conv0"], probe, items)
         assert scores[2] == 0.0
         assert np.delete(scores, 2).min() > 0.0
@@ -492,10 +490,7 @@ def _bottom_vs_top_cells(net, items, criteria, **score_kw):
             assert s.min() >= 0.0
             loss = {}
             for tag, unit in (("low", int(s.argmin())), ("high", int(s.argmax()))):
-                probe = net.clone()
-                probe.eval()
-                probe.init_masks()
-                probe.mask_units({pid: [unit]})
+                probe = mask_units(net, {pid: [unit]}).eval()
                 loss[tag] = _eval_loss(probe, items)
             out.setdefault(crit, []).append(loss["high"] - loss["low"])
     return out

@@ -293,16 +293,21 @@ class TestAdamTrainer:
             assert np.array_equal(outs[0][key], outs[1][key])
 
     def test_snapshot_lands_after_k_steps(self):
+        # both runs draw the same first-epoch permutation, so a 2-epoch
+        # run's snapshot after one epoch of steps is the 1-epoch end state
         splits = quick_splits()
-        net_a = self.sing(seed=2)
-        state_k = harness.adam_trainer(epochs=2, seed=3)(net_a, splits,
-                                                         record_step=2)
-        net_b = self.sing(seed=2)
-        harness.adam_trainer(epochs=2, seed=3)(net_b, splits, record_step=2)
-        assert any(not np.array_equal(state_k[k], net_a.param_state()[k])
-                   for k in state_k)
-        init = self.sing(seed=2).param_state()
-        assert any(not np.array_equal(state_k[k], init[k]) for k in state_k)
+        k = len(splits.train)
+        one = self.sing(seed=2)
+        harness.adam_trainer(epochs=1, seed=3)(one, splits)
+        want = one.param_state()
+        got = {}
+        for step in (k, k + 1):
+            got[step] = harness.adam_trainer(epochs=2, seed=3)(
+                self.sing(seed=2), splits, record_step=step)
+        for key, arr in want.items():
+            assert np.array_equal(got[k][key], arr), key
+        assert any(not np.array_equal(got[k + 1][key], arr)
+                   for key, arr in want.items())
 
     def test_record_step_beyond_budget_rejected(self):
         net = self.sing()

@@ -11,7 +11,7 @@ from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
 from audiotrim.models import ModelConfig, MuLawCodec
 from audiotrim.tensor import Tensor
-from conftest import directional_gradcheck, nll_composed
+from conftest import directional_gradcheck, mask_units, nll_composed
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -185,9 +185,7 @@ class TestWavenet:
                 "filter_2": np.array([5]), "skip_0": np.array([2, 4]),
                 "out1": np.array([6, 0])}
         trimmed = nn.apply_trim(net, plan)
-        masked = net.clone()
-        masked.init_masks()
-        masked.mask_units(plan)
+        masked = mask_units(net, plan)
         x = np.random.default_rng(5).uniform(-1, 1, (2, 1, 24)).astype(np.float32)
         with T.no_grad():
             yt = trimmed.forward(Tensor(x)).data
@@ -237,9 +235,7 @@ class TestSing:
             bn.buffers["running_var"] = (0.5 + rng.random(6)).astype(np.float32)
         plan = {"conv0": np.array([0, 2, 5]), "conv1": np.array([1, 4])}
         trimmed = nn.apply_trim(net, plan).eval()
-        masked = net.clone()
-        masked.init_masks()
-        masked.mask_units(plan)
+        masked = mask_units(net, plan)
         masked.eval()
         x = np.random.default_rng(11).uniform(-1, 1, (2, 1, 48)).astype(np.float32)
         with T.no_grad():
@@ -334,9 +330,7 @@ class TestDdsp:
         plan = {"gru": np.array([0, 5]), "dense0": np.array([2]),
                 "dense1": np.array([1, 7])}
         trimmed = nn.apply_trim(net, plan)
-        masked = net.clone()
-        masked.init_masks()
-        masked.mask_units(plan)
+        masked = mask_units(net, plan)
         batch = ddsp_batch(cfg, seed=6)
         with T.no_grad():
             yt = models.ddsp_render(trimmed, batch).data

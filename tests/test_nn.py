@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from audiotrim import embed, nn
 from audiotrim import tensor as T
 from audiotrim.tensor import Tensor
-from conftest import directional_gradcheck, gru_scan_composed
+from conftest import directional_gradcheck, gru_scan_composed, mask_units
 
 
 def conv_chain(seed=0) -> nn.Network:
@@ -56,8 +58,6 @@ class TestStructure:
         net = conv_chain()
         assert set(net.pools) == {"conv1", "conv2"}
         assert net.pools["conv1"].members == ("conv1", "bn1")
-        assert net.consumers_of("conv1") == ["conv2"]
-        assert net.consumers_of("conv2") == ["head"]
 
     def test_bn_joins_producer_pool_without_explicit_group(self):
         rng = np.random.default_rng(0)
@@ -133,6 +133,14 @@ class TestTrim:
         b = nn.apply_trim(a, {"conv1": np.array([0])})  # removes original unit 2
         assert np.array_equal(b.pools["conv1"].kept, [3, 4, 5, 6, 7])
 
+    def test_weight_counts_read_current_and_original_sizes(self):
+        net = conv_chain()
+        trimmed = nn.apply_trim(net, {"conv1": np.array([0, 5]), "conv2": np.array([3])})
+        rem, orig = trimmed.weight_counts()
+        assert orig == sum(p.data.size for p in net.parameters())
+        assert rem == sum(p.data.size for p in trimmed.parameters())
+        assert trimmed.units_remaining() == 11
+
     def test_restrict_param_recovers_trimmed_values(self):
         net = conv_chain()
         full = {k: v.data.copy() for k, v in net.named_parameters()}
@@ -146,9 +154,7 @@ class TestTrim:
 class TestMaskTrimEquivalence:
     def _compare(self, net, plan, x, training=False):
         trimmed = nn.apply_trim(net, plan)
-        masked = net.clone()
-        masked.init_masks()
-        masked.mask_units(plan)
+        masked = mask_units(net, plan)
         if training:
             trimmed.train()
             masked.train()
@@ -187,53 +193,20 @@ class TestMaskTrimEquivalence:
         x = rng.standard_normal((2, 3, 8)).astype(np.float32)
         self._compare(conv_chain(seed % 100), plan, x)
 
-    def test_trim_and_mask_report_same_weight_counts(self):
-        net = conv_chain()
-        plan = {"conv1": np.array([0, 5]), "conv2": np.array([3])}
-        trimmed = nn.apply_trim(net, plan)
-        masked = net.clone()
-        masked.init_masks()
-        masked.mask_units(plan)
-        assert trimmed.weight_counts() == masked.weight_counts()
-        rem, orig = trimmed.weight_counts()
-        assert orig == sum(p.data.size for p in net.parameters())
-        assert rem == sum(p.data.size for p in trimmed.parameters())
-        assert trimmed.units_remaining() == masked.units_remaining() == 11
-
 
 class TestMasks:
-    def test_masking_requires_init(self):
-        net = conv_chain()
-        with pytest.raises(nn.StructureError, match="init_masks"):
-            net.mask_units({"conv1": np.array([0])})
-
-    def test_modes_are_exclusive(self):
-        net = conv_chain()
-        net.init_masks()
-        with pytest.raises(nn.StructureError, match="exclusive"):
-            nn.apply_trim(net, {"conv1": np.array([0])})
-        trimmed = nn.apply_trim(conv_chain(), {"conv1": np.array([0])})
-        with pytest.raises(nn.StructureError, match="untrimmed"):
-            trimmed.init_masks()
-
-    def test_enforce_is_idempotent(self):
-        net = conv_chain()
-        net.init_masks()
-        net.mask_units({"conv1": np.array([2, 3])})
-        snap = {k: v.data.copy() for k, v in net.named_parameters()}
-        net.enforce_masks()
-        for k, v in net.named_parameters():
-            assert np.array_equal(snap[k], v.data)
+    """The conftest oracle zeroes exactly the slices trimming deletes."""
 
     def test_reenforce_after_update_rezeroes_dead_entries(self):
-        net = conv_chain()
-        net.init_masks()
-        net.mask_units({"conv1": np.array([1]), "conv2": np.array([2])})
+        plan = {"conv1": np.array([1]), "conv2": np.array([2])}
+        net = mask_units(conv_chain(), plan)
         for p in net.parameters():
             p.data += 1.0  # simulate an optimiser step breaking the zeros
-        net.enforce_masks()
+        net = mask_units(net, plan)
         assert np.all(net.layers["conv1"].params["w"].data[1] == 0)
         assert net.layers["conv1"].params["b"].data[1] == 0
+        assert net.layers["bn1"].params["gamma"].data[1] == 0
+        assert net.layers["bn1"].buffers["running_var"][1] == 0
         assert np.all(net.layers["conv2"].params["w"].data[:, 1, :] == 0)
         assert np.all(net.layers["conv2"].params["w"].data[2] == 0)
         assert np.all(net.layers["head"].params["w"].data[:, 2, :] == 0)
@@ -241,16 +214,15 @@ class TestMasks:
                       conv_chain().layers["conv1"].params["w"].data[0])
 
     def test_gru_mask_zeroes_recurrent_columns(self):
-        net = gru_probe()
-        net.init_masks()
-        net.mask_units({"gru": np.array([2])})
+        net = mask_units(gru_probe(), {"gru": np.array([2])})
         g = net.layers["gru"]
-        for m in ("wz", "wr", "wh"):
+        for m in ("wz", "wr", "wh", "bz", "br", "bh"):
             assert np.all(g.params[m].data[2] == 0)
         for m in ("uz", "ur", "uh"):
             assert np.all(g.params[m].data[2] == 0)
             assert np.all(g.params[m].data[:, 2] == 0)
         assert np.all(net.layers["out"].params["w"].data[:, 2] == 0)
+        assert np.count_nonzero(g.params["wz"].data == 0) == g.params["wz"].shape[1]
 
 
 class TestForwardHelpers:
@@ -382,16 +354,6 @@ class TestCheckpoints:
         assert np.array_equal(net.eval().forward(Tensor(x)).data,
                               loaded.eval().forward(Tensor(x)).data)
 
-    def test_masks_survive_roundtrip(self, tmp_path):
-        net = conv_chain()
-        net.init_masks()
-        net.mask_units({"conv2": np.array([1, 3])})
-        path = tmp_path / "masked.ckpt"
-        nn.save_checkpoint(net, path)
-        loaded = nn.load_checkpoint(path)
-        assert np.array_equal(loaded.masks["conv2"], net.masks["conv2"])
-        assert loaded.units_remaining() == net.units_remaining()
-
     def test_corrupted_payload_rejected(self, tmp_path):
         net = conv_chain()
         path = tmp_path / "net.ckpt"
@@ -400,6 +362,26 @@ class TestCheckpoints:
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="crc"):
+            nn.load_checkpoint(path)
+
+    @staticmethod
+    def _resealed(body: bytes) -> bytes:
+        """body (a checkpoint minus its CRC) with a fresh, valid CRC."""
+        return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+
+    def test_old_version_rejected(self, tmp_path):
+        body = bytearray(nn.checkpoint_bytes(conv_chain())[:-4])
+        body[4:6] = (1).to_bytes(2, "little")
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(self._resealed(bytes(body)))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            nn.load_checkpoint(path)
+
+    def test_trailing_data_rejected(self, tmp_path):
+        body = nn.checkpoint_bytes(conv_chain())[:-4]
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(self._resealed(body + bytes(4)))
+        with pytest.raises(ValueError, match="trailing or missing"):
             nn.load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -8,8 +8,9 @@ trimming is checked against the masked-dense oracle at every iteration.
 import numpy as np
 import pytest
 
-from audiotrim import models, nn, pruning
+from audiotrim import harness, models, nn, pruning
 from audiotrim import tensor as T
+from conftest import mask_units
 
 
 def round_half_up(x):
@@ -238,9 +239,7 @@ class TestRewind:
         # clone keeps the trained batchnorm buffers that rewinding leaves alone
         shadow = net.clone()
         shadow.load_param_state(state0)
-        shadow.init_masks()
-        shadow.mask_units(plan)
-        shadow.eval()
+        shadow = mask_units(shadow, plan).eval()
         x = T.Tensor(tone_batch(np.random.default_rng(9), 2)["wave"][:, None, :])
         with T.no_grad():
             a = trimmed.eval().forward(x).data
@@ -370,7 +369,7 @@ class TestImpDriver:
     def test_zero_iterations_keeps_only_baseline(self):
         net = models.build_model(sing_cfg(), seed=0)
         trace = pruning.run_imp(net, make_splits(), pruning.ImpConfig(iterations=0),
-                                trainer=pruning.sgd_trainer(4))
+                                trainer=harness.adam_trainer(epochs=1))
         assert len(trace.records) == 1
         assert trace.records[0].test_error_multiplier == 1.0
         assert trace.records[0].weights_remaining_frac == 1.0
@@ -392,8 +391,7 @@ class TestImpDriver:
                     removed[pid] = gone
             shadow = net.clone()
             shadow.load_param_state(state0)
-            shadow.init_masks()
-            shadow.mask_units(removed)
+            shadow = mask_units(shadow, removed)
             with T.no_grad():
                 a = cur.eval().forward(x).data
                 b = shadow.eval().forward(x).data
@@ -427,21 +425,9 @@ class TestImpDriver:
             curve = trace.weights_curve()
             assert np.all(np.diff(curve) < 0)
 
-    def test_rewind_snapshot_is_taken_at_step_k(self):
-        net = models.build_model(sing_cfg(), seed=4)
-        data = make_splits(4)
-        trainer = pruning.sgd_trainer(steps=5, lr=0.05)
-        state_k = trainer(net.clone(), data, record_step=3)
-        manual = net.clone()
-        _sgd(manual, data.train, steps=3, lr=0.05)
-        for key, arr in manual.param_state().items():
-            assert np.array_equal(state_k[key], arr)
-
     def test_rewind_step_beyond_training_rejected(self):
         net = models.build_model(sing_cfg(), seed=0)
         data = make_splits()
-        with pytest.raises(ValueError, match="beyond"):
-            pruning.sgd_trainer(steps=3)(net.clone(), data, record_step=9)
         with pytest.raises(ValueError, match="trainless"):
             pruning.run_imp(net, data, pruning.ImpConfig(rewind_step=2),
                             trainer=None)
@@ -528,7 +514,7 @@ class TestImpDriver:
         outs = []
         for run in range(2):
             d = tmp_path / f"run{run}"
-            pruning.run_imp(net, data, cfg, trainer=pruning.sgd_trainer(4),
+            pruning.run_imp(net, data, cfg, trainer=harness.adam_trainer(epochs=1),
                             out_dir=d)
             outs.append((d / "trace.csv").read_bytes())
             names = sorted(p.name for p in d.iterdir())
@@ -542,7 +528,7 @@ class TestImpDriver:
         net = models.build_model(sing_cfg(), seed=6)
         data = make_splits(6)
         cfg = pruning.ImpConfig(mode="trim", iterations=2)
-        pruning.run_imp(net, data, cfg, trainer=pruning.sgd_trainer(3),
+        pruning.run_imp(net, data, cfg, trainer=harness.adam_trainer(epochs=1),
                         out_dir=tmp_path)
         small = nn.load_checkpoint(tmp_path / "iter_02.ckpt")
         assert small.units_remaining() < net.units_remaining()
@@ -565,7 +551,7 @@ class TestImpDriver:
         cfg = pruning.ImpConfig(mode="trim", iterations=3, criterion="gradient",
                                 selection="global", rewind_step=2)
         trace = pruning.run_imp(net, data, cfg,
-                                trainer=pruning.sgd_trainer(30, lr=0.05))
+                                trainer=harness.adam_trainer(epochs=10, lr=1e-2))
         assert trace.aborted is None
         assert all(np.isfinite(r.valid_loss) for r in trace.records)
         assert trace.records[-1].units_remaining_frac < 0.5
@@ -581,7 +567,7 @@ class TestImpDriver:
             for _ in range(3):
                 net = models.build_model(sing_cfg(ch=12), seed=seed)
                 trace = pruning.run_imp(net, make_splits(seed, t=512), cfg,
-                                        trainer=pruning.sgd_trainer(25))
+                                        trainer=harness.adam_trainer(epochs=8))
                 repeats.append([r.wall_seconds for r in trace.records])
             walls = np.min(repeats, axis=0)
             walls_first.append(walls[1])
