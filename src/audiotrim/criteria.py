@@ -78,25 +78,17 @@ def _magnitude_raw(net: Network) -> dict[str, np.ndarray]:
     return {name: score_magnitude(layer) for name, layer in net.layers.items()}
 
 
-def _gradient_raw(net: Network, batches, loss_fn, mode: str) -> dict[str, np.ndarray]:
+def _gradient_raw(net: Network, batches, loss_fn) -> dict[str, np.ndarray]:
     if not batches:
         raise ValueError("gradient scoring needs a nonempty validation set")
-    if mode not in ("per_batch", "dataset"):
-        raise ValueError(f"gradient mode must be per_batch or dataset, got '{mode}'")
     acc = {name: np.zeros_like(p.data, dtype=np.float64)
            for name, p in net.named_parameters()}
     net.zero_grad()
     for batch in batches:
         loss_fn(net, batch).backward()
-        if mode == "per_batch":
-            for name, p in net.named_parameters():
-                if p.grad is not None:
-                    acc[name] += np.abs(p.grad)
-            net.zero_grad()
-    if mode == "dataset":
         for name, p in net.named_parameters():
             if p.grad is not None:
-                acc[name] = np.abs(p.grad).astype(np.float64)
+                acc[name] += np.abs(p.grad)
         net.zero_grad()
     raw = {}
     for lname, layer in net.layers.items():
@@ -166,7 +158,7 @@ def _frame_means(stream: np.ndarray, n_frames: int) -> np.ndarray:
 
 
 def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig,
-                     window: int, layer_names=None) -> dict[str, np.ndarray]:
+                     window: int = 256, layer_names=None) -> dict[str, np.ndarray]:
     if not items:
         raise ValueError("information scoring needs a nonempty validation set")
     feats = []
@@ -226,31 +218,28 @@ def scale_scores(raw: dict[str, np.ndarray], net: Network,
 
 
 def _raw_scores(net: Network, criterion: str, batches, loss_fn, mi_cfg,
-                grad_mode, info_window, info_scope=None) -> dict[str, np.ndarray]:
+                info_scope=None) -> dict[str, np.ndarray]:
     if criterion == "magnitude":
         return _magnitude_raw(net)
     if criterion == "normalization":
         return _normalization_raw(net)
     if criterion == "gradient":
-        return _gradient_raw(net, batches, loss_fn, grad_mode)
+        return _gradient_raw(net, batches, loss_fn)
     if criterion == "activation":
         return _activation_raw(net, batches)
     if criterion == "information":
         return _information_raw(net, batches, mi_cfg or mi_mod.MiConfig(),
-                                info_window, info_scope)
+                                layer_names=info_scope)
     raise ValueError(f"unknown criterion '{criterion}', expected one of {CRITERIA}")
 
 
 def pool_scores(net: Network, criterion: str, batches=None,
                 scheme: ScalingScheme = ScalingScheme(),
                 loss_fn=models.compute_loss,
-                mi_cfg: mi_mod.MiConfig | None = None,
-                grad_mode: str = "per_batch",
-                info_window: int = 256) -> dict[str, np.ndarray]:
+                mi_cfg: mi_mod.MiConfig | None = None) -> dict[str, np.ndarray]:
     """One score vector per trim pool, averaged over scored members."""
     pooled = {m for pool in net.pools.values() for m in pool.members}
-    raw = _raw_scores(net, criterion, batches, loss_fn, mi_cfg,
-                      grad_mode, info_window, info_scope=pooled)
+    raw = _raw_scores(net, criterion, batches, loss_fn, mi_cfg, info_scope=pooled)
     scaled = scale_scores(raw, net, scheme)
     out = {}
     for pid, pool in net.pools.items():

@@ -11,8 +11,8 @@ instrumented per-scalar operation count exactly):
 
 * one multiply-accumulate = 2 FLOPs; a bias add and the add folding two
   partial sums both count inside the matrix term
-* linear, per invocation: 2 * n_in * n_out
-* conv1d, per output frame: 2 * k * n_in * n_out
+* conv1d, per output frame: 2 * k * n_in * n_out; a linear layer is a
+  kernel-1 conv1d, here and in the access and working-set forms below
 * batchnorm, per frame: 4 * n_in (subtract mean, scale by inverse
   deviation, scale by gamma, shift by beta)
 * gru, per step: 6 * n_out * (n_in + n_out) for the six matrices, plus
@@ -37,8 +37,8 @@ bias scalar is read once, every input scalar is read once, every output
 scalar is written once. A layer's output being read again downstream is
 billed as the consumer's input reads.
 
-* linear: n_in*n_out + n_out + n_in + n_out         (example 3->2: 13)
 * conv1d, per frame: k*n_in*n_out + n_out + k*n_in + n_out
+  (linear 3->2: 13)
 * batchnorm, per frame: 4*n_in + n_in + n_in
 * gru, per step: 3*n_out*(n_in+n_out) + 3*n_out + n_in + n_out + n_out
   (x read once, previous state read once, new state written once)
@@ -53,6 +53,7 @@ per sample).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,12 +92,9 @@ class EmbedReport:
 
 def _dims(layer: nn.Layer) -> tuple[int, int, int]:
     """(n_in, n_out, kernel) from current parameter shapes."""
-    if layer.kind == "linear":
-        n_out, n_in = layer.params["w"].shape
-        return n_in, n_out, 1
-    if layer.kind == "conv1d":
-        n_out, n_in, k = layer.params["w"].shape
-        return n_in, n_out, k
+    if layer.kind in ("linear", "conv1d"):
+        n_out, n_in, *k = layer.params["w"].shape
+        return n_in, n_out, math.prod(k)
     if layer.kind == "gru":
         n_out, n_in = layer.params["wz"].shape
         return n_in, n_out, 1
@@ -109,9 +107,7 @@ def _dims(layer: nn.Layer) -> tuple[int, int, int]:
 def layer_flops(layer: nn.Layer) -> int:
     """FLOPs for one invocation (one frame or one step) of the layer."""
     n_in, n_out, k = _dims(layer)
-    if layer.kind == "linear":
-        return FLOPS_PER_MAC * n_in * n_out
-    if layer.kind == "conv1d":
+    if layer.kind in ("linear", "conv1d"):
         return FLOPS_PER_MAC * k * n_in * n_out
     if layer.kind == "gru":
         return 3 * FLOPS_PER_MAC * n_out * (n_in + n_out) + 9 * n_out
@@ -123,9 +119,7 @@ def layer_flops(layer: nn.Layer) -> int:
 def layer_rw(layer: nn.Layer) -> int:
     """Memory accesses for one invocation of the layer."""
     n_in, n_out, k = _dims(layer)
-    if layer.kind == "linear":
-        return n_in * n_out + n_out + n_in + n_out
-    if layer.kind == "conv1d":
+    if layer.kind in ("linear", "conv1d"):
         return k * n_in * n_out + n_out + k * n_in + n_out
     if layer.kind == "gru":
         return 3 * n_out * (n_in + n_out) + 3 * n_out + n_in + 2 * n_out
@@ -137,12 +131,10 @@ def layer_rw(layer: nn.Layer) -> int:
 def _live_scalars(layer: nn.Layer) -> int:
     """Scalars simultaneously live while the layer executes one invocation."""
     n_in, n_out, k = _dims(layer)
-    if layer.kind == "conv1d":
-        return k * n_in + n_out
     if layer.kind == "gru":
         # input, previous state, and new state coexist
         return n_in + 2 * n_out
-    return n_in + n_out
+    return k * n_in + n_out
 
 
 def invocations_per_second(net: nn.Network, sample_rate: int | None = None) -> float:

@@ -223,8 +223,7 @@ def _wavenet_loss(net: Network, batch: dict) -> Tensor:
     return nll_from_logits(forward_batch(net, batch), targets)
 
 
-def wavenet_generate(net: Network, n_samples: int, seed: int,
-                     temperature: float = 1.0) -> np.ndarray:
+def wavenet_generate(net: Network, n_samples: int, seed: int) -> np.ndarray:
     """Sample a waveform autoregressively; deterministic given the seed."""
     cfg = ModelConfig(**net.meta["config"])
     codec = MuLawCodec(cfg.n_classes - 1)
@@ -235,7 +234,6 @@ def wavenet_generate(net: Network, n_samples: int, seed: int,
     with T.no_grad():
         for i in range(n_samples):
             logits = net.forward(Tensor(buf[None, None, :])).data[0, :, -1]
-            logits = logits / max(temperature, 1e-6)
             p = np.exp((logits - logits.max()).astype(np.float64))
             p /= p.sum()
             idx = rng.choice(cfg.n_classes, p=p)

@@ -8,9 +8,13 @@ Two pruning modes share the driver:
 * ``mask``: individual weights are ranked by absolute magnitude and zeroed
   in place; shapes and costs stay fixed. Fractions count weights.
 
-Selection is ``local`` (bottom fraction within each layer or pool
-independently) or ``global`` (bottom fraction of the pooled population,
-clamped so no pool or layer empties out). Rewinding restores surviving
+Both modes remove the bottom fraction through one selection routine:
+groups are pools (trim) or layers (mask), candidates are units or alive
+weights, and each group keeps a floor (``min_units``/``min_weights``).
+Selection is ``local`` (the bottom fraction of each group independently)
+or ``global`` (the bottom fraction of the pooled population, no group
+giving up more than its floor allows). One tie rule serves both: (score,
+index within group, group order). Rewinding restores surviving
 parameters to their values at a recorded training step; the dense
 snapshot is stored once and restricted on demand in trim mode.
 """
@@ -74,8 +78,6 @@ class ImpConfig:
     # switch from global to local selection after this iteration (hybrid)
     global_until: int | None = None
     stop_error_multiplier: float | None = None
-    grad_mode: str = "per_batch"
-    info_window: int = 256
     mi: mi.MiConfig | None = None
 
     def __post_init__(self):
@@ -105,74 +107,63 @@ class ImpConfig:
         return "global" if iteration <= self.global_until else "local"
 
 
-# -- unit selection ------------------------------------------------------------
+# -- selection -----------------------------------------------------------------
 
 
-def select_units(scores: dict[str, np.ndarray], fraction: float,
-                 selection: str, min_units: int = 1) -> dict[str, np.ndarray]:
-    """Bottom-``fraction`` units to remove, keyed by pool id.
+def _select_bottom(scores: dict[str, np.ndarray], fraction: float, selection: str,
+                   floor: int, group: str, floor_name: str) -> dict[str, np.ndarray]:
+    """Sorted indices of the bottom-``fraction`` candidates, keyed by group.
 
-    scores maps pool id -> per-unit scores in the pools' current index
-    space; ties break by (score, pool order, unit index).
+    Local selection takes ``min(round_half_up(fraction * n), n - floor)``
+    from each group of n; global selection takes
+    ``round_half_up(fraction * N)`` from the pooled N, no group giving up
+    more than ``n - floor``. Ties break by (score, index within group,
+    group order), so uniform scores shrink every group evenly.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError("fraction must lie in [0, 1)")
     if selection not in ("local", "global"):
         raise ValueError(f"selection must be local or global, got '{selection}'")
     if not scores:
-        raise ValueError("no pools to select from")
-
-    sizes = {pid: len(np.asarray(s)) for pid, s in scores.items()}
-    caps = {pid: max(n - min_units, 0) for pid, n in sizes.items()}
-
+        raise ValueError(f"no {group}s to select from")
+    groups = list(scores)
+    values = [np.asarray(scores[g], dtype=np.float64) for g in groups]
+    sizes = np.array([v.size for v in values])
+    caps = np.maximum(sizes - floor, 0)
     if selection == "local":
-        plan = {}
-        requested = 0
-        for pid, s in scores.items():
-            s = np.asarray(s, dtype=np.float64)
-            k = _round_half_up(fraction * sizes[pid])
-            requested += k
-            k = min(k, caps[pid])
-            if k == 0:
-                continue
-            order = np.lexsort((np.arange(sizes[pid]), s))
-            plan[pid] = np.sort(order[:k]).astype(np.int64)
-        if requested > 0 and not plan:
-            raise ValueError("selection would drop every pool below min_units; "
-                             "nothing can be removed")
-        return plan
-
-    total = sum(sizes.values())
-    want = _round_half_up(fraction * total)
-    if want == 0:
+        quota = np.array([_round_half_up(fraction * n) for n in sizes])
+        requested, caps = int(quota.sum()), np.minimum(quota, caps)
+        want = int(caps.sum())
+    else:
+        requested = want = _round_half_up(fraction * int(sizes.sum()))
+    if requested == 0:
         return {}
-    if sum(caps.values()) == 0:
-        raise ValueError("selection would drop every pool below min_units; "
+    if caps.sum() == 0:
+        raise ValueError(f"selection would drop every {group} below {floor_name}; "
                          "nothing can be removed")
-    pool_order = {pid: i for i, pid in enumerate(scores)}
-    all_scores = np.concatenate([np.asarray(scores[pid], dtype=np.float64)
-                                 for pid in scores])
-    all_pool = np.concatenate([np.full(sizes[pid], pool_order[pid]) for pid in scores])
-    all_unit = np.concatenate([np.arange(sizes[pid]) for pid in scores])
-    # ties interleave across pools by unit index so uniform scores shrink
-    # every pool evenly, matching local selection
-    order = np.lexsort((all_pool, all_unit, all_scores))
-    taken: dict[str, list] = {pid: [] for pid in scores}
-    pids = list(scores)
-    removed = 0
-    for j in order:
-        if removed == want:
-            break
-        pid = pids[int(all_pool[j])]
-        if len(taken[pid]) >= caps[pid]:
-            continue
-        taken[pid].append(int(all_unit[j]))
-        removed += 1
-    return {pid: np.sort(np.asarray(ids, dtype=np.int64))
-            for pid, ids in taken.items() if ids}
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    index = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    order = np.lexsort((owner, index, np.concatenate(values)))
+    # an entry is eligible while its rank inside its group is under the
+    # group's cap; the first ``want`` eligible entries in pooled order go
+    rank = np.empty_like(order)
+    rank[np.argsort(owner[order], kind="stable")] = index
+    eligible = rank < caps[owner[order]]
+    chosen = order[eligible & (np.cumsum(eligible) <= want)]
+    return {groups[g]: np.sort(index[chosen[owner[chosen] == g]])
+            for g in np.unique(owner[chosen])}
 
 
-# -- weight selection ----------------------------------------------------------
+def select_units(scores: dict[str, np.ndarray], fraction: float,
+                 selection: str, min_units: int = 1) -> dict[str, np.ndarray]:
+    """Bottom-``fraction`` units to remove, keyed by pool id.
+
+    scores maps pool id -> per-unit scores in the pools' current index space.
+    """
+    return _select_bottom(scores, fraction, selection, min_units, "pool", "min_units")
+
+
+# -- weight masks --------------------------------------------------------------
 
 
 @dataclass
@@ -197,6 +188,14 @@ class WeightMask:
             data[~m.reshape(data.shape)] = 0.0
 
 
+def _layer_keys(mask: WeightMask) -> dict[str, list[str]]:
+    """Mask keys grouped by layer name, in mask-key order."""
+    out: dict[str, list[str]] = {}
+    for key in mask.entries:
+        out.setdefault(key.split(".", 1)[0], []).append(key)
+    return out
+
+
 def full_mask(net: nn.Network) -> WeightMask:
     entries = {}
     for lname, layer in net.layers.items():
@@ -212,92 +211,27 @@ def select_weights(net: nn.Network, fraction: float, selection: str,
                    min_weights: int = 1) -> WeightMask:
     """Compose ``mask`` with the bottom-``fraction`` alive weights by |value|.
 
-    Already-dead weights never resurrect and are excluded from the ranked
-    population. Every layer keeps at least ``min_weights`` alive entries.
+    Each layer's population is its alive entries, concatenated in mask-key
+    order; already-dead weights never resurrect. Every layer keeps at
+    least ``min_weights`` alive entries.
     """
-    if not 0.0 <= fraction < 1.0:
-        raise ValueError("fraction must lie in [0, 1)")
-    if selection not in ("local", "global"):
-        raise ValueError(f"selection must be local or global, got '{selection}'")
     mask = mask.copy() if mask is not None else full_mask(net)
-
-    by_layer: dict[str, list[str]] = {}
-    for key in mask.entries:
-        by_layer.setdefault(key.split(".", 1)[0], []).append(key)
-
-    def layer_population(lname):
-        """(keys, |w| values, alive flags, key index, flat index) arrays."""
-        mags, alive, kidx, flat = [], [], [], []
-        for i, key in enumerate(by_layer[lname]):
-            _, pname = key.split(".", 1)
-            w = np.abs(net.layers[lname].params[pname].data.ravel()).astype(np.float64)
-            m = mask.entries[key].ravel()
-            mags.append(w)
-            alive.append(m)
-            kidx.append(np.full(w.size, i))
-            flat.append(np.arange(w.size))
-        return (np.concatenate(mags), np.concatenate(alive),
-                np.concatenate(kidx), np.concatenate(flat))
-
-    def kill(lname, kidx, flat):
-        key = by_layer[lname][int(kidx)]
-        mask.entries[key].ravel()[int(flat)] = False
-
-    if selection == "local":
-        requested, removed = 0, 0
-        for lname in by_layer:
-            mags, alive, kidx, flat = layer_population(lname)
-            n_alive = int(alive.sum())
-            k = _round_half_up(fraction * n_alive)
-            requested += k
-            k = min(k, max(n_alive - min_weights, 0))
-            if k == 0:
-                continue
-            cand = np.flatnonzero(alive)
-            order = cand[np.lexsort((flat[cand], kidx[cand], mags[cand]))]
-            for j in order[:k]:
-                kill(lname, kidx[j], flat[j])
-            removed += k
-        if requested > 0 and removed == 0:
-            raise ValueError("selection would drop every layer below min_weights; "
-                             "nothing can be removed")
-        return mask
-
-    pops = {lname: layer_population(lname) for lname in by_layer}
-    total_alive = sum(int(p[1].sum()) for p in pops.values())
-    want = _round_half_up(fraction * total_alive)
-    if want == 0:
-        return mask
-    lnames, mags, alive, kidx, flat = [], [], [], [], []
-    for i, (lname, (m, a, ki, fl)) in enumerate(pops.items()):
-        lnames.append(lname)
-        mags.append(m)
-        alive.append(a)
-        kidx.append(ki)
-        flat.append(fl)
-    layer_of = np.concatenate([np.full(pops[l][0].size, i)
-                               for i, l in enumerate(lnames)])
-    mags = np.concatenate(mags)
-    alive = np.concatenate(alive)
-    kidx = np.concatenate(kidx)
-    flat = np.concatenate(flat)
-    caps = {l: max(int(pops[l][1].sum()) - min_weights, 0) for l in lnames}
-    if sum(caps.values()) == 0:
-        raise ValueError("selection would drop every layer below min_weights; "
-                         "nothing can be removed")
-    cand = np.flatnonzero(alive)
-    order = cand[np.lexsort((flat[cand], kidx[cand], layer_of[cand], mags[cand]))]
-    removed_per = {l: 0 for l in lnames}
-    removed = 0
-    for j in order:
-        if removed == want:
-            break
-        lname = lnames[int(layer_of[j])]
-        if removed_per[lname] >= caps[lname]:
-            continue
-        kill(lname, kidx[j], flat[j])
-        removed_per[lname] += 1
-        removed += 1
+    layers = _layer_keys(mask)
+    flags, alive, scores = {}, {}, {}
+    for lname, keys in layers.items():
+        flags[lname] = np.concatenate([mask.entries[k].ravel() for k in keys])
+        alive[lname] = np.flatnonzero(flags[lname])
+        scores[lname] = np.concatenate([
+            np.abs(net.layers[lname].params[k.split(".", 1)[1]].data.ravel())
+            for k in keys])[alive[lname]]
+    plan = _select_bottom(scores, fraction, selection, min_weights,
+                          "layer", "min_weights")
+    for lname, idx in plan.items():
+        keys = layers[lname]
+        flags[lname][alive[lname][idx]] = False
+        ends = np.cumsum([mask.entries[k].size for k in keys])
+        for key, part in zip(keys, np.split(flags[lname], ends[:-1])):
+            mask.entries[key][...] = part.reshape(mask.entries[key].shape)
     return mask
 
 
@@ -309,33 +243,18 @@ def removable_units(net: nn.Network, mask: WeightMask) -> dict[str, np.ndarray]:
     out = {}
     for pid, pool in net.pools.items():
         n = len(pool.kept)
-        removable = np.zeros(n, dtype=bool)
-        counted = False
-        for member in pool.members:
-            layer = net.layers[member]
-            pnames = _MASKABLE.get(layer.kind, ())
-            if not pnames:
-                continue
-            rows_dead = np.ones(n, dtype=bool)
-            for pname in pnames:
-                m = mask.entries[f"{member}.{pname}"].reshape(n, -1)
-                rows_dead &= ~m.any(axis=1)
-            removable = rows_dead if not counted else (removable & rows_dead)
-            counted = True
-        if counted:
-            out[pid] = removable
-        else:
-            out[pid] = np.zeros(n, dtype=bool)
+        dead = [~mask.entries[f"{m}.{p}"].reshape(n, -1).any(axis=1)
+                for m in pool.members for p in _MASKABLE.get(net.layers[m].kind, ())]
+        out[pid] = np.logical_and.reduce(dead) if dead else np.zeros(n, dtype=bool)
     return out
 
 
 def prunability_from_mask(net: nn.Network, mask: WeightMask) -> float:
     """Fraction of units physically deletable under the weight mask."""
-    per_pool = removable_units(net, mask)
-    total = sum(len(pool.kept) for pool in net.pools.values())
+    total = net.units_remaining()
     if total == 0:
         return 0.0
-    return sum(int(r.sum()) for r in per_pool.values()) / total
+    return sum(int(r.sum()) for r in removable_units(net, mask).values()) / total
 
 
 # -- rewinding -------------------------------------------------------------------
@@ -420,26 +339,19 @@ def mean_loss(net, items, loss_fn) -> float:
 
 
 def _pool_units(net: nn.Network, mask: WeightMask | None) -> dict[str, int]:
-    if mask is None:
-        return {pid: len(pool.kept) for pid, pool in net.pools.items()}
-    removable = removable_units(net, mask)
-    return {pid: len(net.pools[pid].kept) - int(removable[pid].sum())
-            for pid in net.pools}
+    """Units per pool, less those the mask has made removable."""
+    dead = removable_units(net, mask) if mask is not None else {}
+    return {pid: len(pool.kept) - int(np.sum(dead.get(pid, 0)))
+            for pid, pool in net.pools.items()}
 
 
 def _at_floor(net: nn.Network, mask: WeightMask | None, cfg: ImpConfig) -> str | None:
     """Stop reason when no unit (trim) or weight (mask) may still be removed."""
     if mask is None:
-        headroom = sum(max(len(p.kept) - cfg.min_units, 0)
-                       for p in net.pools.values())
-        if headroom == 0:
+        if all(len(p.kept) <= cfg.min_units for p in net.pools.values()):
             return "every pool at the min_units floor"
-        return None
-    alive: dict[str, int] = {}
-    for key, m in mask.entries.items():
-        lname = key.split(".", 1)[0]
-        alive[lname] = alive.get(lname, 0) + int(m.sum())
-    if all(a <= cfg.min_weights for a in alive.values()):
+    elif all(sum(int(mask.entries[k].sum()) for k in keys) <= cfg.min_weights
+             for keys in _layer_keys(mask).values()):
         return "every layer at the min_weights floor"
     return None
 
@@ -476,17 +388,14 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
     wall = time.perf_counter() - t0
 
     mask = full_mask(cur) if cfg.mode == "mask" else None
-    total_units = sum(len(p.kept) for p in cur.pools.values())
-    _, total_weights = cur.weight_counts()
+    total_units = cur.units_remaining()
 
     def measure():
         valid_loss = mean_loss(cur, data.valid, loss_fn)
         test_loss = mean_loss(cur, data.test, loss_fn)
-        if mask is None:
-            w_rem, w_orig = cur.weight_counts()
-            weights_frac = w_rem / w_orig
-        else:
-            weights_frac = (total_weights - (mask.total() - mask.alive())) / total_weights
+        w_rem, w_orig = cur.weight_counts()
+        dead = mask.total() - mask.alive() if mask is not None else 0
+        weights_frac = (w_rem - dead) / w_orig
         units = _pool_units(cur, mask)
         units_frac = sum(units.values()) / total_units
         return valid_loss, test_loss, weights_frac, units_frac, units
@@ -521,8 +430,7 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
                     scores = cr.pool_scores(
                         cur, cfg.criterion, batches=list(data.valid),
                         scheme=cfg.scaling, loss_fn=loss_fn,
-                        mi_cfg=cfg.mi, grad_mode=cfg.grad_mode,
-                        info_window=cfg.info_window)
+                        mi_cfg=cfg.mi)
                     plan = select_units(scores, cfg.prune_fraction_per_iter,
                                         selection, min_units=cfg.min_units)
                     cur = nn.apply_trim(cur, plan)

@@ -52,9 +52,8 @@ def probe_net(n_units):
 
 
 # one layer's raw scores, from the all-layer passes the criteria run
-def score_gradient(layer, net, batches, loss_fn=models.compute_loss,
-                   mode="per_batch"):
-    return cr._gradient_raw(net, batches, loss_fn, mode)[layer.name]
+def score_gradient(layer, net, batches, loss_fn=models.compute_loss):
+    return cr._gradient_raw(net, batches, loss_fn)[layer.name]
 
 
 def score_activation(layer, net, batches):
@@ -95,18 +94,14 @@ def _eval_loss(net, items):
         return float(np.mean([models.compute_loss(net, it).data for it in items]))
 
 
-def _trained_sing(seed):
-    net = models.build_model(sing_cfg(), seed=seed)
-    rng = np.random.default_rng(55 + seed)
+@pytest.fixture(scope="module")
+def trained_sing():
+    net = models.build_model(sing_cfg(), seed=0)
+    rng = np.random.default_rng(55)
     _sgd_steps(net, [tone_batch(rng) for _ in range(3)], steps=45)
     net.eval()
     items = single_items(np.random.default_rng(77), n=12)
     return net, items
-
-
-@pytest.fixture(scope="module")
-def trained_sing():
-    return _trained_sing(0)
 
 
 class TestMagnitude:
@@ -197,36 +192,13 @@ class TestGradient:
         assert np.array_equal(s1, np.zeros(3))
         assert s2.min() > 0.0
 
-    @pytest.mark.parametrize("mode", ["per_batch", "dataset"])
-    def test_duplicated_dataset_doubles_scores(self, mode):
+    def test_duplicated_dataset_doubles_scores(self):
         net = models.build_model(sing_cfg(), seed=0)
         batch = tone_batch(np.random.default_rng(5))
         layer = net.layers["conv0"]
-        once = score_gradient(layer, net, [batch], mode=mode)
-        twice = score_gradient(layer, net, [batch, batch], mode=mode)
+        once = score_gradient(layer, net, [batch])
+        twice = score_gradient(layer, net, [batch, batch])
         assert np.array_equal(twice, 2.0 * once)
-
-    def test_single_batch_modes_agree_exactly(self, trained_sing):
-        net, items = trained_sing
-        for lname in ("conv0", "conv1"):
-            a = score_gradient(net.layers[lname], net, items[:1], mode="per_batch")
-            b = score_gradient(net.layers[lname], net, items[:1], mode="dataset")
-            assert np.array_equal(a, b)
-
-    def test_modes_rank_agreement_on_trained_model(self):
-        # one 6-unit cell of one SGD run (lr 0.05) is chaotic: a one-ulp
-        # change to one weight can move its rho from 1.0 to 0.77, so the
-        # bar applies to each layer's median over twelve training seeds
-        rhos = {"conv0": [], "conv1": []}
-        for seed in range(12):
-            net, items = _trained_sing(seed)
-            for lname, cells in rhos.items():
-                a = score_gradient(net.layers[lname], net, items, mode="per_batch")
-                b = score_gradient(net.layers[lname], net, items, mode="dataset")
-                ra, rb = np.argsort(np.argsort(a)), np.argsort(np.argsort(b))
-                cells.append(np.corrcoef(ra, rb)[0, 1])
-        for lname, cells in rhos.items():
-            assert np.median(cells) > 0.5, (lname, np.round(cells, 3))
 
     def test_batch_order_irrelevant(self, trained_sing):
         net, items = trained_sing
@@ -247,12 +219,6 @@ class TestGradient:
         net = models.build_model(sing_cfg(), seed=0)
         with pytest.raises(ValueError, match="nonempty"):
             score_gradient(net.layers["conv0"], net, [])
-
-    def test_unknown_mode_rejected(self):
-        net = models.build_model(sing_cfg(), seed=0)
-        batch = tone_batch(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="per_batch or dataset"):
-            score_gradient(net.layers["conv0"], net, [batch], mode="weird")
 
 
 class TestActivation:

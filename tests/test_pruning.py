@@ -7,6 +7,8 @@ trimming is checked against the masked-dense oracle at every iteration.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audiotrim import harness, models, nn, pruning
 from audiotrim import tensor as T
@@ -178,6 +180,91 @@ class TestSelectWeights:
             assert np.array_equal(data[m], before[f"{key}"][m])
 
 
+@st.composite
+def selection_cases(draw):
+    """(scores per group, fraction, selection, floor); quarter-step scores
+    are exact in float32 and tie often."""
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    scores = {f"g{i}": np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                              max_size=n))) / 4.0
+              for i, n in enumerate(sizes)}
+    return (scores, draw(st.floats(0.0, 0.95)),
+            draw(st.sampled_from(["local", "global"])), draw(st.integers(1, 3)))
+
+
+def expected_counts(scores, fraction, selection, floor):
+    """(requested, per-group counts) for local, (requested, total) for global."""
+    caps = {g: max(len(s) - floor, 0) for g, s in scores.items()}
+    if selection == "local":
+        asked = {g: round_half_up(fraction * len(s)) for g, s in scores.items()}
+        return sum(asked.values()), {g: min(asked[g], caps[g]) for g in scores}
+    want = round_half_up(fraction * sum(len(s) for s in scores.values()))
+    return want, min(want, sum(caps.values()))
+
+
+class TestSharedSelection:
+    """select_units and select_weights are one routine: these check its
+    contract through both names."""
+
+    @given(selection_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_floors_and_bottomness(self, case):
+        scores, fraction, selection, floor = case
+        requested, expected = expected_counts(scores, fraction, selection, floor)
+        total = sum(expected.values()) if selection == "local" else expected
+        if requested > 0 and total == 0:
+            with pytest.raises(ValueError, match="min_units"):
+                pruning.select_units(scores, fraction, selection, min_units=floor)
+            return
+        plan = pruning.select_units(scores, fraction, selection, min_units=floor)
+        removed = {g: plan.get(g, np.zeros(0, dtype=np.int64)) for g in scores}
+        for g, idx in removed.items():
+            assert idx.dtype == np.int64 and np.all(np.diff(idx) > 0)
+            assert len(scores[g]) - len(idx) >= min(floor, len(scores[g]))
+        counts = {g: len(idx) for g, idx in removed.items()}
+        if selection == "local":
+            assert counts == expected
+        else:
+            assert sum(counts.values()) == expected
+        for g, s in scores.items():
+            kept = np.delete(s, removed[g])
+            under_cap = counts[g] < len(s) - floor
+            rivals = scores if selection == "global" and under_cap else [g]
+            for h in rivals:
+                if kept.size and counts[h]:
+                    assert scores[h][removed[h]].max() <= kept.min()
+
+    @given(selection_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_units_and_weights_pick_the_same_indices(self, case):
+        scores, fraction, selection, floor = case
+        rng = np.random.default_rng(0)
+        layers = [nn.make_linear(g, 1, len(s), rng) for g, s in scores.items()]
+        net = nn.Network("custom", layers)
+        for g, s in scores.items():
+            net.layers[g].params["w"].data = s.astype(np.float32).reshape(-1, 1)
+        try:
+            plan = pruning.select_units(scores, fraction, selection, min_units=floor)
+        except ValueError:
+            with pytest.raises(ValueError, match="min_weights"):
+                pruning.select_weights(net, fraction, selection, min_weights=floor)
+            return
+        mask = pruning.select_weights(net, fraction, selection, min_weights=floor)
+        for g in scores:
+            assert np.array_equal(np.flatnonzero(~mask.entries[f"{g}.w"]),
+                                  plan.get(g, []))
+
+    def test_cross_layer_weight_ties_break_by_index_before_layer(self):
+        net = TestSelectWeights().net()
+        for lname in ("a", "b"):
+            net.layers[lname].params["w"].data[:] = 0.5
+        mask = pruning.select_weights(net, 0.1, "global")
+        # 20 of 200 equal weights: (|w|, index within layer, layer order)
+        # alternates between the layers instead of draining the first
+        for key in ("a.w", "b.w"):
+            assert np.array_equal(np.flatnonzero(~mask.entries[key]), np.arange(10))
+
+
 class TestPrunability:
     def test_all_ones_mask_gives_zero(self):
         net = TestSelectWeights().net()
@@ -202,6 +289,14 @@ class TestPrunability:
         m[dead] = False
         frac = pruning.prunability_from_mask(net, mask)
         assert frac < 0.4
+
+    def test_network_without_pools_gives_zero(self):
+        net = nn.Network("custom", [nn.make_linear("a", 3, 2, np.random.default_rng(0))],
+                         protected={"a"})
+        assert net.pools == {}
+        mask = pruning.full_mask(net)
+        mask.entries["a.w"][:] = False
+        assert pruning.prunability_from_mask(net, mask) == 0.0
 
     def test_gru_needs_all_six_rows_dead(self):
         rng = np.random.default_rng(0)
