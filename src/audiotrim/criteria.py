@@ -158,7 +158,7 @@ def _frame_means(stream: np.ndarray, n_frames: int) -> np.ndarray:
 
 
 def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig,
-                     window: int = 256, layer_names=None) -> dict[str, np.ndarray]:
+                     layer_names=None) -> dict[str, np.ndarray]:
     if not items:
         raise ValueError("information scoring needs a nonempty validation set")
     feats = []
@@ -166,7 +166,7 @@ def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig,
         wave = np.asarray(item["wave"], dtype=np.float32)
         if wave.ndim != 2 or wave.shape[0] != 1:
             raise ValueError("information scoring expects single-item batches")
-        feats.append(target_features(wave[0], window))
+        feats.append(target_features(wave[0]))
     if np.ptp(np.concatenate(feats, axis=0), axis=0).max() == 0:
         raise ValueError("degenerate targets: spectral features have zero variance")
     with T.no_grad(), nn.capture("full") as tape:

@@ -58,10 +58,6 @@ _GRAD_ENABLED = True
 _FLOWS: dict[int, np.ndarray] | None = None
 
 
-def _active_flows():
-    return _FLOWS
-
-
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording, for inference and sample generation."""
@@ -74,16 +70,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _as_f32(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float32)
-    return arr
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f32(data)
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
@@ -110,10 +101,9 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         g = g.astype(np.float32, copy=False)
-        flows = _active_flows()
-        if flows is not None:
-            cur = flows.get(id(self))
-            flows[id(self)] = g.copy() if cur is None else cur + g
+        if _FLOWS is not None:
+            cur = _FLOWS.get(id(self))
+            _FLOWS[id(self)] = g.copy() if cur is None else cur + g
         elif self.grad is None:
             self.grad = g.copy()
         else:
@@ -315,12 +305,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"op 'matmul' inner dims differ: {a.shape} @ {b.shape}"
         )
     try:
-        raw = np.matmul(a2, b2)
+        res = np.matmul(a2, b2)
     except ValueError:
         raise ShapeError(
             f"op 'matmul' cannot broadcast batch dims: {a.shape} @ {b.shape}"
         ) from None
-    res = raw
     if b_vec:
         res = res[..., 0]
     if a_vec:
@@ -361,7 +350,11 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
     T and y[t] only reads x[<= t]: tap j reads x shifted right by
     s = (K-1-j)*dilation, applied as y[..., s:] += w[:, :, j] @ x[..., :T-s]
     with no padded copy of x, and a tap with s >= T reads nothing. The
-    backward pass mirrors the same slices.
+    first tap that reaches the signal is written in place (matmul out=,
+    zeroing only y[..., :s]); the others add in tap order. The input
+    gradient mirrors the same slices the same way. The weight gradient of
+    tap j is the per-item product g[..., s:] @ x[..., :T-s]^T summed over
+    the batch, read through a transposed view with no copy.
     """
     xd, wd = x.data, w.data
     if wd.ndim != 3:
@@ -384,8 +377,12 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
     # (tap, shift) for every tap that reaches inside the signal
     taps = [(j, (k - 1 - j) * dilation) for j in range(k)
             if (k - 1 - j) * dilation < t]
-    acc = np.zeros(xd.shape[:-2] + (n_out, t), dtype=np.float32)
-    for j, s in taps:
+    acc = np.empty(xd.shape[:-2] + (n_out, t), dtype=np.float32)
+    if taps:  # empty only when t == 0
+        j0, s0 = taps[0]
+        acc[..., :s0] = 0.0
+        np.matmul(wd[:, :, j0], xd[..., : t - s0], out=acc[..., s0:])
+    for j, s in taps[1:]:
         acc[..., s:] += np.matmul(wd[:, :, j], xd[..., : t - s])
     if bias is not None:
         acc += bias.data[:, None]
@@ -396,15 +393,15 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
             if w.requires_grad:
                 gw = np.zeros_like(wd)
                 for j, s in taps:
-                    if xd.ndim == 2:
-                        gw[:, :, j] = g[:, s:] @ xd[:, : t - s].T
-                    else:
-                        gw[:, :, j] = np.tensordot(g[..., s:], xd[..., : t - s],
-                                                   axes=([0, 2], [0, 2]))
+                    gj = np.matmul(g[..., s:], np.swapaxes(xd[..., : t - s], -1, -2))
+                    gw[:, :, j] = gj if gj.ndim == 2 else gj.sum(axis=0)
                 w.accumulate_grad(gw)
             if x.requires_grad:
-                gx = np.zeros_like(xd)
-                for j, s in taps:
+                gx = np.empty(xd.shape, dtype=np.float32)
+                if taps:
+                    gx[..., t - s0:] = 0.0
+                    np.matmul(wd[:, :, j0].T, g[..., s0:], out=gx[..., : t - s0])
+                for j, s in taps[1:]:
                     gx[..., : t - s] += np.matmul(wd[:, :, j].T, g[..., s:])
                 x.accumulate_grad(gx)
             if bias is not None and bias.requires_grad:
@@ -426,13 +423,11 @@ def _unary(a: Tensor, fn, dfn, op: str) -> Tensor:
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated so that neither branch overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 1/(1+e) for x >= 0 and e/(1+e) below, with
+    e = exp(-|x|) <= 1, so neither branch overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -1,6 +1,6 @@
-"""Shared oracles: finite-difference gradients, a naive DFT, the composed
-reference versions of the fused ops, unit masking (trimming's oracle),
-and the test-only "sequential" arch."""
+"""Shared oracles: finite-difference gradients, a naive DFT, the masked
+sigmoid, the composed reference versions of the fused ops, unit masking
+(trimming's oracle), and the test-only "sequential" arch."""
 
 import numpy as np
 
@@ -51,6 +51,17 @@ def adjoint_dot_check(op, x0, rng, rtol=1e-4):
     T.tsum(T.mul(out, T.Tensor(y))).backward()
     rhs = float((x.grad.astype(np.float64) * x0).sum())
     assert abs(lhs - rhs) <= rtol * (abs(lhs) + abs(rhs) + 1.0), (lhs, rhs)
+
+
+def sigmoid_masked(x):
+    """Logistic function split by a boolean mask, each side in the form
+    that cannot overflow: the oracle of the branch-free tensor.sigmoid_array."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 # -- composed reference ops ---------------------------------------------------

@@ -63,8 +63,8 @@ def score_activation(layer, net, batches):
     return raw[layer.name]
 
 
-def score_information(layer, net, items, mi_cfg=mi_mod.MiConfig(), window=256):
-    raw = cr._information_raw(net, items, mi_cfg, window, {layer.name})
+def score_information(layer, net, items, mi_cfg=mi_mod.MiConfig()):
+    raw = cr._information_raw(net, items, mi_cfg, {layer.name})
     if layer.name not in raw:
         raise ValueError(f"layer '{layer.name}' records no activations")
     return raw[layer.name]

@@ -1,5 +1,6 @@
 import ctypes
 import resource
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from audiotrim import tensor as T
 from conftest import (adjoint_dot_check, conv1d_padded, directional_gradcheck,
-                      fft_mag2, frame)
+                      fft_mag2, frame, sigmoid_masked)
 
 RNG = np.random.default_rng(1234)
 
@@ -91,6 +92,32 @@ class TestForwardValues:
         right = T.slice_axis(t, 1, 6, 10)
         back = T.concat([left, right], axis=1)
         assert np.array_equal(back.data, x)
+
+
+class TestSigmoidArray:
+    """The branch-free sigmoid against the boolean-mask one it replaced."""
+
+    @staticmethod
+    def _assert_same(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = T.sigmoid_array(x)
+        ref = sigmoid_masked(x)
+        assert got.dtype == ref.dtype == np.float32
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_special_values(self):
+        fi = np.finfo(np.float32)
+        sub = [fi.smallest_subnormal, 3 * fi.smallest_subnormal, fi.smallest_normal / 2]
+        x = np.array([0.0, np.inf, np.nan, 88.7, 1e30, *sub], dtype=np.float32)
+        self._assert_same(np.concatenate([x, -x]))
+
+    def test_random_batch(self):
+        rng = np.random.default_rng(120)
+        shape = (8, 16, 1999)
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 2, shape)
+        self._assert_same(x.astype(np.float32))
 
 
 class TestShapeAndNumericFaults:
@@ -254,6 +281,27 @@ class TestConvNode:
         for name, a, r in zip(("out", "x", "w", "bias"), got, ref):
             assert a.shape == r.shape, name
             assert np.allclose(a, r, rtol=1e-6, atol=1e-6), name
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_zero_length_signal(self, lead):
+        rng = np.random.default_rng(112)
+        x0 = np.zeros(lead + (4, 0), dtype=np.float32)
+        w0 = rng.standard_normal((5, 4, 3)).astype(np.float32)
+        b0 = rng.standard_normal(5).astype(np.float32)
+        y = np.zeros(lead + (5, 0), dtype=np.float32)
+        out, gx, gw, gb = self._run(T.conv1d_dilated_causal, x0, w0, b0, 2, y)
+        assert out.shape == lead + (5, 0) and gx.shape == x0.shape
+        assert not gw.any() and not gb.any()
+
+    def test_unbatched_weight_grad_matches_batch_of_one(self):
+        rng = np.random.default_rng(113)
+        x0 = rng.standard_normal((4, 11)).astype(np.float32)
+        w0 = rng.standard_normal((5, 4, 3)).astype(np.float32)
+        b0 = rng.standard_normal(5).astype(np.float32)
+        y = rng.standard_normal((5, 11)).astype(np.float32)
+        flat = self._run(T.conv1d_dilated_causal, x0, w0, b0, 2, y)
+        batch = self._run(T.conv1d_dilated_causal, x0[None], w0, b0, 2, y[None])
+        assert np.allclose(flat[2], batch[2], rtol=1e-6, atol=1e-6)
 
     def test_bias_folds_into_one_node(self):
         rng = np.random.default_rng(110)
