@@ -1,6 +1,6 @@
 """Structured lottery-ticket trimming of small generative audio networks."""
 
-from .criteria import CRITERIA, ScalingScheme, pool_scores
+from .criteria import CRITERIA, SCALINGS, pool_scores
 from .embed import EmbedReport, PlatformProfile, analyze, load_platforms
 from .harness import (
     DatasetSplit,
@@ -47,7 +47,7 @@ __all__ = [
     "Network",
     "NumericError",
     "PlatformProfile",
-    "ScalingScheme",
+    "SCALINGS",
     "ShapeError",
     "SpectrogramConfig",
     "Splits",

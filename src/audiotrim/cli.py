@@ -51,7 +51,8 @@ def _build_parser() -> _Parser:
                          choices=list(cr.CRITERIA))
     analyze.add_argument("--config", default=None,
                          help="config supplying data batches for "
-                              "data-driven criteria")
+                              "data-driven criteria, and the scaling "
+                              "and MI settings")
     analyze.add_argument("--out", default=None, help="scores CSV path")
 
     check = sub.add_parser("embed-check", help="platform feasibility report")
@@ -117,18 +118,21 @@ def _cmd_imp(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    # scored as run_imp scores: batchnorm on its trained running statistics
+    # scored as run_imp scores: batchnorm on its trained running statistics,
+    # and the config's scaling and MI settings (ImpConfig's without one)
     net = nn.load_checkpoint(args.model).eval()
-    batches = None
+    batches, imp = None, pruning.ImpConfig()
     if args.config is not None:
         cfg = harness.load_config(args.config)
         items = harness._build_dataset(cfg)
         split = harness.split_dataset(items, cfg.seed)
         batches = [harness.collate([it]) for it in split.valid]
+        imp = cfg.imp
     elif args.criterion != "magnitude":
         raise UsageError(f"criterion '{args.criterion}' needs data batches; "
                          "pass --config")
-    scores = cr.pool_scores(net, args.criterion, batches=batches)
+    scores = cr.pool_scores(net, args.criterion, imp.scaling, batches=batches,
+                            mi_cfg=imp.mi)
     if args.out is not None:
         harness.write_csv(args.out, ["pool", "unit", "score"],
                           ([pid, i, f"{s:.10g}"] for pid, vec in scores.items()

@@ -10,14 +10,14 @@ unit, where lower means safer to remove:
 * information: estimated mutual information between the unit's output
   stream and log-spectral features of the target audio.
 
-Raw scores are scaled per layer (none, layer_max, or fan_scaled) before
-units from different layers are compared in global selection. Layers
-tied into one trim pool are averaged into a single score per unit.
+Raw scores are scaled per layer by one of SCALINGS before units from
+different layers are compared in global selection: none keeps them,
+layer_max divides by the layer's largest score, and fan_scaled
+multiplies by 1/sqrt(fan-in). Layers tied into one trim pool are
+averaged into a single score per unit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .nn import Layer, Network
 from .tensor import SpectrogramConfig, Tensor
 
 CRITERIA = ("magnitude", "gradient", "activation", "normalization", "information")
+SCALINGS = ("none", "layer_max", "fan_scaled")
 
 # parameters that count as connection weights when summing magnitudes
 _WEIGHT_PARAMS = {
@@ -36,17 +37,6 @@ _WEIGHT_PARAMS = {
     "gru": ("wz", "wr", "wh", "uz", "ur", "uh"),
     "batchnorm": ("gamma",),
 }
-
-
-@dataclass(frozen=True)
-class ScalingScheme:
-    kind: str = "none"
-
-    def __post_init__(self):
-        if self.kind not in ("none", "layer_max", "fan_scaled"):
-            raise ValueError(
-                f"scaling must be none, layer_max, or fan_scaled, got '{self.kind}'"
-            )
 
 
 def fan_in(layer: Layer) -> int:
@@ -204,12 +194,14 @@ def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig,
 
 
 def scale_scores(raw: dict[str, np.ndarray], net: Network,
-                 scheme: ScalingScheme) -> dict[str, np.ndarray]:
+                 scaling: str) -> dict[str, np.ndarray]:
+    if scaling not in SCALINGS:
+        raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
     scaled = {}
     for name, values in raw.items():
-        if scheme.kind == "none":
+        if scaling == "none":
             scaled[name] = values.copy()
-        elif scheme.kind == "layer_max":
+        elif scaling == "layer_max":
             top = values.max() if values.size else 0.0
             scaled[name] = values / top if top > 0 else np.zeros_like(values)
         else:
@@ -233,14 +225,13 @@ def _raw_scores(net: Network, criterion: str, batches, loss_fn, mi_cfg,
     raise ValueError(f"unknown criterion '{criterion}', expected one of {CRITERIA}")
 
 
-def pool_scores(net: Network, criterion: str, batches=None,
-                scheme: ScalingScheme = ScalingScheme(),
+def pool_scores(net: Network, criterion: str, scaling: str, batches=None,
                 loss_fn=models.compute_loss,
                 mi_cfg: mi_mod.MiConfig | None = None) -> dict[str, np.ndarray]:
     """One score vector per trim pool, averaged over scored members."""
     pooled = {m for pool in net.pools.values() for m in pool.members}
     raw = _raw_scores(net, criterion, batches, loss_fn, mi_cfg, info_scope=pooled)
-    scaled = scale_scores(raw, net, scheme)
+    scaled = scale_scores(raw, net, scaling)
     out = {}
     for pid, pool in net.pools.items():
         member_scores = [scaled[m] for m in pool.members if m in scaled]

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import criteria as cr
 from . import embed, mi, models, nn, pruning
 from . import tensor as T
 
@@ -280,34 +279,15 @@ class ExperimentConfig:
     emit_samples: bool = True
 
 
-def _from_section(cls, section: dict, name: str, coerce=None):
+def _from_section(cls, section: dict, name: str):
     known = {f.name for f in dataclasses.fields(cls)}
     extra = set(section) - known
     if extra:
         raise ValueError(f"unknown key(s) {sorted(extra)} in config section "
                          f"'{name}'")
-    kwargs = dict(section)
-    if coerce:
-        coerce(kwargs)
-    return cls(**kwargs)
-
-
-def _coerce_model(kwargs):
-    if "spec_windows" in kwargs:
-        kwargs["spec_windows"] = tuple(kwargs["spec_windows"])
-
-
-def _coerce_imp(kwargs):
-    scaling = kwargs.get("scaling")
-    if isinstance(scaling, str):
-        kwargs["scaling"] = cr.ScalingScheme(scaling)
-    elif isinstance(scaling, dict):
-        kwargs["scaling"] = cr.ScalingScheme(**scaling)
-    mi_cfg = kwargs.get("mi")
-    if isinstance(mi_cfg, dict):
-        if "bin_counts" in mi_cfg:
-            mi_cfg = dict(mi_cfg, bin_counts=tuple(mi_cfg["bin_counts"]))
-        kwargs["mi"] = mi.MiConfig(**mi_cfg)
+    # JSON arrays arrive as lists; every sequence field is a tuple
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in section.items()})
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -319,16 +299,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ValueError(f"unknown top-level config key(s) {sorted(extra)}")
     if "model" not in doc:
         raise ValueError("config needs a 'model' section")
-    kwargs = {"model": _from_section(models.ModelConfig, doc["model"],
-                                     "model", _coerce_model)}
+    kwargs = {"model": _from_section(models.ModelConfig, doc["model"], "model")}
     if "dataset" in doc:
         kwargs["dataset"] = _from_section(DatasetConfig, doc["dataset"], "dataset")
     if "training" in doc:
         kwargs["training"] = _from_section(TrainingConfig, doc["training"],
                                            "training")
     if "imp" in doc:
-        kwargs["imp"] = _from_section(pruning.ImpConfig, doc["imp"], "imp",
-                                      _coerce_imp)
+        imp = dict(doc["imp"])
+        if isinstance(imp.get("mi"), dict):
+            imp["mi"] = _from_section(mi.MiConfig, imp["mi"], "imp.mi")
+        kwargs["imp"] = _from_section(pruning.ImpConfig, imp, "imp")
     for key in ("platforms", "output_dir", "seed", "emit_samples"):
         if key in doc:
             kwargs[key] = doc[key]
@@ -345,11 +326,6 @@ def load_config(path) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     doc = dataclasses.asdict(cfg)
     doc["output_dir"] = str(doc["output_dir"])
-    doc["model"]["spec_windows"] = list(doc["model"]["spec_windows"])
-    imp_doc = doc["imp"]
-    imp_doc["scaling"] = imp_doc["scaling"]["kind"]
-    if imp_doc["mi"] is not None:
-        imp_doc["mi"]["bin_counts"] = list(imp_doc["mi"]["bin_counts"])
     return doc
 
 

@@ -371,9 +371,6 @@ class Network:
     def units_remaining(self) -> int:
         return sum(len(p.kept) for p in self.pools.values())
 
-    def units_original(self) -> int:
-        return sum(p.orig for p in self.pools.values())
-
     def weight_counts(self) -> tuple[int, int]:
         """(remaining, original) trainable parameter entries.
 
@@ -609,6 +606,47 @@ def save_checkpoint(net: Network, path):
         fh.write(checkpoint_bytes(net))
 
 
+# the fields of a structure document and of its layers, with their types
+_DOC_FIELDS = {"arch": str, "meta": dict, "layers": list, "trim_groups": list,
+               "protected": list, "pools": dict}
+_LAYER_FIELDS = {"name": str, "kind": str, "shapes": dict, "buffer_shapes": dict,
+                 "in_source": (str, type(None)), "dilation": int, "eps": (int, float)}
+
+
+def _check_structure_doc(doc):
+    """Raise StructureError unless doc has the layout _structure_doc
+    writes: a document can pass the CRC and still be malformed."""
+    def fields(d, schema):
+        return (isinstance(d, dict) and d.keys() == schema.keys()
+                and all(isinstance(d[k], t) for k, t in schema.items()))
+
+    def names(v):
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+    def counts(v):
+        return isinstance(v, list) and all(isinstance(x, int) and x >= 0 for x in v)
+
+    if not (fields(doc, _DOC_FIELDS) and names(doc["protected"])
+            and all(g and names(g) for g in doc["trim_groups"])
+            and all(fields(p, {"kept": list, "orig": int}) and counts(p["kept"])
+                    and p["kept"] == sorted(set(p["kept"]))
+                    and all(u < p["orig"] for u in p["kept"])
+                    for p in doc["pools"].values())
+            and all(fields(spec, _LAYER_FIELDS) for spec in doc["layers"])):
+        raise StructureError("checkpoint structure document is malformed")
+    for spec in doc["layers"]:
+        kind = spec["kind"]
+        if kind not in _AXIS_ROLES:
+            raise StructureError(f"unknown layer kind '{kind}'")
+        shapes = {**spec["shapes"], **spec["buffer_shapes"]}
+        if (spec["shapes"].keys() != set(_PARAM_ORDER[kind])
+                or spec["buffer_shapes"].keys() != set(_BUFFER_ORDER[kind])
+                or not all(counts(v) and len(v) == len(_AXIS_ROLES[kind][k])
+                           for k, v in shapes.items())
+                or spec["dilation"] < 1):
+            raise StructureError(f"layer '{spec['name']}' has bad shapes or dilation")
+
+
 def load_checkpoint(path) -> Network:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -622,29 +660,29 @@ def load_checkpoint(path) -> Network:
         raise ValueError(f"unsupported checkpoint version {version}")
     doc_len = int.from_bytes(raw[6:10], "little")
     doc = json.loads(raw[10 : 10 + doc_len].decode())
+    _check_structure_doc(doc)
     offset = 10 + doc_len
     body = raw[:-4]
+    n_floats = sum(math.prod(shape) for spec in doc["layers"]
+                   for key in ("shapes", "buffer_shapes") for shape in spec[key].values())
+    if offset + 4 * n_floats != len(body):
+        raise ValueError("checkpoint corrupted: trailing or missing data")
+
+    def take(shape) -> np.ndarray:
+        nonlocal offset
+        n = math.prod(shape)
+        arr = np.frombuffer(body, dtype="<f4", count=n, offset=offset)
+        offset += n * 4
+        return arr.reshape(shape).copy()
 
     layers = []
     for spec in doc["layers"]:
-        params = {}
-        for pname in _PARAM_ORDER[spec["kind"]]:
-            shape = tuple(spec["shapes"][pname])
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(body, dtype="<f4", count=n, offset=offset).reshape(shape)
-            offset += n * 4
-            params[pname] = Tensor(arr.copy(), requires_grad=True)
-        buffers = {}
-        for bname in _BUFFER_ORDER[spec["kind"]]:
-            shape = tuple(spec["buffer_shapes"][bname])
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(body, dtype="<f4", count=n, offset=offset).reshape(shape)
-            offset += n * 4
-            buffers[bname] = arr.copy()
+        params = {p: Tensor(take(spec["shapes"][p]), requires_grad=True)
+                  for p in _PARAM_ORDER[spec["kind"]]}
+        buffers = {b: take(spec["buffer_shapes"][b])
+                   for b in _BUFFER_ORDER[spec["kind"]]}
         layers.append(Layer(spec["name"], spec["kind"], params, buffers,
                             spec["in_source"], spec["dilation"], spec["eps"]))
-    if offset != len(body):
-        raise ValueError("checkpoint corrupted: trailing or missing data")
     return Network(
         doc["arch"], layers, doc["trim_groups"], doc["protected"], doc["meta"],
         kept_units={pid: np.asarray(p["kept"], dtype=np.int64)

@@ -72,7 +72,7 @@ class ImpConfig:
     mode: str = "trim"
     selection: str = "global"
     criterion: str = "magnitude"
-    scaling: cr.ScalingScheme = cr.ScalingScheme("layer_max")
+    scaling: str = "layer_max"
     min_units: int = 1
     min_weights: int = 1
     # switch from global to local selection after this iteration (hybrid)
@@ -93,6 +93,9 @@ class ImpConfig:
             raise ValueError(f"selection must be local or global, got '{self.selection}'")
         if self.criterion not in cr.CRITERIA:
             raise ValueError(f"unknown criterion '{self.criterion}'")
+        if self.scaling not in cr.SCALINGS:
+            raise ValueError(f"scaling must be one of {cr.SCALINGS}, "
+                             f"got {self.scaling!r}")
         if self.mode == "mask" and self.criterion != "magnitude":
             raise ValueError("mask mode ranks individual weights by magnitude; "
                              f"criterion '{self.criterion}' has no per-weight form")
@@ -428,8 +431,8 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
             try:
                 if cfg.mode == "trim":
                     scores = cr.pool_scores(
-                        cur, cfg.criterion, batches=list(data.valid),
-                        scheme=cfg.scaling, loss_fn=loss_fn,
+                        cur, cfg.criterion, cfg.scaling,
+                        batches=list(data.valid), loss_fn=loss_fn,
                         mi_cfg=cfg.mi)
                     plan = select_units(scores, cfg.prune_fraction_per_iter,
                                         selection, min_units=cfg.min_units)

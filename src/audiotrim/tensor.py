@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,25 +89,14 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray):
+        """Add g to this tensor's flow in the running backward() pass."""
         g = g.astype(np.float32, copy=False)
-        if _FLOWS is not None:
-            cur = _FLOWS.get(id(self))
-            _FLOWS[id(self)] = g.copy() if cur is None else cur + g
-        elif self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad = self.grad + g
+        cur = _FLOWS.get(id(self))
+        _FLOWS[id(self)] = g.copy() if cur is None else cur + g
 
     def backward(self):
         """Add d(self)/d(leaf) into .grad for every leaf of the graph.
@@ -158,48 +147,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op})"
 
-    # operator sugar; each delegates to a module-level op
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _check_finite(arr: np.ndarray, op: str):
     if not np.isfinite(arr).all():
@@ -230,114 +177,71 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary_shape_check(a: Tensor, b: Tensor, op: str):
+def _binary(a: Tensor, b: Tensor, fn, da, db, op: str) -> Tensor:
+    """Broadcasting elementwise op; da(g, x, y) and db(g, x, y) are the
+    gradients reaching a and b before they are summed back to shape."""
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(
             f"op '{op}' cannot broadcast {a.shape} with {b.shape}"
         ) from None
+    out = _node(fn(a.data, b.data), (a, b), op)
+    if out.requires_grad:
+        def _bw(g):
+            if a.requires_grad:
+                a.accumulate_grad(_unbroadcast(da(g, a.data, b.data), a.shape))
+            if b.requires_grad:
+                b.accumulate_grad(_unbroadcast(db(g, a.data, b.data), b.shape))
+        out._backward = _bw
+    return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "add")
-    out = _node(a.data + b.data, (a, b), "add")
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g, b.shape))
-        out._backward = _bw
-    return out
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "sub")
-    out = _node(a.data - b.data, (a, b), "sub")
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(-g, b.shape))
-        out._backward = _bw
-    return out
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g,
+                   "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "mul")
-    out = _node(a.data * b.data, (a, b), "mul")
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
-        out._backward = _bw
-    return out
+    return _binary(a, b, np.multiply, lambda g, x, y: g * y,
+                   lambda g, x, y: g * x, "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shape_check(a, b, "div")
-    out = _node(a.data / b.data, (a, b), "div")
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                gb = -g * a.data / (b.data * b.data)
-                b.accumulate_grad(_unbroadcast(gb, b.shape))
-        out._backward = _bw
-    return out
+    return _binary(a, b, np.divide, lambda g, x, y: g / y,
+                   lambda g, x, y: -g * x / (y * y), "div")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product of operands with at least 2 dims each."""
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise ShapeError("op 'matmul' needs at least 1-d operands")
-    a_vec = ad.ndim == 1
-    b_vec = bd.ndim == 1
-    a2 = ad[None, :] if a_vec else ad
-    b2 = bd[:, None] if b_vec else bd
-    if a2.shape[-1] != b2.shape[-2]:
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ShapeError(
+            f"op 'matmul' needs operands of 2 or more dims: {a.shape} @ {b.shape}"
+        )
+    if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(
             f"op 'matmul' inner dims differ: {a.shape} @ {b.shape}"
         )
     try:
-        res = np.matmul(a2, b2)
+        res = np.matmul(ad, bd)
     except ValueError:
         raise ShapeError(
             f"op 'matmul' cannot broadcast batch dims: {a.shape} @ {b.shape}"
         ) from None
-    if b_vec:
-        res = res[..., 0]
-    if a_vec:
-        res = res[..., 0, :] if not b_vec else res[..., 0]
     out = _node(res, (a, b), "matmul")
     if out.requires_grad:
         def _bw(g):
-            g2 = g
-            if a_vec and b_vec:
-                g2 = g.reshape(1, 1)
-            elif a_vec:
-                g2 = g[..., None, :]
-            elif b_vec:
-                g2 = g[..., :, None]
             if a.requires_grad:
-                ga = np.matmul(g2, np.swapaxes(b2, -1, -2))
-                if a_vec:
-                    ga = ga.reshape(-1, ad.shape[0]).sum(axis=0)
-                    a.accumulate_grad(ga)
-                else:
-                    a.accumulate_grad(_unbroadcast(ga, ad.shape))
+                ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+                a.accumulate_grad(_unbroadcast(ga, ad.shape))
             if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a2, -1, -2), g2)
-                if b_vec:
-                    gb = gb.reshape(-1, bd.shape[0], 1).sum(axis=0)[:, 0]
-                    b.accumulate_grad(gb)
-                else:
-                    b.accumulate_grad(_unbroadcast(gb, bd.shape))
+                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+                b.accumulate_grad(_unbroadcast(gb, bd.shape))
         out._backward = _bw
     return out
 
@@ -443,41 +347,12 @@ def relu(a: Tensor) -> Tensor:
                   lambda x, y: (x > 0).astype(np.float32), "relu")
 
 
-def texp(a: Tensor) -> Tensor:
-    return _unary(a, np.exp, lambda x, y: y, "exp")
-
-
-def tlog(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-    out = _node(data, (a,), "log")
-    if out.requires_grad:
-        def _bw(g):
-            a.accumulate_grad(g / a.data)
-        out._backward = _bw
-    return out
-
-
 def tabs(a: Tensor) -> Tensor:
     return _unary(a, np.abs, lambda x, y: np.sign(x), "abs")
 
 
 def tsqrt(a: Tensor) -> Tensor:
     return _unary(a, np.sqrt, lambda x, y: 0.5 / y, "sqrt")
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, shift-stabilised."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = _node(s, (a,), "softmax")
-    if out.requires_grad:
-        def _bw(g):
-            dot = (g * s).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(s * (g - dot))
-        out._backward = _bw
-    return out
 
 
 def _reduce_axes(axis, ndim):
@@ -542,56 +417,6 @@ def transpose(a: Tensor, axes=None) -> Tensor:
             inv = tuple(np.argsort(axes))
         def _bw(g):
             a.accumulate_grad(np.transpose(g, inv))
-        out._backward = _bw
-    return out
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    axis = axis % a.ndim
-    n = a.shape[axis]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(
-            f"op 'slice' range [{start}:{stop}] out of bounds for "
-            f"axis {axis} of {a.shape}"
-        )
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = _node(a.data[idx], (a,), "slice")
-    if out.requires_grad:
-        def _bw(g):
-            full = np.zeros(a.shape, dtype=np.float32)
-            full[idx] = g
-            a.accumulate_grad(full)
-        out._backward = _bw
-    return out
-
-
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeError("op 'concat' needs at least one input")
-    axis = axis % parts[0].ndim
-    for p in parts[1:]:
-        if p.ndim != parts[0].ndim:
-            raise ShapeError(
-                f"op 'concat' rank mismatch: {parts[0].shape} vs {p.shape}"
-            )
-    try:
-        data = np.concatenate([p.data for p in parts], axis=axis)
-    except ValueError:
-        shapes = [p.shape for p in parts]
-        raise ShapeError(f"op 'concat' incompatible shapes {shapes}") from None
-    out = _node(data, tuple(parts), "concat")
-    if out.requires_grad:
-        sizes = [p.shape[axis] for p in parts]
-        def _bw(g):
-            offset = 0
-            for p, size in zip(parts, sizes):
-                if p.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(offset, offset + size)
-                    p.accumulate_grad(g[tuple(idx)])
-                offset += size
         out._backward = _bw
     return out
 

@@ -70,6 +70,72 @@ def sigmoid_masked(x):
 # fused nodes that replaced them in src: tensor.stft_logmag (one node per
 # window), nn.gru_scan (one node per sequence), models.nll_from_logits (one
 # node per loss) and tensor.conv1d_dilated_causal's pad-free taps and bias.
+# texp, tlog, slice_axis and concat are elementary ops only these oracles use.
+
+
+def texp(a):
+    return T._unary(a, np.exp, lambda x, y: y, "exp")
+
+
+def tlog(a):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = np.log(a.data)
+    out = T._node(data, (a,), "log")
+    if out.requires_grad:
+        def _bw(g):
+            a.accumulate_grad(g / a.data)
+        out._backward = _bw
+    return out
+
+
+def slice_axis(a, axis, start, stop):
+    axis = axis % a.ndim
+    n = a.shape[axis]
+    if not (0 <= start <= stop <= n):
+        raise T.ShapeError(
+            f"op 'slice' range [{start}:{stop}] out of bounds for "
+            f"axis {axis} of {a.shape}"
+        )
+    idx = [slice(None)] * a.ndim
+    idx[axis] = slice(start, stop)
+    idx = tuple(idx)
+    out = T._node(a.data[idx], (a,), "slice")
+    if out.requires_grad:
+        def _bw(g):
+            full = np.zeros(a.shape, dtype=np.float32)
+            full[idx] = g
+            a.accumulate_grad(full)
+        out._backward = _bw
+    return out
+
+
+def concat(parts, axis=0):
+    if not parts:
+        raise T.ShapeError("op 'concat' needs at least one input")
+    axis = axis % parts[0].ndim
+    for p in parts[1:]:
+        if p.ndim != parts[0].ndim:
+            raise T.ShapeError(
+                f"op 'concat' rank mismatch: {parts[0].shape} vs {p.shape}"
+            )
+    try:
+        data = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        shapes = [p.shape for p in parts]
+        raise T.ShapeError(f"op 'concat' incompatible shapes {shapes}") from None
+    out = T._node(data, tuple(parts), "concat")
+    if out.requires_grad:
+        sizes = [p.shape[axis] for p in parts]
+        def _bw(g):
+            offset = 0
+            for p, size in zip(parts, sizes):
+                if p.requires_grad:
+                    idx = [slice(None)] * g.ndim
+                    idx[axis] = slice(offset, offset + size)
+                    p.accumulate_grad(g[tuple(idx)])
+                offset += size
+        out._backward = _bw
+    return out
 
 
 def conv1d_padded(x, w, dilation=1, bias=None):
@@ -110,7 +176,7 @@ def nll_composed(logits, targets):
         raise T.ShapeError(f"targets {targets.shape} do not match logits {logits.shape}")
     shift = T.Tensor(logits.data.max(axis=1, keepdims=True))
     z = T.sub(logits, shift)
-    lse = T.add(T.tlog(T.tsum(T.texp(z), axis=1, keepdims=True)), shift)
+    lse = T.add(tlog(T.tsum(texp(z), axis=1, keepdims=True)), shift)
     onehot = np.zeros((b, c, t), dtype=np.float32)
     onehot[np.arange(b)[:, None], targets, np.arange(t)[None, :]] = 1.0
     picked = T.tsum(T.mul(logits, T.Tensor(onehot)), axis=1, keepdims=True)
@@ -154,7 +220,7 @@ def fft_mag2(a):
 def stft_logmag_composed(signal, cfg):
     """frame -> Hann -> |DFT|^2 -> log(. + eps), one elementary op at a time."""
     eps = T.Tensor(cfg.floor_epsilon)
-    return [T.tlog(T.add(fft_mag2(T.mul(frame(signal, w, cfg.hop(w)),
+    return [tlog(T.add(fft_mag2(T.mul(frame(signal, w, cfg.hop(w)),
                                         T.Tensor(T.hann_window(w)))), eps))
             for w in cfg.window_sizes]
 
@@ -178,9 +244,9 @@ def gru_scan_composed(layer, x):
     h = T.Tensor(np.zeros((b, layer.n_units), dtype=np.float32))
     steps = []
     for i in range(t):
-        h = gru_cell(layer, T.reshape(T.slice_axis(x, 1, i, i + 1), (b, -1)), h)
+        h = gru_cell(layer, T.reshape(slice_axis(x, 1, i, i + 1), (b, -1)), h)
         steps.append(T.reshape(h, (b, 1, -1)))
-    return T.concat(steps, axis=1)
+    return concat(steps, axis=1)
 
 
 # -- unit masking: trimming's oracle ---------------------------------------------
@@ -209,6 +275,11 @@ def mask_units(net, plan):
                     idx[axis] = np.asarray(plan[pid], dtype=np.int64)
                     arr[tuple(idx)] = 0.0
     return out
+
+
+def units_original(net):
+    """Units the net's pools held before any trimming."""
+    return sum(p.orig for p in net.pools.values())
 
 
 # -- a plain layer chain for structure tests ------------------------------------

@@ -2,6 +2,7 @@
 
  1. trimming a network equals masking it, on randomized nets and plans
  2. autodiff gradients match central finite differences on every primitive
+    in src, and a train step of each arch builds only those primitives
  3. the MI estimator recovers analytic values on correlated Gaussians
  4. 15 rounds of 30% weight masking remove ~99.5% of maskable weights
  5. closed-form FLOP counts equal an instrumented scalar-op counter
@@ -26,6 +27,7 @@ from audiotrim import tensor as T
 
 from conftest import mask_units
 from test_embed import random_chain, sim_net_ops, tiny_arch_net
+from test_models import ddsp_batch, tiny_ddsp_cfg, tiny_sing_cfg, tiny_wavenet_cfg
 
 SEEDS = (0, 1, 2)
 
@@ -181,23 +183,12 @@ def _op_bank():
     def relu(rng):
         return lambda t: T.relu(t), _signed(rng, (4, 4))
 
-    def texp(rng):
-        half = T.Tensor(np.float32(0.5))
-        return lambda t: T.texp(T.mul(t, half)), _signed(rng, (3, 4))
-
-    def tlog(rng):
-        up = T.Tensor(np.float32(0.5))
-        return lambda t: T.tlog(T.add(T.mul(t, t), up)), _signed(rng, (3, 4))
-
     def tabs(rng):
         return lambda t: T.tabs(t), _signed(rng, (4, 4))
 
     def tsqrt(rng):
         up = T.Tensor(np.float32(0.3))
         return lambda t: T.tsqrt(T.add(T.mul(t, t), up)), _signed(rng, (3, 4))
-
-    def softmax(rng):
-        return lambda t: T.softmax(t), _signed(rng, (4, 5))
 
     def tsum(rng):
         return lambda t: T.tsum(t, axis=1, keepdims=True), _signed(rng, (3, 6))
@@ -211,13 +202,6 @@ def _op_bank():
     def transpose(rng):
         return lambda t: T.transpose(t, (1, 0, 2)), _signed(rng, (2, 3, 4))
 
-    def slice_axis(rng):
-        return lambda t: T.slice_axis(t, 1, 1, 4), _signed(rng, (2, 5, 3))
-
-    def concat(rng):
-        c = T.Tensor(_signed(rng, (2, 4)))
-        return lambda t: T.concat([t, T.mul(t, c)], axis=1), _signed(rng, (2, 4))
-
     def stft_logmag(rng):
         # a floor of 1 keeps the log's curvature within float32 differencing
         cfg = T.SpectrogramConfig(window_sizes=(32,), floor_epsilon=1.0)
@@ -227,9 +211,15 @@ def _op_bank():
         layer = nn.make_gru("g", 3, 4, rng)
         return lambda t: nn.gru_scan(layer, t), _signed(rng, (2, 5, 3))
 
-    return [add, sub, mul, div, matmul, conv, sigmoid, tanh, relu, texp,
-            tlog, tabs, tsqrt, softmax, tsum, tmean, reshape, transpose,
-            slice_axis, concat, stft_logmag, gru_scan]
+    def nll(rng):
+        # a mean over few positions is too flat for the probe's noise floor
+        targets = rng.integers(0, 4, size=(2, 3))
+        up = T.Tensor(np.float32(64.0))
+        return (lambda t: T.mul(models.nll_from_logits(t, targets), up),
+                _signed(rng, (2, 4, 3)))
+
+    return [add, sub, mul, div, matmul, conv, sigmoid, tanh, relu, tabs,
+            tsqrt, tsum, tmean, reshape, transpose, stft_logmag, gru_scan, nll]
 
 
 def _directional_rel_err(builder, rng, eps=8e-3):
@@ -283,6 +273,40 @@ def test_gradients_match_finite_differences_on_every_primitive():
     _line("02 gradients",
           f"100 graphs over {len(bank)} primitives; worst relative error "
           f"{worst:.2e} (tolerance 1e-3), {elapsed:.1f}s")
+
+
+def _ops_built(run, monkeypatch) -> set[str]:
+    """The op name of every graph node T._node builds while run() runs."""
+    ops, node = set(), T._node
+
+    def recording(data, parents, op):
+        ops.add(op)
+        return node(data, parents, op)
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "_node", recording)
+        run()
+    return ops
+
+
+def _bank_ops(monkeypatch) -> set[str]:
+    def run():
+        rng = np.random.default_rng(0)
+        for builder in _op_bank():
+            op, x0 = builder(rng)
+            T.tsum(op(T.Tensor(x0, requires_grad=True))).backward()
+    return _ops_built(run, monkeypatch)
+
+
+@pytest.mark.parametrize("cfg_fn", [tiny_ddsp_cfg, tiny_wavenet_cfg, tiny_sing_cfg])
+def test_train_step_builds_only_gradchecked_ops(cfg_fn, monkeypatch):
+    cfg = cfg_fn()
+    net = models.build_model(cfg, seed=0).train()
+    batch = ddsp_batch(cfg)
+    step = _ops_built(lambda: models.compute_loss(net, batch).backward(),
+                      monkeypatch)
+    bank = _bank_ops(monkeypatch)
+    assert step and step <= bank, sorted(step - bank)
 
 
 # -- 3. MI estimator oracle -------------------------------------------------------

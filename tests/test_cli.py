@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from audiotrim import cli, harness, models, nn
+from audiotrim import cli, harness, models, nn, pruning
 from audiotrim import criteria as cr
 from audiotrim import tensor as T
 
@@ -137,7 +137,9 @@ class TestAnalyze:
         assert cli.main(["analyze", "--model", str(ckpt), "--out", str(out)]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        scores = cr.pool_scores(nn.load_checkpoint(ckpt), "magnitude")
+        # without --config, analyze scores with ImpConfig's defaults
+        scores = cr.pool_scores(nn.load_checkpoint(ckpt), "magnitude",
+                                pruning.ImpConfig().scaling)
         assert [(pid, int(u)) for pid, u, _ in rows] == [
             (pid, u) for pid, vec in scores.items() for u in range(len(vec))]
         got = np.array([float(s) for _, _, s in rows])
@@ -162,6 +164,24 @@ class TestAnalyze:
         assert len(out.read_text().splitlines()) > 1
 
 
+    def test_scores_with_the_config_scaling(self, workspace, tmp_path):
+        ckpt = workspace / "run" / "iter_02.ckpt"
+        doc = json.loads((workspace / "config.json").read_text())
+        doc["imp"]["scaling"] = "fan_scaled"
+        cfg = tmp_path / "fan.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "fan.csv"
+        assert cli.main(["analyze", "--model", str(ckpt), "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            got = np.array([float(s) for _, _, s in list(csv.reader(fh))[1:]])
+        net = nn.load_checkpoint(ckpt)
+        for scaling in cr.SCALINGS:
+            want = np.concatenate(list(cr.pool_scores(
+                net, "magnitude", scaling).values()))
+            assert np.allclose(got, want, rtol=1e-9, atol=0) \
+                == (scaling == "fan_scaled"), scaling
+
     def test_scores_sing_in_eval_mode(self, workspace, tmp_path, monkeypatch):
         # data-driven scores must see the trained running statistics, as
         # run_imp's do, and scoring must not update them
@@ -185,8 +205,9 @@ class TestAnalyze:
         assert ref.arch == "sing_ae"
         cfg = harness.load_config(workspace / "config.json")
         split = harness.split_dataset(harness._build_dataset(cfg), cfg.seed)
-        want = cr.pool_scores(ref, "gradient",
-                              batches=[harness.collate([it]) for it in split.valid])
+        want = cr.pool_scores(ref, "gradient", cfg.imp.scaling,
+                              batches=[harness.collate([it]) for it in split.valid],
+                              mi_cfg=cfg.imp.mi)
         with open(out, newline="") as fh:
             got = np.array([float(s) for _, _, s in list(csv.reader(fh))[1:]])
         assert np.allclose(got, np.concatenate(list(want.values())),

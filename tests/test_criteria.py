@@ -166,7 +166,7 @@ class TestNormalization:
     def test_pool_without_batchnorm_rejected(self):
         net = models.build_model(wavenet_cfg(), seed=0)
         with pytest.raises(ValueError, match="pool"):
-            cr.pool_scores(net, "normalization")
+            cr.pool_scores(net, "normalization", "none")
 
 
 class TestGradient:
@@ -323,14 +323,14 @@ class TestScaling:
         net = nn.Network("custom", [nn.make_linear("a", 4, 3,
                                                    np.random.default_rng(0))])
         raw = {"a": np.array([2.0, 4.0, 8.0])}
-        scaled = cr.scale_scores(raw, net, cr.ScalingScheme("layer_max"))
+        scaled = cr.scale_scores(raw, net, "layer_max")
         assert np.array_equal(scaled["a"], [0.25, 0.5, 1.0])
 
     def test_none_returns_untied_copy(self):
         net = nn.Network("custom", [nn.make_linear("a", 4, 3,
                                                    np.random.default_rng(0))])
         raw = {"a": np.array([2.0, 4.0, 8.0])}
-        scaled = cr.scale_scores(raw, net, cr.ScalingScheme())
+        scaled = cr.scale_scores(raw, net, "none")
         assert np.array_equal(scaled["a"], raw["a"])
         scaled["a"][0] = 99.0
         assert raw["a"][0] == 2.0
@@ -339,7 +339,7 @@ class TestScaling:
         net = nn.Network("custom", [nn.make_linear("a", 4, 3,
                                                    np.random.default_rng(0))])
         scaled = cr.scale_scores({"a": np.zeros(3)}, net,
-                                 cr.ScalingScheme("layer_max"))
+                                 "layer_max")
         assert np.array_equal(scaled["a"], np.zeros(3))
 
     def test_fan_scaled_per_kind(self):
@@ -351,7 +351,7 @@ class TestScaling:
             nn.make_gru("g", 3, 5, rng, in_source="b"),
         ])
         raw = {name: np.array([1.0, 2.0, 4.0]) for name in ("l", "c", "b", "g")}
-        scaled = cr.scale_scores(raw, net, cr.ScalingScheme("fan_scaled"))
+        scaled = cr.scale_scores(raw, net, "fan_scaled")
         assert np.allclose(scaled["l"], raw["l"] * np.sqrt(1 / 4))
         assert np.allclose(scaled["c"], raw["c"] * np.sqrt(1 / 6))
         assert np.array_equal(scaled["b"], raw["b"])
@@ -370,52 +370,53 @@ class TestScaling:
                                                    np.random.default_rng(0))])
         for seed in range(3):
             raw = {"a": np.random.default_rng(seed).uniform(0.1, 9.0, size=6)}
-            scaled = cr.scale_scores(raw, net, cr.ScalingScheme(kind))
+            scaled = cr.scale_scores(raw, net, kind)
             assert np.array_equal(np.argsort(raw["a"]), np.argsort(scaled["a"]))
 
     def test_unknown_scheme_rejected(self):
+        net = models.build_model(sing_cfg(), seed=1)
         with pytest.raises(ValueError, match="scaling"):
-            cr.ScalingScheme("weird")
+            cr.pool_scores(net, "magnitude", "weird")
 
 
 class TestPoolScores:
     def test_mean_over_pool_members(self):
         net = models.build_model(sing_cfg(), seed=1)
-        scores = cr.pool_scores(net, "magnitude")
+        scores = cr.pool_scores(net, "magnitude", "none")
         expect = 0.5 * (cr.score_magnitude(net.layers["conv0"])
                         + cr.score_magnitude(net.layers["bn0"]))
         assert np.allclose(scores["conv0"], expect)
 
     def test_gated_pair_pool_on_wavenet(self):
         net = models.build_model(wavenet_cfg(), seed=1)
-        scores = cr.pool_scores(net, "magnitude")
+        scores = cr.pool_scores(net, "magnitude", "none")
         expect = 0.5 * (cr.score_magnitude(net.layers["filter_0"])
                         + cr.score_magnitude(net.layers["gate_0"]))
         assert np.allclose(scores["filter_0"], expect)
 
     def test_protected_layers_have_no_pool(self):
         net = models.build_model(sing_cfg(), seed=1)
-        scores = cr.pool_scores(net, "magnitude")
+        scores = cr.pool_scores(net, "magnitude", "none")
         assert set(scores) == {"conv0", "conv1"}
         assert all(len(v) == 6 for v in scores.values())
 
     def test_normalization_pool_uses_gamma_only(self):
         net = models.build_model(sing_cfg(), seed=1)
-        scores = cr.pool_scores(net, "normalization")
+        scores = cr.pool_scores(net, "normalization", "none")
         gamma = np.abs(net.layers["bn0"].params["gamma"].data.astype(np.float64))
         assert np.allclose(scores["conv0"], gamma)
 
     def test_activation_scores_on_trimmed_network(self, trained_sing):
         net, items = trained_sing
         small = nn.apply_trim(net, {"conv0": [1, 4]})
-        scores = cr.pool_scores(small, "activation", batches=items)
+        scores = cr.pool_scores(small, "activation", "none", batches=items)
         assert len(scores["conv0"]) == 4
         assert len(scores["conv1"]) == 6
 
     def test_unknown_criterion_rejected(self):
         net = models.build_model(sing_cfg(), seed=1)
         with pytest.raises(ValueError, match="unknown criterion"):
-            cr.pool_scores(net, "entropy")
+            cr.pool_scores(net, "entropy", "none")
 
 
 class TestRestriction:
@@ -451,7 +452,7 @@ def _bottom_vs_top_cells(net, items, criteria, **score_kw):
     unit separately and return the loss margin high - low (>= 0 is a win)."""
     out = {}
     for crit in criteria:
-        scores = cr.pool_scores(net, crit, batches=items, **score_kw)
+        scores = cr.pool_scores(net, crit, "none", batches=items, **score_kw)
         for pid, s in scores.items():
             assert s.min() >= 0.0
             loss = {}

@@ -239,17 +239,26 @@ class TestConfig:
         doc["model"]["depth"] = 3
         with pytest.raises(ValueError, match="depth"):
             harness.config_from_dict(doc)
+        for key in ("noise_sigma_relative", "clamp_nonneg"):
+            doc = self.doc(tmp_path)
+            doc["imp"]["mi"][key] = 0.01
+            with pytest.raises(ValueError, match=key):
+                harness.config_from_dict(doc)
 
     def test_model_section_required(self):
         with pytest.raises(ValueError, match="model"):
             harness.config_from_dict({"seed": 1})
 
-    def test_scaling_accepts_string_or_dict(self, tmp_path):
+    def test_scaling_is_a_checked_string(self, tmp_path):
         doc = self.doc(tmp_path)
-        doc["imp"]["scaling"] = {"kind": "fan_scaled"}
+        doc["imp"]["scaling"] = "fan_scaled"
         cfg = harness.config_from_dict(doc)
-        assert cfg.imp.scaling.kind == "fan_scaled"
+        assert cfg.imp.scaling == "fan_scaled"
         assert cfg.imp.mi.bin_counts == (4, 8)
+        for bad in ({"kind": "fan_scaled"}, "weird"):
+            doc["imp"]["scaling"] = bad
+            with pytest.raises(ValueError, match="scaling"):
+                harness.config_from_dict(doc)
 
     def test_missing_file_reports_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.json"):

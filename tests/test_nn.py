@@ -2,13 +2,14 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from audiotrim import embed, nn
+from audiotrim import embed, models, nn
 from audiotrim import tensor as T
 from audiotrim.tensor import Tensor
-from conftest import directional_gradcheck, gru_scan_composed, mask_units
+from conftest import (directional_gradcheck, gru_scan_composed, mask_units,
+                      units_original)
 
 
 def conv_chain(seed=0) -> nn.Network:
@@ -102,7 +103,7 @@ class TestTrim:
         assert out.layers["conv2"].params["w"].shape == (5, 5, 2)
         assert out.layers["head"].params["w"].shape == (4, 5, 1)
         assert np.array_equal(out.pools["conv1"].kept, [1, 2, 4, 5, 6])
-        assert out.units_remaining() == 10 and out.units_original() == 14
+        assert out.units_remaining() == 10 and units_original(out) == 14
 
     def test_original_net_untouched(self):
         net = conv_chain()
@@ -389,3 +390,40 @@ class TestCheckpoints:
         path.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(ValueError, match="magic"):
             nn.load_checkpoint(path)
+
+    _SING = nn.checkpoint_bytes(models.build_model(models.ModelConfig(
+        arch="sing_ae", conv_channels=4, n_conv_layers=2, sing_kernel=3,
+        spec_windows=(32,)), seed=0))
+
+    @pytest.mark.parametrize("old,new,match", [
+        (b'"kind":"conv1d"', b'"kind":"conv2d"', "unknown layer kind 'conv2d'"),
+        (b'"kept":[0,1,2,3]', b'"kept":[0,1,2,9]', "malformed"),  # id >= orig
+        (b'"kept":[0,1,2,3]', b'"kept":[0,1,3,2]', "malformed"),  # out of order
+        (b'"dilation":1', b'"dilation":0', "dilation"),
+    ])
+    def test_malformed_document_is_a_structure_error(self, tmp_path, old, new,
+                                                     match):
+        assert old in self._SING
+        body = self._SING[:-4].replace(old, new, 1)
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(self._resealed(body))
+        with pytest.raises(nn.StructureError, match=match):
+            nn.load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_resealed_document_edits_load_or_raise_value_errors(self, tmp_path,
+                                                                data):
+        # one byte of the structure document changed, the CRC made valid;
+        # printable bytes, so that most edits still parse as JSON
+        doc_len = int.from_bytes(self._SING[6:10], "little")
+        at = data.draw(st.integers(10, 10 + doc_len - 1))
+        body = bytearray(self._SING[:-4])
+        body[at] = data.draw(st.integers(32, 126).filter(lambda b: b != body[at]))
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(self._resealed(bytes(body)))
+        try:
+            nn.load_checkpoint(path)
+        except ValueError:
+            pass

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from audiotrim import harness, models, nn, pruning
 from audiotrim import tensor as T
-from conftest import mask_units
+from conftest import mask_units, units_original
 
 
 def round_half_up(x):
@@ -535,7 +535,7 @@ class TestImpDriver:
         def spiky_loss(n, batch):
             calls["n"] += 1
             base = models.compute_loss(n, batch)
-            if n.units_remaining() < n.units_original():
+            if n.units_remaining() < units_original(n):
                 return T.mul(base, T.Tensor(100.0))
             return base
 
@@ -576,7 +576,7 @@ class TestImpDriver:
         data = make_splits()
 
         def doomed_loss(n, batch):
-            if n.units_remaining() < n.units_original():
+            if n.units_remaining() < units_original(n):
                 return T.Tensor(float("nan"))
             return models.compute_loss(n, batch)
 
@@ -593,7 +593,7 @@ class TestImpDriver:
 
         def doomed_loss(n, batch):
             base = models.compute_loss(n, batch)
-            if n.units_remaining() < n.units_original():
+            if n.units_remaining() < units_original(n):
                 return T.mul(base, T.Tensor(float("inf")))
             return base
 
@@ -638,7 +638,7 @@ class TestImpDriver:
         for rec in trace.records:
             assert sum(rec.units_per_pool.values()) \
                 == pytest.approx(rec.units_remaining_frac
-                                 * net.units_original())
+                                 * units_original(net))
 
     def test_trained_trim_run_keeps_multiplier_sane(self):
         net = models.build_model(sing_cfg(ch=10), seed=7)
