@@ -196,10 +196,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except Exception as exc:

@@ -16,12 +16,13 @@ import hashlib
 import json
 import struct
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import embed, mi, models, nn, pruning
+from . import embed, models, nn, pruning
 from . import tensor as T
 
 
@@ -104,11 +105,10 @@ def split_dataset(items: list, seed: int) -> DatasetSplit:
     if n < 10:
         raise ValueError(f"need at least 10 items for an 80/10/10 split, got {n}")
     order = np.random.default_rng(seed).permutation(n)
-    n_valid = int(n * 0.1 + 0.5)
-    n_test = int(n * 0.1 + 0.5)
-    valid = tuple(items[i] for i in order[:n_valid])
-    test = tuple(items[i] for i in order[n_valid:n_valid + n_test])
-    train = tuple(items[i] for i in order[n_valid + n_test:])
+    n_held = int(n * 0.1 + 0.5)  # each of valid and test
+    valid = tuple(items[i] for i in order[:n_held])
+    test = tuple(items[i] for i in order[n_held:2 * n_held])
+    train = tuple(items[i] for i in order[2 * n_held:])
     return DatasetSplit(train, valid, test, seed)
 
 
@@ -117,10 +117,9 @@ def collate(items) -> dict:
     batch = {"wave": np.stack([np.asarray(it["wave"], dtype=np.float32)
                                for it in items])}
     if all("f0" in it for it in items):
-        batch["f0"] = np.stack([np.asarray(it["f0"], dtype=np.float32)
-                                for it in items])
-        batch["loud"] = np.stack([np.asarray(it["loud"], dtype=np.float32)
-                                  for it in items])
+        for key in ("f0", "loud"):
+            batch[key] = np.stack([np.asarray(it[key], dtype=np.float32)
+                                   for it in items])
     return batch
 
 
@@ -279,41 +278,49 @@ class ExperimentConfig:
     emit_samples: bool = True
 
 
-def _from_section(cls, section: dict, name: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    extra = set(section) - known
-    if extra:
-        raise ValueError(f"unknown key(s) {sorted(extra)} in config section "
-                         f"'{name}'")
-    # JSON arrays arrive as lists; every sequence field is a tuple
-    return cls(**{k: tuple(v) if isinstance(v, list) else v
-                  for k, v in section.items()})
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type a config field is annotated with;
+    an int fits a float field, a bool fits only a bool field."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_fits(value, a) for a in args)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _from_section(cls, section, name: str):
+    """cls from a JSON object, nested sections built the same way; a
+    misfit raises ValueError naming its section and key."""
+    where = f"config section '{name}'" if name else "config"
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(section).__name__}")
+    hints = typing.get_type_hints(cls)
+    if set(section) - set(hints):
+        raise ValueError(f"unknown key(s) {sorted(set(section) - set(hints))} in {where}")
+    kwargs = {}
+    for key, value in section.items():
+        hint, field = hints[key], f"{name}.{key}" if name else key
+        sub = [h for h in (hint, *typing.get_args(hint)) if dataclasses.is_dataclass(h)]
+        if sub and value is not None:
+            value = _from_section(sub[0], value, field)
+        if not _fits(value, hint):
+            raise ValueError(f"config field '{field}' must be "
+                             f"{hint.__name__ if isinstance(hint, type) else hint}, "
+                             f"got {type(value).__name__}")
+        # JSON arrays arrive as lists; every sequence field is a tuple
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a validated config from plain JSON data; unknown keys are
-    rejected at every level."""
-    top_known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    extra = set(doc) - top_known
-    if extra:
-        raise ValueError(f"unknown top-level config key(s) {sorted(extra)}")
-    if "model" not in doc:
+    """Build a validated config from plain JSON data; unknown keys and
+    values of the wrong JSON type are rejected at every level."""
+    if isinstance(doc, dict) and "model" not in doc:
         raise ValueError("config needs a 'model' section")
-    kwargs = {"model": _from_section(models.ModelConfig, doc["model"], "model")}
-    if "dataset" in doc:
-        kwargs["dataset"] = _from_section(DatasetConfig, doc["dataset"], "dataset")
-    if "training" in doc:
-        kwargs["training"] = _from_section(TrainingConfig, doc["training"],
-                                           "training")
-    if "imp" in doc:
-        imp = dict(doc["imp"])
-        if isinstance(imp.get("mi"), dict):
-            imp["mi"] = _from_section(mi.MiConfig, imp["mi"], "imp.mi")
-        kwargs["imp"] = _from_section(pruning.ImpConfig, imp, "imp")
-    for key in ("platforms", "output_dir", "seed", "emit_samples"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    return ExperimentConfig(**kwargs)
+    return _from_section(ExperimentConfig, doc, "")
 
 
 def load_config(path) -> ExperimentConfig:

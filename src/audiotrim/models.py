@@ -303,30 +303,6 @@ nn.register_arch("sing_ae", nn.ArchSpec(
 # -- harmonic-plus-noise synthesis -------------------------------------------
 
 
-_UPSAMPLE_CACHE: dict = {}
-
-
-def upsample_matrix(n_samples: int, n_frames: int, hop: int) -> np.ndarray:
-    """Linear interpolation weights from frame rate to sample rate.
-
-    Built once per shape and shared, so the array is read-only.
-    """
-    key = (n_samples, n_frames, hop)
-    u = _UPSAMPLE_CACHE.get(key)
-    if u is not None:
-        return u
-    pos = np.arange(n_samples) / hop
-    lo = np.clip(np.floor(pos).astype(np.int64), 0, n_frames - 1)
-    hi = np.minimum(lo + 1, n_frames - 1)
-    frac = np.clip(pos - lo, 0.0, 1.0)
-    u = np.zeros((n_samples, n_frames), dtype=np.float32)
-    u[np.arange(n_samples), lo] += 1.0 - frac
-    u[np.arange(n_samples), hi] += frac
-    u.flags.writeable = False
-    _UPSAMPLE_CACHE[key] = u
-    return u
-
-
 _NOISE_BASIS_CACHE: dict = {}
 
 
@@ -361,8 +337,7 @@ def sine_bank(f0_frames: np.ndarray, cfg: dict) -> np.ndarray:
     """
     hop, sr = cfg["frame_hop"], cfg["sample_rate"]
     f0 = np.asarray(f0_frames, dtype=np.float32)
-    n_frames = f0.shape[1]
-    f0_up = f0 @ upsample_matrix(n_frames * hop, n_frames, hop).T
+    f0_up = T.frame_lerp(Tensor(f0[..., None]), hop).data
     phase = 2.0 * np.pi * np.cumsum(f0_up / sr, axis=-1)
     k = np.arange(1, cfg["n_partials"] + 1, dtype=np.float32)
     alias_mask = (f0_up[..., None] * k) < (sr / 2.0)
@@ -377,32 +352,25 @@ def ddsp_synthesize(controls: dict[str, Tensor], f0_frames: np.ndarray,
     distribution, sigmoid noise magnitudes, and sigmoid amplitude bound
     the output inside [-1, 1] by construction.
 
-    Only the controls carry gradients. What does not depend on them is
-    built outside the graph: the upsample matrix and the noise basis once
-    per shape and config, and the sine bank (phase, partial sines and
-    alias mask) from f0. A caller that renders the same f0 many times,
-    such as training on fixed batches, passes that bank in (see
-    sine_bank) instead of paying for it on every call.
+    Only the controls carry gradients. Each head is one frame_lerp node,
+    so no sample-rate copy of the controls is built: the harmonic head
+    contracts the sine bank, the noise head the noise basis (cached per
+    shape, already scaled by 1/bands), and the amplitude is a plain lerp.
+    The sine bank depends on f0 alone; a caller that renders the same f0
+    many times passes it in (see sine_bank) instead of paying for it on
+    every call.
     """
     cfg = meta["config"]
-    hop = cfg["frame_hop"]
-    n_bands = cfg["noise_bins"]
-    batch, n_frames = np.shape(f0_frames)
-    n_samples = n_frames * hop
+    hop, n_bands = cfg["frame_hop"], cfg["noise_bins"]
+    key = ("scaled", np.shape(f0_frames)[1] * hop, n_bands, cfg["noise_seed"])
+    if key not in _NOISE_BASIS_CACHE:
+        _NOISE_BASIS_CACHE[key] = noise_band_basis(*key[1:]) * np.float32(1.0 / n_bands)
     if bank is None:
         bank = sine_bank(f0_frames, cfg)
-    ut = Tensor(upsample_matrix(n_samples, n_frames, hop))
-
-    harm_up = T.matmul(ut, controls["harm"])  # (batch, samples, partials)
-    harmonic = T.tsum(T.mul(harm_up, Tensor(bank)), axis=-1)
-
-    basis = Tensor(noise_band_basis(n_samples, n_bands, cfg["noise_seed"]))
-    mags_up = T.matmul(ut, controls["noise"])  # (batch, samples, bands)
-    noise = T.tsum(T.mul(mags_up, T.mul(basis, Tensor(1.0 / n_bands))), axis=-1)
-
-    amp_up = T.reshape(T.matmul(ut, controls["amp"]), (batch, n_samples))
+    harmonic = T.frame_lerp(controls["harm"], hop, bank)
+    noise = T.frame_lerp(controls["noise"], hop, _NOISE_BASIS_CACHE[key])
     mix = T.add(T.mul(harmonic, Tensor(0.8)), T.mul(noise, Tensor(0.2)))
-    return T.mul(amp_up, mix)
+    return T.mul(T.frame_lerp(controls["amp"], hop), mix)
 
 
 def ddsp_features(f0_frames: np.ndarray, loud_frames: np.ndarray) -> np.ndarray:

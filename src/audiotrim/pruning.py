@@ -401,18 +401,12 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
         weights_frac = (w_rem - dead) / w_orig
         units = _pool_units(cur, mask)
         units_frac = sum(units.values()) / total_units
-        return valid_loss, test_loss, weights_frac, units_frac, units
+        costs = embed.count_flops(cur), embed.disk_size(cur), embed.rw_memory(cur)
+        return valid_loss, test_loss, weights_frac, units_frac, units, costs
 
-    valid_loss, test_loss, wfrac, ufrac, units = measure()
+    valid_loss, test_loss, wfrac, ufrac, units, costs = measure()
     baseline_test = test_loss
-
-    def costs():
-        return (embed.count_flops(cur), embed.disk_size(cur),
-                embed.rw_memory(cur))
-
-    flops, disk, rw = costs()
-    records = [ImpRecord(0, wfrac, ufrac, valid_loss, 1.0, flops, disk, rw,
-                         wall, units)]
+    records = [ImpRecord(0, wfrac, ufrac, valid_loss, 1.0, *costs, wall, units)]
     trace = ImpTrace(records)
     if out_dir is not None:
         nn.save_checkpoint(cur, out_dir / "iter_00.ckpt")
@@ -449,16 +443,15 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
                     trainer(cur, data, record_step=None, after_step=after)
                 wall = time.perf_counter() - t0
 
-                valid_loss, test_loss, wfrac, ufrac, units = measure()
+                valid_loss, test_loss, wfrac, ufrac, units, costs = measure()
             except T.NumericError as exc:
                 # overflow guards in the tensor layer surface divergence as
                 # exceptions; keep the trace gathered so far
                 trace.aborted = f"numeric failure at iteration {it}: {exc}"
                 break
             multiplier = test_loss / baseline_test
-            flops, disk, rw = costs()
             records.append(ImpRecord(it, wfrac, ufrac, valid_loss, multiplier,
-                                     flops, disk, rw, wall, units))
+                                     *costs, wall, units))
             if out_dir is not None:
                 nn.save_checkpoint(cur, out_dir / f"iter_{it:02d}.ckpt")
             if on_iteration is not None:

@@ -315,6 +315,41 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
     return out
 
 
+def frame_lerp(x: Tensor, hop: int, basis: np.ndarray | None = None) -> Tensor:
+    """Per-frame controls x (B, F, K) linearly interpolated to sample rate
+    and summed against a basis (B or none, F*hop, K) into (B, F*hop); with
+    no basis, K is 1 and the result is the interpolated controls.
+
+    Sample j of frame f mixes frames f and min(f+1, F-1) with weights
+    1 - j/hop and j/hop. Each frame's basis block (hop, K) is contracted
+    with its control pair (K, 2) instead, so no sample-rate copy of the
+    controls is built; backward is the transposed contraction, with the
+    frame f+1 read sent back to f+1 (clamped at the last frame).
+    """
+    b, f, k = x.shape
+    if basis is None and k != 1:
+        raise ShapeError(f"op 'frame_lerp' needs a basis for {x.shape}")
+    frac = np.arange(hop) / hop
+    w = (1.0 - frac).astype(np.float32), frac.astype(np.float32)
+    xd = x.data
+    pair = np.stack([xd, np.concatenate([xd[:, 1:], xd[:, -1:]], axis=1)], -1)
+    c4 = None if basis is None else basis.reshape(basis.shape[:-2] + (f, hop, k))
+    r = pair if c4 is None else np.matmul(c4, pair)  # (B, F, hop or 1, 2)
+    out = _node((r[..., 0] * w[0] + r[..., 1] * w[1]).reshape(b, f * hop),
+                (x,), "frame_lerp")
+    if out.requires_grad:
+        def _bw(g):
+            g = g.reshape(b, f, hop)
+            gw = np.stack([g * w[0], g * w[1]], -1)
+            d = (gw.sum(axis=2, keepdims=True) if c4 is None
+                 else np.matmul(np.swapaxes(c4, -1, -2), gw))
+            d[:, 1:, :, 0] += d[:, :-1, :, 1]
+            d[:, -1, :, 0] += d[:, -1, :, 1]
+            x.accumulate_grad(d[..., 0])
+        out._backward = _bw
+    return out
+
+
 def _unary(a: Tensor, fn, dfn, op: str) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
         out = _node(fn(a.data), (a,), op)

@@ -1,10 +1,11 @@
 """Shared oracles: finite-difference gradients, a naive DFT, the masked
-sigmoid, the composed reference versions of the fused ops, unit masking
-(trimming's oracle), and the test-only "sequential" arch."""
+sigmoid, the composed reference versions of the fused ops, the dense
+upsampling render (the synthesis heads' oracle), unit masking (trimming's
+oracle), and the test-only "sequential" arch."""
 
 import numpy as np
 
-from audiotrim import fourier, nn
+from audiotrim import fourier, models, nn
 from audiotrim import tensor as T
 
 
@@ -247,6 +248,54 @@ def gru_scan_composed(layer, x):
         h = gru_cell(layer, T.reshape(slice_axis(x, 1, i, i + 1), (b, -1)), h)
         steps.append(T.reshape(h, (b, 1, -1)))
     return concat(steps, axis=1)
+
+
+# -- dense upsampling: the synthesis heads' oracle ------------------------------
+
+
+_UPSAMPLE_CACHE: dict = {}
+
+
+def upsample_matrix(n_samples, n_frames, hop):
+    """(n_samples, n_frames) linear interpolation weights from frame rate
+    to sample rate. Built once per shape and shared, so it is read-only."""
+    key = (n_samples, n_frames, hop)
+    u = _UPSAMPLE_CACHE.get(key)
+    if u is not None:
+        return u
+    pos = np.arange(n_samples) / hop
+    lo = np.clip(np.floor(pos).astype(np.int64), 0, n_frames - 1)
+    hi = np.minimum(lo + 1, n_frames - 1)
+    frac = np.clip(pos - lo, 0.0, 1.0)
+    u = np.zeros((n_samples, n_frames), dtype=np.float32)
+    u[np.arange(n_samples), lo] += 1.0 - frac
+    u[np.arange(n_samples), hi] += frac
+    u.flags.writeable = False
+    _UPSAMPLE_CACHE[key] = u
+    return u
+
+
+def upsample_dense(f0_frames, hop):
+    """(batch, frames) -> (batch, frames*hop) through the dense product."""
+    n_frames = f0_frames.shape[1]
+    return f0_frames @ upsample_matrix(n_frames * hop, n_frames, hop).T
+
+
+def ddsp_synthesize_dense(controls, f0_frames, meta, bank):
+    """Harmonic-plus-noise render that upsamples every control to sample
+    rate with the dense matrix, then multiplies and sums per head."""
+    cfg = meta["config"]
+    hop, n_bands = cfg["frame_hop"], cfg["noise_bins"]
+    batch, n_frames = np.shape(f0_frames)
+    n_samples = n_frames * hop
+    ut = T.Tensor(upsample_matrix(n_samples, n_frames, hop))
+    harmonic = T.tsum(T.mul(T.matmul(ut, controls["harm"]), T.Tensor(bank)), axis=-1)
+    basis = T.Tensor(models.noise_band_basis(n_samples, n_bands, cfg["noise_seed"]))
+    noise = T.tsum(T.mul(T.matmul(ut, controls["noise"]),
+                         T.mul(basis, T.Tensor(1.0 / n_bands))), axis=-1)
+    amp_up = T.reshape(T.matmul(ut, controls["amp"]), (batch, n_samples))
+    mix = T.add(T.mul(harmonic, T.Tensor(0.8)), T.mul(noise, T.Tensor(0.2)))
+    return T.mul(amp_up, mix)
 
 
 # -- unit masking: trimming's oracle ---------------------------------------------

@@ -218,8 +218,21 @@ def _op_bank():
         return (lambda t: T.mul(models.nll_from_logits(t, targets), up),
                 _signed(rng, (2, 4, 3)))
 
+    def frame_lerp(rng):
+        # the three synthesis heads at once: a per-item basis, a shared one
+        # and none (one channel), the last scaling the sum of the others
+        b, f, hop, k = (int(rng.integers(1, n)) for n in (3, 5, 6, 4))
+        own, shared = _signed(rng, (b, f * hop, k)), _signed(rng, (f * hop, k))
+
+        def op(t):
+            amp = T.frame_lerp(T.tsum(t, axis=-1, keepdims=True), hop)
+            return T.mul(amp, T.add(T.frame_lerp(t, hop, own),
+                                    T.frame_lerp(t, hop, shared)))
+        return op, _signed(rng, (b, f, k))
+
     return [add, sub, mul, div, matmul, conv, sigmoid, tanh, relu, tabs,
-            tsqrt, tsum, tmean, reshape, transpose, stft_logmag, gru_scan, nll]
+            tsqrt, tsum, tmean, reshape, transpose, stft_logmag, gru_scan, nll,
+            frame_lerp]
 
 
 def _directional_rel_err(builder, rng, eps=8e-3):

@@ -245,6 +245,20 @@ class TestConfig:
             with pytest.raises(ValueError, match=key):
                 harness.config_from_dict(doc)
 
+    @pytest.mark.parametrize("section,value,match", [
+        ("model", 5, "section 'model' must be a JSON object"),
+        ("imp", [1], "section 'imp' must be a JSON object"),
+        ("training", {"epochs": "3"}, "field 'training.epochs' must be int"),
+        ("imp", {"mi": {"bin_counts": [4, 8.5]}}, "field 'imp.mi.bin_counts'"),
+        ("seed", True, "field 'seed' must be int"),
+    ])
+    def test_wrong_json_types_are_value_errors(self, tmp_path, section, value,
+                                               match):
+        doc = self.doc(tmp_path)
+        doc[section] = value
+        with pytest.raises(ValueError, match=match):
+            harness.config_from_dict(doc)
+
     def test_model_section_required(self):
         with pytest.raises(ValueError, match="model"):
             harness.config_from_dict({"seed": 1})

@@ -4,15 +4,15 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
 from audiotrim.models import ModelConfig, MuLawCodec
 from audiotrim.tensor import Tensor
-from conftest import (directional_gradcheck, mask_units, nll_composed,
-                      units_original)
+from conftest import (ddsp_synthesize_dense, directional_gradcheck, mask_units,
+                      nll_composed, units_original, upsample_dense)
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -343,6 +343,93 @@ class TestDdsp:
         b = models.noise_band_basis(100, 4, seed=0)
         assert a is b
         assert np.abs(a).max() <= 1.0 + 1e-6
+
+
+class TestSynthesisHeads:
+    """The frame_lerp heads of ddsp_synthesize against the dense render
+    that upsamples every control through the (samples, frames) matrix."""
+
+    @staticmethod
+    def _controls(rng, batch, frames, partials, bands):
+        # the ranges the net emits: sigmoid amp and noise, harm summing to one
+        harm = rng.uniform(0.01, 1.0, size=(batch, frames, partials))
+        return {"amp": rng.uniform(0.0, 1.0, size=(batch, frames, 1)),
+                "harm": harm / harm.sum(axis=-1, keepdims=True),
+                "noise": rng.uniform(0.0, 1.0, size=(batch, frames, bands))}
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 3), frames=st.integers(1, 6), hop=st.integers(1, 9),
+           partials=st.integers(1, 4), bands=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    @example(batch=1, frames=1, hop=1, partials=1, bands=1, seed=0)
+    def test_heads_match_the_dense_render(self, batch, frames, hop, partials,
+                                          bands, seed):
+        rng = np.random.default_rng(seed)
+        meta = {"config": {"frame_hop": hop, "sample_rate": 4000,
+                           "n_partials": partials, "noise_bins": bands,
+                           "noise_seed": seed % 3}}
+        f0 = rng.uniform(80, 800, size=(batch, frames)).astype(np.float32)
+        bank = models.sine_bank(f0, meta["config"])
+        arrays = self._controls(rng, batch, frames, partials, bands)
+        c = rng.standard_normal((batch, frames * hop)).astype(np.float32)
+        got = {}
+        for name, fn in (("heads", models.ddsp_synthesize),
+                         ("dense", ddsp_synthesize_dense)):
+            ctrl = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
+            wave = fn(ctrl, f0, meta, bank)
+            T.tsum(T.mul(wave, Tensor(c))).backward()
+            got[name] = wave.data, {k: t.grad for k, t in ctrl.items()}
+        assert np.abs(got["heads"][0] - got["dense"][0]).max() <= 1e-6
+        # a gradient entry sums up to 2*hop*K products of an upstream value
+        # and a unit-range term; where they cancel (one frame of 9 samples
+        # gave an amp gradient of 1.7e-4) the rounding of those products,
+        # not the size of their sum, sets the error
+        for k, want in got["dense"][1].items():
+            err = np.abs(got["heads"][1][k] - want).max()
+            assert err <= 1e-5 * max(np.abs(want).max(), np.abs(c).max()), k
+
+    def test_each_head_is_one_node_reading_only_its_control(self):
+        cfg = tiny_ddsp_cfg()
+        net = models.build_model(cfg, seed=1)
+        batch = ddsp_batch(cfg, seed=1)
+        ctrl = models.forward_batch(net, batch)
+        heads = []
+        wave = models.ddsp_synthesize(ctrl, batch["f0"], net.meta)
+        stack = [wave]
+        while stack:
+            node = stack.pop()
+            if node._op == "frame_lerp":
+                heads.append(node._parents)
+            else:
+                stack.extend(node._parents)
+        assert sorted(heads, key=lambda p: p[0].shape[-1]) == [
+            (ctrl["amp"],), (ctrl["noise"],), (ctrl["harm"],)]
+
+    @pytest.mark.parametrize("batch,frames,hop", [(1, 1, 1), (3, 5, 7), (16, 40, 200)])
+    def test_upsampled_f0_matches_the_dense_product(self, batch, frames, hop):
+        rng = np.random.default_rng(frames)
+        f0 = rng.uniform(80, 800, size=(batch, frames)).astype(np.float32)
+        got = T.frame_lerp(Tensor(f0[..., None]), hop).data
+        np.testing.assert_array_max_ulp(got, upsample_dense(f0, hop), maxulp=1)
+
+    def test_sine_bank_matches_the_dense_bank(self):
+        # the lerped f0 is within one ulp of the dense product, but the
+        # float32 phase cumsum over 8000 samples carries such differences
+        # into every later sample and the partial index multiplies them:
+        # 1.9e-3 to 3.9e-3 apart over seeds 0-5, while either float32 bank
+        # is 0.10 to 0.17 away from the bank computed in float64
+        rng = np.random.default_rng(0)
+        cfg = {"frame_hop": 200, "sample_rate": 16000, "n_partials": 12}
+        f0 = rng.uniform(80, 800, size=(16, 40)).astype(np.float32)
+
+        def bank(f0_up, k):
+            phase = 2.0 * np.pi * np.cumsum(f0_up / 16000, axis=-1)
+            return np.sin(phase[..., None] * k) * ((f0_up[..., None] * k) < 8000.0)
+        dense = bank(upsample_dense(f0, 200), np.arange(1, 13, dtype=np.float32))
+        exact = bank(upsample_dense(f0.astype(np.float64), 200), np.arange(1, 13))
+        gap = np.abs(models.sine_bank(f0, cfg) - dense).max()
+        assert gap <= 1e-2
+        assert gap <= 0.1 * np.abs(dense - exact).max()
 
 
 class TestBatchConstants:
