@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 on success, 1 on usage problems (bad flags, missing config
-file), 2 on runtime failures.
+Exit codes: 0 on success, 1 on usage problems (bad flags, a missing or
+malformed config file), 2 on runtime failures.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria as cr
-from . import embed, harness, models, nn, pruning
+from . import embed, harness, nn, pruning
 
 
 class UsageError(Exception):
@@ -75,7 +75,10 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(path, seed, out) -> harness.ExperimentConfig:
-    cfg = harness.load_config(path)
+    try:
+        cfg = harness.load_config(path)
+    except ValueError as exc:  # JSON that does not parse, or a bad field
+        raise UsageError(f"{path}: {exc}") from None
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if out is not None:
@@ -90,8 +93,7 @@ def _cmd_train(args) -> int:
     splits, net, trainer = harness.setup(cfg)
     trainer(net, splits, record_step=None)
     nn.save_checkpoint(net, out / "model.ckpt")
-    losses = {part: pruning.mean_loss(net, getattr(splits, part),
-                                      models.compute_loss)
+    losses = {part: pruning.mean_loss(net, getattr(splits, part))
               for part in ("valid", "test")}
     (out / "metrics.json").write_text(json.dumps(losses, indent=2) + "\n")
     print(f"saved {out / 'model.ckpt'} "
@@ -123,7 +125,7 @@ def _cmd_analyze(args) -> int:
     net = nn.load_checkpoint(args.model).eval()
     batches, imp = None, pruning.ImpConfig()
     if args.config is not None:
-        cfg = harness.load_config(args.config)
+        cfg = _load_config(args.config, None, None)
         items = harness._build_dataset(cfg)
         split = harness.split_dataset(items, cfg.seed)
         batches = [harness.collate([it]) for it in split.valid]

@@ -30,13 +30,10 @@ from .tensor import SpectrogramConfig, Tensor
 CRITERIA = ("magnitude", "gradient", "activation", "normalization", "information")
 SCALINGS = ("none", "layer_max", "fan_scaled")
 
-# parameters that count as connection weights when summing magnitudes
-_WEIGHT_PARAMS = {
-    "linear": ("w",),
-    "conv1d": ("w",),
-    "gru": ("wz", "wr", "wh", "uz", "ur", "uh"),
-    "batchnorm": ("gamma",),
-}
+# information scoring's targets: log-power frames of this many samples,
+# thinned to this many bins
+_FEATURE_WINDOW = 256
+_FEATURE_BINS = 8
 
 
 def fan_in(layer: Layer) -> int:
@@ -55,10 +52,10 @@ def fan_in(layer: Layer) -> int:
 
 def score_magnitude(layer: Layer) -> np.ndarray:
     """Sum of |weight| per unit over every incoming connection."""
-    if layer.kind not in _WEIGHT_PARAMS:
+    if layer.kind not in nn._WEIGHT_PARAMS:
         raise ValueError(f"layer '{layer.name}' has no scorable weights")
     total = np.zeros(layer.n_units, dtype=np.float64)
-    for pname in _WEIGHT_PARAMS[layer.kind]:
+    for pname in nn._WEIGHT_PARAMS[layer.kind]:
         w = layer.params[pname].data
         total += np.abs(w).reshape(w.shape[0], -1).sum(axis=1)
     return total
@@ -68,14 +65,14 @@ def _magnitude_raw(net: Network) -> dict[str, np.ndarray]:
     return {name: score_magnitude(layer) for name, layer in net.layers.items()}
 
 
-def _gradient_raw(net: Network, batches, loss_fn) -> dict[str, np.ndarray]:
+def _gradient_raw(net: Network, batches) -> dict[str, np.ndarray]:
     if not batches:
         raise ValueError("gradient scoring needs a nonempty validation set")
     acc = {name: np.zeros_like(p.data, dtype=np.float64)
            for name, p in net.named_parameters()}
     net.zero_grad()
     for batch in batches:
-        loss_fn(net, batch).backward()
+        models.compute_loss(net, batch).backward()
         for name, p in net.named_parameters():
             if p.grad is not None:
                 acc[name] += np.abs(p.grad)
@@ -83,7 +80,7 @@ def _gradient_raw(net: Network, batches, loss_fn) -> dict[str, np.ndarray]:
     raw = {}
     for lname, layer in net.layers.items():
         total = np.zeros(layer.n_units, dtype=np.float64)
-        for pname in _WEIGHT_PARAMS[layer.kind]:
+        for pname in nn._WEIGHT_PARAMS[layer.kind]:
             g = acc[f"{lname}.{pname}"]
             total += g.reshape(g.shape[0], -1).sum(axis=1)
         raw[lname] = total
@@ -113,20 +110,19 @@ def _normalization_raw(net: Network) -> dict[str, np.ndarray]:
             for name, layer in net.layers.items() if layer.kind == "batchnorm"}
 
 
-def target_features(wave: np.ndarray, window: int = 256,
-                    max_bins: int = 8) -> np.ndarray:
+def target_features(wave: np.ndarray) -> np.ndarray:
     """Log-power spectral frames of a waveform, thinned to a few bins.
 
     Keeps the bins with the largest variance across frames: audio energy
     concentrates in few bins, so an even subset would mostly sample noise.
     """
-    cfg = SpectrogramConfig(window_sizes=(window,))
+    cfg = SpectrogramConfig(window_sizes=(_FEATURE_WINDOW,))
     with T.no_grad():
         (spec,) = T.stft_logmag(Tensor(np.asarray(wave, dtype=np.float32).reshape(-1)),
                                 cfg)
     arr = spec.data.astype(np.float64)
-    if arr.shape[1] > max_bins:
-        sel = np.sort(np.argsort(arr.var(axis=0))[-max_bins:])
+    if arr.shape[1] > _FEATURE_BINS:
+        sel = np.sort(np.argsort(arr.var(axis=0))[-_FEATURE_BINS:])
         arr = arr[:, sel]
     return arr
 
@@ -148,7 +144,7 @@ def _frame_means(stream: np.ndarray, n_frames: int) -> np.ndarray:
 
 
 def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig,
-                     layer_names=None) -> dict[str, np.ndarray]:
+                     layer_names) -> dict[str, np.ndarray]:
     if not items:
         raise ValueError("information scoring needs a nonempty validation set")
     feats = []
@@ -164,7 +160,7 @@ def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig,
             models.forward_batch(net, item)
     raw = {}
     for name, chunks in tape.data.items():
-        if layer_names is not None and name not in layer_names:
+        if name not in layer_names:
             continue
         z_parts, y_parts = [], []
         lo = np.full(chunks[0].shape[0], np.inf)
@@ -209,14 +205,14 @@ def scale_scores(raw: dict[str, np.ndarray], net: Network,
     return scaled
 
 
-def _raw_scores(net: Network, criterion: str, batches, loss_fn, mi_cfg,
-                info_scope=None) -> dict[str, np.ndarray]:
+def _raw_scores(net: Network, criterion: str, batches, mi_cfg,
+                info_scope) -> dict[str, np.ndarray]:
     if criterion == "magnitude":
         return _magnitude_raw(net)
     if criterion == "normalization":
         return _normalization_raw(net)
     if criterion == "gradient":
-        return _gradient_raw(net, batches, loss_fn)
+        return _gradient_raw(net, batches)
     if criterion == "activation":
         return _activation_raw(net, batches)
     if criterion == "information":
@@ -226,11 +222,10 @@ def _raw_scores(net: Network, criterion: str, batches, loss_fn, mi_cfg,
 
 
 def pool_scores(net: Network, criterion: str, scaling: str, batches=None,
-                loss_fn=models.compute_loss,
                 mi_cfg: mi_mod.MiConfig | None = None) -> dict[str, np.ndarray]:
     """One score vector per trim pool, averaged over scored members."""
     pooled = {m for pool in net.pools.values() for m in pool.members}
-    raw = _raw_scores(net, criterion, batches, loss_fn, mi_cfg, info_scope=pooled)
+    raw = _raw_scores(net, criterion, batches, mi_cfg, info_scope=pooled)
     scaled = scale_scores(raw, net, scaling)
     out = {}
     for pid, pool in net.pools.items():

@@ -137,28 +137,28 @@ def _live_scalars(layer: nn.Layer) -> int:
     return k * n_in + n_out
 
 
-def invocations_per_second(net: nn.Network, sample_rate: int | None = None) -> float:
+def _samples_per_invocation(net: nn.Network) -> int:
+    return nn.arch_spec(net.arch).frame_hop(net.meta.get("config", {})) or 1
+
+
+def invocations_per_second(net: nn.Network) -> float:
     """How many times each layer runs per generated second of audio."""
-    cfg = net.meta.get("config", {}) if net.meta else {}
-    sr = sample_rate if sample_rate is not None else cfg.get("sample_rate")
+    sr = net.meta.get("config", {}).get("sample_rate")
     if sr is None:
-        raise ValueError("sample_rate not given and absent from network metadata")
-    return sr / (nn.arch_spec(net.arch).frame_hop(cfg) or 1)
+        raise ValueError("sample_rate absent from network metadata")
+    return sr / _samples_per_invocation(net)
 
 
-def count_flops(net: nn.Network, sample_rate: int | None = None) -> float:
+def count_flops(net: nn.Network) -> float:
     """Closed-form FLOPs per generated second of audio."""
-    rate = invocations_per_second(net, sample_rate)
+    rate = invocations_per_second(net)
     return rate * sum(layer_flops(layer) for layer in net.layers.values())
 
 
-def rw_memory(net: nn.Network, sample_rate: int | None = None) -> float:
+def rw_memory(net: nn.Network) -> float:
     """Memory accesses per generated sample, amortized for frame models."""
-    rate = invocations_per_second(net, sample_rate)
-    cfg = net.meta.get("config", {}) if net.meta else {}
-    sr = sample_rate if sample_rate is not None else cfg.get("sample_rate")
-    per_second = rate * sum(layer_rw(layer) for layer in net.layers.values())
-    return per_second / sr
+    per_invocation = sum(layer_rw(layer) for layer in net.layers.values())
+    return per_invocation / _samples_per_invocation(net)
 
 
 def disk_size(net: nn.Network) -> int:
@@ -190,11 +190,10 @@ def feasibility(flops_per_audio_second: float, disk_bytes: int,
 
 
 def analyze(net: nn.Network, profiles: list[PlatformProfile],
-            sample_rate: int | None = None,
             error_multiplier: float = float("nan")) -> list[EmbedReport]:
-    flops = count_flops(net, sample_rate)
+    flops = count_flops(net)
     disk = disk_size(net)
-    rw = rw_memory(net, sample_rate)
+    rw = rw_memory(net)
     ws = working_set_bytes(net)
     return [feasibility(flops, disk, rw, ws, p, error_multiplier)
             for p in profiles]

@@ -28,10 +28,13 @@ from . import tensor as T
 
 # -- synthetic tones -----------------------------------------------------------
 
+# the tone synthesiser's partials and noise bands
+_TONE_PARTIALS = 16
+_TONE_NOISE_BINS = 17
+
 
 def gen_synthetic_tones(n_items: int, sr: int, duration: float, seed: int,
-                        frame_hop: int = 200, n_partials: int = 16,
-                        noise_bins: int = 17) -> list[dict]:
+                        frame_hop: int = 200) -> list[dict]:
     """Harmonic-plus-noise tones with ground-truth conditioning.
 
     Each item dict carries "wave" (samples,), "f0" and "loud" (frames,).
@@ -48,8 +51,8 @@ def gen_synthetic_tones(n_items: int, sr: int, duration: float, seed: int,
     rng = np.random.default_rng(seed)
     n_frames = max(2, int(round(duration * sr / frame_hop)))
     synth_cfg = models.ModelConfig(arch="ddsp", sample_rate=sr,
-                                   frame_hop=frame_hop, n_partials=n_partials,
-                                   noise_bins=noise_bins)
+                                   frame_hop=frame_hop, n_partials=_TONE_PARTIALS,
+                                   noise_bins=_TONE_NOISE_BINS)
     meta = {"config": dataclasses.asdict(synth_cfg)}
 
     items = []
@@ -58,9 +61,9 @@ def gen_synthetic_tones(n_items: int, sr: int, duration: float, seed: int,
         f0 = rng.uniform(80.0, 800.0, size=chunk).astype(np.float32)
         f0_frames = np.repeat(f0[:, None], n_frames, axis=1)
 
-        harm = np.zeros((chunk, n_frames, n_partials), dtype=np.float32)
+        harm = np.zeros((chunk, n_frames, _TONE_PARTIALS), dtype=np.float32)
         for i in range(chunk):
-            n_part = int(rng.integers(1, 17))
+            n_part = int(rng.integers(1, _TONE_PARTIALS + 1))
             k = np.arange(1, n_part + 1, dtype=np.float64)
             amps = (1.0 / k) * rng.uniform(0.8, 1.2, size=n_part)
             harm[i, :, :n_part] = (amps / amps.sum()).astype(np.float32)
@@ -75,7 +78,7 @@ def gen_synthetic_tones(n_items: int, sr: int, duration: float, seed: int,
 
         floor = rng.uniform(0.02, 0.08, size=chunk).astype(np.float32)
         noise = np.broadcast_to(floor[:, None, None],
-                                (chunk, n_frames, noise_bins)).copy()
+                                (chunk, n_frames, _TONE_NOISE_BINS)).copy()
 
         with T.no_grad():
             wave = models.ddsp_synthesize(
@@ -343,11 +346,13 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 # -- Adam training ------------------------------------------------------------------
 
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+
 
 def adam_trainer(epochs: int = 30, lr: float = 1e-3,
                  weight_decay: float = 2e-4, plateau_patience: int = 10,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 seed: int = 0, loss_fn=models.compute_loss):
+                 seed: int = 0):
     """Adam with decoupled weight decay and plateau-halved learning rate.
 
     The learning rate halves after ``plateau_patience`` consecutive epochs
@@ -368,7 +373,7 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
         v = {name: np.zeros_like(p.data, dtype=np.float64)
              for name, p in net.named_parameters()}
         cur_lr = lr
-        b1, b2 = betas
+        b1, b2 = _ADAM_BETAS
         t = 0
         best = np.inf
         stalled = 0
@@ -377,7 +382,7 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
             order = rng.permutation(len(splits.train))
             for bi in order:
                 net.zero_grad()
-                loss_fn(net, splits.train[int(bi)]).backward()
+                models.compute_loss(net, splits.train[int(bi)]).backward()
                 t += 1
                 for name, p in net.named_parameters():
                     g = p.grad
@@ -387,7 +392,7 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
                     v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
                     mhat = m[name] / (1.0 - b1 ** t)
                     vhat = v[name] / (1.0 - b2 ** t)
-                    p.data = (p.data - cur_lr * (mhat / (np.sqrt(vhat) + eps)
+                    p.data = (p.data - cur_lr * (mhat / (np.sqrt(vhat) + _ADAM_EPS)
                                                  + weight_decay * p.data)
                               ).astype(np.float32)
                 if after_step is not None:
@@ -395,7 +400,7 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
                 if record_step == t:
                     state_k = net.param_state()
             net.zero_grad()
-            vloss = pruning.mean_loss(net, splits.valid, loss_fn)
+            vloss = pruning.mean_loss(net, splits.valid)
             if vloss < best:
                 best = vloss
                 stalled = 0

@@ -72,6 +72,15 @@ _AXIS_ROLES = {
 
 _UNIT_PARAM = {"linear": "w", "conv1d": "w", "gru": "bz", "batchnorm": "gamma"}
 
+# parameters that count as connection weights: magnitude and gradient
+# scores sum them, and weight masking ranks all but batchnorm's gamma
+_WEIGHT_PARAMS = {
+    "linear": ("w",),
+    "conv1d": ("w",),
+    "gru": ("wz", "wr", "wh", "uz", "ur", "uh"),
+    "batchnorm": ("gamma",),
+}
+
 
 @dataclass
 class Layer:
@@ -149,7 +158,9 @@ class Pool:
 
 def _missing(what: str):
     def fail(owner, *args, **kwargs):
-        raise StructureError(f"no {what} registered for arch '{owner.arch}' "
+        # owner is the net or the model config; inputs(batch) gets neither
+        arch = f" for arch '{owner.arch}'" if hasattr(owner, "arch") else ""
+        raise StructureError(f"no {what} registered{arch} "
                              "(unknown arch, or its record has none)")
     return fail
 
@@ -166,7 +177,7 @@ class ArchSpec:
     every default."""
     build: Callable = _missing("builder")
     forward: Callable = _missing("forward")
-    inputs: Callable = lambda batch: Tensor(np.asarray(batch["x"], dtype=np.float32))
+    inputs: Callable = _missing("inputs")
     loss: Callable = _missing("loss")
     sample: Callable = _missing("sampler")
     frame_hop: Callable = lambda config: None

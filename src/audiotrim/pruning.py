@@ -36,10 +36,10 @@ TRACE_COLUMNS = ("iteration", "weights_remaining_frac", "units_remaining_frac",
                  "valid_loss", "test_error_multiplier", "flops_per_second_audio",
                  "disk_bytes", "rw_accesses")
 
-# weight-granularity masking ranks these parameters; biases and
+# weight-granularity masking ranks the connection weights; biases and
 # normalization scales stay untouched
-_MASKABLE = {"linear": ("w",), "conv1d": ("w",),
-             "gru": ("wz", "wr", "wh", "uz", "ur", "uh")}
+_MASKABLE = {kind: names for kind, names in nn._WEIGHT_PARAMS.items()
+             if kind != "batchnorm"}
 
 
 def _round_half_up(x: float) -> int:
@@ -75,8 +75,6 @@ class ImpConfig:
     scaling: str = "layer_max"
     min_units: int = 1
     min_weights: int = 1
-    # switch from global to local selection after this iteration (hybrid)
-    global_until: int | None = None
     stop_error_multiplier: float | None = None
     mi: mi.MiConfig | None = None
 
@@ -103,11 +101,6 @@ class ImpConfig:
             raise ValueError("min_units and min_weights must be at least 1")
         if self.stop_error_multiplier is not None and self.stop_error_multiplier <= 0:
             raise ValueError("stop_error_multiplier must be positive")
-
-    def selection_at(self, iteration: int) -> str:
-        if self.global_until is None:
-            return self.selection
-        return "global" if iteration <= self.global_until else "local"
 
 
 # -- selection -----------------------------------------------------------------
@@ -334,11 +327,11 @@ class ImpTrace:
                 ])
 
 
-def mean_loss(net, items, loss_fn) -> float:
+def mean_loss(net, items) -> float:
     """Mean loss over batches, in eval mode and without a graph."""
     net.eval()
     with T.no_grad():
-        return float(np.mean([loss_fn(net, b).data for b in items]))
+        return float(np.mean([models.compute_loss(net, b).data for b in items]))
 
 
 def _pool_units(net: nn.Network, mask: WeightMask | None) -> dict[str, int]:
@@ -359,9 +352,8 @@ def _at_floor(net: nn.Network, mask: WeightMask | None, cfg: ImpConfig) -> str |
     return None
 
 
-def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
-            loss_fn=models.compute_loss, out_dir=None,
-            on_iteration=None) -> ImpTrace:
+def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer, *,
+            out_dir=None) -> ImpTrace:
     """Train, score, prune, rewind, retrain for cfg.iterations rounds.
 
     ``trainer(net, splits, record_step, after_step)`` trains ``net`` in
@@ -369,8 +361,8 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
     step, and returns the parameter state after ``record_step`` steps
     (0 = before the first) when ``record_step`` is not None, raising
     ValueError if training takes fewer steps; ``harness.adam_trainer``
-    is the one implementation. None runs the schedule without any
-    training (arithmetic checks, smoke tests).
+    is the one implementation. Losses come from the net's registered
+    arch (``models.compute_loss``).
     Emits per-iteration checkpoints and the trace CSV under ``out_dir``
     when given. A non-finite validation loss aborts with the trace so far;
     exceeding ``stop_error_multiplier`` or hitting the min_units /
@@ -382,20 +374,15 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
         out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    if trainer is None:
-        if cfg.rewind_step != 0:
-            raise ValueError("a trainless run can only rewind to step 0")
-        state_k = cur.param_state()
-    else:
-        state_k = trainer(cur, data, record_step=cfg.rewind_step, after_step=None)
+    state_k = trainer(cur, data, record_step=cfg.rewind_step, after_step=None)
     wall = time.perf_counter() - t0
 
     mask = full_mask(cur) if cfg.mode == "mask" else None
     total_units = cur.units_remaining()
 
     def measure():
-        valid_loss = mean_loss(cur, data.valid, loss_fn)
-        test_loss = mean_loss(cur, data.test, loss_fn)
+        valid_loss = mean_loss(cur, data.valid)
+        test_loss = mean_loss(cur, data.test)
         w_rem, w_orig = cur.weight_counts()
         dead = mask.total() - mask.alive() if mask is not None else 0
         weights_frac = (w_rem - dead) / w_orig
@@ -421,26 +408,23 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
                 trace.stopped = f"{floor} before iteration {it}"
                 break
             t0 = time.perf_counter()
-            selection = cfg.selection_at(it)
             try:
                 if cfg.mode == "trim":
                     scores = cr.pool_scores(
                         cur, cfg.criterion, cfg.scaling,
-                        batches=list(data.valid), loss_fn=loss_fn,
-                        mi_cfg=cfg.mi)
+                        batches=list(data.valid), mi_cfg=cfg.mi)
                     plan = select_units(scores, cfg.prune_fraction_per_iter,
-                                        selection, min_units=cfg.min_units)
+                                        cfg.selection, min_units=cfg.min_units)
                     cur = nn.apply_trim(cur, plan)
                     rewind(cur, state_k)
                     after = None
                 else:
                     mask = select_weights(cur, cfg.prune_fraction_per_iter,
-                                          selection, mask=mask,
+                                          cfg.selection, mask=mask,
                                           min_weights=cfg.min_weights)
                     rewind(cur, state_k, mask)
                     after = mask.enforce
-                if trainer is not None:
-                    trainer(cur, data, record_step=None, after_step=after)
+                trainer(cur, data, record_step=None, after_step=after)
                 wall = time.perf_counter() - t0
 
                 valid_loss, test_loss, wfrac, ufrac, units, costs = measure()
@@ -454,8 +438,6 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer=None, *,
                                      *costs, wall, units))
             if out_dir is not None:
                 nn.save_checkpoint(cur, out_dir / f"iter_{it:02d}.ckpt")
-            if on_iteration is not None:
-                on_iteration(it, cur, records[-1])
             if not np.isfinite(valid_loss) or not np.isfinite(test_loss):
                 trace.aborted = f"non-finite loss at iteration {it}"
                 break

@@ -497,12 +497,12 @@ def _overlap_add(g: np.ndarray, length: int, hop: int) -> np.ndarray:
     return out[..., :length]
 
 
-def _logmag_scale(a: Tensor, window: int, hop: int, eps: np.float32) -> Tensor:
-    """log(|rfft(hann * frame)|^2 + eps) of one window size, as one node."""
+def _logmag_scale(a: Tensor, window: int, hop: int, floor: np.float32) -> Tensor:
+    """log(|rfft(hann * frame)|^2 + floor) of one window size, as one node."""
     taper = hann_window(window)
     frames = np.lib.stride_tricks.sliding_window_view(a.data, window, axis=-1)
     spec = fourier.fft(frames[..., ::hop, :] * taper)
-    denom = spec.real ** 2 + spec.imag ** 2 + eps
+    denom = spec.real ** 2 + spec.imag ** 2 + floor
     out = _node(np.log(denom), (a,), "stft_logmag")
     if out.requires_grad:
         def _bw(g):
@@ -535,5 +535,5 @@ def stft_logmag(signal: Tensor, cfg: SpectrogramConfig) -> list[Tensor]:
             raise ShapeError(
                 f"signal length {t} is shorter than analysis window {w}"
             )
-    eps = np.float32(cfg.floor_epsilon)
-    return [_logmag_scale(signal, w, cfg.hop(w), eps) for w in cfg.window_sizes]
+    floor = np.float32(cfg.floor_epsilon)
+    return [_logmag_scale(signal, w, cfg.hop(w), floor) for w in cfg.window_sizes]

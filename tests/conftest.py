@@ -1,7 +1,10 @@
 """Shared oracles: finite-difference gradients, a naive DFT, the masked
 sigmoid, the composed reference versions of the fused ops, the dense
 upsampling render (the synthesis heads' oracle), unit masking (trimming's
-oracle), and the test-only "sequential" arch."""
+oracle), the test-only "sequential" arch, a trainer that takes no step,
+and per-test losses registered as throwaway archs."""
+
+import dataclasses
 
 import numpy as np
 
@@ -355,4 +358,38 @@ def sequential_forward(net, x):
     return x
 
 
-nn.register_arch("sequential", nn.ArchSpec(forward=sequential_forward))
+def batch_x(batch):
+    """The test archs' forward input: the batch's "x" array."""
+    return T.Tensor(np.asarray(batch["x"], dtype=np.float32))
+
+
+nn.register_arch("sequential", nn.ArchSpec(forward=sequential_forward,
+                                           inputs=batch_x))
+
+
+# -- runs without training, and per-test losses ---------------------------------
+
+
+def no_training(net, splits, record_step=None, after_step=None):
+    """run_imp's trainer contract with zero optimizer steps: the net is
+    left as it is, and only step 0 can be recorded."""
+    if record_step is None:
+        return None
+    if record_step > 0:
+        raise ValueError(f"rewind step {record_step} lies beyond the "
+                         "0 training steps taken")
+    return net.param_state()
+
+
+def use_loss(monkeypatch, net, loss):
+    """net, moved to a copy of its arch's record whose loss is ``loss``.
+
+    The copy is registered under a name of its own for one test only. A
+    loss that wraps the arch's own must call that record's ``loss``:
+    models.compute_loss would look up the wrapper again.
+    """
+    name = f"{net.arch}+loss"
+    monkeypatch.setitem(nn._ARCHS, name,
+                        dataclasses.replace(nn.arch_spec(net.arch), loss=loss))
+    net.arch = name
+    return net

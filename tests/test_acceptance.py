@@ -25,7 +25,7 @@ import pytest
 from audiotrim import embed, harness, mi, models, nn, pruning
 from audiotrim import tensor as T
 
-from conftest import mask_units
+from conftest import mask_units, no_training, use_loss
 from test_embed import random_chain, sim_net_ops, tiny_arch_net
 from test_models import ddsp_batch, tiny_ddsp_cfg, tiny_sing_cfg, tiny_wavenet_cfg
 
@@ -356,15 +356,15 @@ def test_mi_estimator_recovers_gaussian_ground_truth():
 # -- 4. masking schedule arithmetic -----------------------------------------------
 
 
-def test_fifteen_rounds_of_thirty_percent_masking():
+def test_fifteen_rounds_of_thirty_percent_masking(monkeypatch):
     rng = np.random.default_rng(0)
     net = nn.Network("custom", [nn.make_linear("fc", 200, 100, rng)],
                      meta={"config": {"sample_rate": 8000}})
     w = net.layers["fc"].params["w"]
     data = pruning.Splits(train=[{}], valid=[{}], test=[{}])
     cfg = pruning.ImpConfig(mode="mask", iterations=15, selection="global")
-    trace = pruning.run_imp(net, data, cfg, trainer=None,
-                            loss_fn=lambda n, b: T.tsum(T.mul(w, w)))
+    use_loss(monkeypatch, net, lambda n, b: T.tsum(T.mul(w, w)))
+    trace = pruning.run_imp(net, data, cfg, no_training)
 
     maskable = pruning.full_mask(net).total()
     _, total = net.weight_counts()
@@ -453,7 +453,7 @@ def test_deep_masking_leaves_most_units_unremovable():
                                   batch_size=8)
     cfg = pruning.ImpConfig(mode="mask", iterations=13, selection="local",
                             criterion="magnitude")
-    trace = pruning.run_imp(net, splits, cfg, trainer=None)
+    trace = pruning.run_imp(net, splits, cfg, no_training)
 
     maskable = pruning.full_mask(net).total()
     _, total = net.weight_counts()

@@ -50,6 +50,22 @@ class TestExitCodes:
         assert cli.main([]) == 1
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        json.dumps({"model": {"arch": "sing_ae"}, "training": {"epochs": "3"}}),
+        '{"model": {"arch": "sing_ae"',
+    ], ids=["wrong-type", "unparsed"])
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_malformed_config_is_usage_error(self, workspace, tmp_path, capsys,
+                                             content, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv = {"train": ["train", "--config", str(bad)],
+                "analyze": ["analyze", "--model",
+                            str(workspace / "run" / "iter_02.ckpt"),
+                            "--criterion", "gradient", "--config", str(bad)]}
+        assert cli.main(argv[command]) == 1
+        assert "bad.json" in capsys.readouterr().err
+
     def test_runtime_failure_returns_two(self, tmp_path, capsys):
         junk = tmp_path / "junk.ckpt"
         junk.write_bytes(b"not a checkpoint at all")

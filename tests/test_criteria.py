@@ -8,7 +8,7 @@ from audiotrim import mi as mi_mod
 from audiotrim import models, nn
 from audiotrim import tensor as T
 from audiotrim.tensor import Tensor
-from conftest import mask_units
+from conftest import batch_x, mask_units, use_loss
 
 SR = 16000
 
@@ -43,7 +43,7 @@ def _probe_forward(net, x):
     return x
 
 
-nn.register_arch("probe", nn.ArchSpec(forward=_probe_forward))
+nn.register_arch("probe", nn.ArchSpec(forward=_probe_forward, inputs=batch_x))
 
 
 def probe_net(n_units):
@@ -52,8 +52,8 @@ def probe_net(n_units):
 
 
 # one layer's raw scores, from the all-layer passes the criteria run
-def score_gradient(layer, net, batches, loss_fn=models.compute_loss):
-    return cr._gradient_raw(net, batches, loss_fn)[layer.name]
+def score_gradient(layer, net, batches):
+    return cr._gradient_raw(net, batches)[layer.name]
 
 
 def score_activation(layer, net, batches):
@@ -170,25 +170,25 @@ class TestNormalization:
 
 
 class TestGradient:
-    def test_single_linear_hand_chain(self):
+    def test_single_linear_hand_chain(self, monkeypatch):
         net = nn.Network("custom", [nn.make_linear("lin", 2, 2,
                                                    np.random.default_rng(0))])
+        use_loss(monkeypatch, net, _sum_loss(["lin"]))
         batch = {"x": [[1.0, 2.0]]}
-        scores = score_gradient(net.layers["lin"], net, [batch],
-                                loss_fn=_sum_loss(["lin"]))
+        scores = score_gradient(net.layers["lin"], net, [batch])
         assert np.array_equal(scores, [3.0, 3.0])
 
-    def test_dead_downstream_scores_zero(self):
+    def test_dead_downstream_scores_zero(self, monkeypatch):
         rng = np.random.default_rng(4)
         net = nn.Network("custom", [
             nn.make_linear("lin1", 2, 3, rng),
             nn.make_linear("lin2", 3, 2, rng, in_source="lin1"),
         ])
         net.layers["lin2"].params["w"].data[:] = 0.0
-        loss_fn = _sum_loss(["lin1", "lin2"])
+        use_loss(monkeypatch, net, _sum_loss(["lin1", "lin2"]))
         batch = {"x": [[1.0, 2.0]]}
-        s1 = score_gradient(net.layers["lin1"], net, [batch], loss_fn=loss_fn)
-        s2 = score_gradient(net.layers["lin2"], net, [batch], loss_fn=loss_fn)
+        s1 = score_gradient(net.layers["lin1"], net, [batch])
+        s2 = score_gradient(net.layers["lin2"], net, [batch])
         assert np.array_equal(s1, np.zeros(3))
         assert s2.min() > 0.0
 

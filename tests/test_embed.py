@@ -133,8 +133,9 @@ class TestFlops:
     def test_rates_scale_per_invocation_counts(self):
         rng = np.random.default_rng(3)
         net = random_chain(rng)
+        net.meta["config"] = {"sample_rate": 8000}
         per_inv = sim_net_ops(net)
-        assert embed.count_flops(net, sample_rate=8000) == 8000 * per_inv
+        assert embed.count_flops(net) == 8000 * per_inv
 
     def test_ddsp_amortizes_by_frame_hop(self):
         cfg = models.ModelConfig(arch="ddsp", sample_rate=16000, frame_hop=200,
@@ -205,13 +206,13 @@ class TestRwMemory:
 
     def test_zero_layer_network(self):
         net = nn.Network("custom", [])
-        assert embed.rw_memory(net, sample_rate=8000) == 0.0
+        assert embed.rw_memory(net) == 0.0
 
     def test_autoregressive_accesses_per_sample(self):
         rng = np.random.default_rng(1)
         net = random_chain(rng)
         per_inv = sum(embed.layer_rw(l) for l in net.layers.values())
-        assert embed.rw_memory(net, sample_rate=4000) == pytest.approx(per_inv)
+        assert embed.rw_memory(net) == pytest.approx(per_inv)
 
 
 class TestDisk:

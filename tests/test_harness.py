@@ -10,6 +10,7 @@ import pytest
 
 from audiotrim import harness, models, nn, pruning
 from audiotrim import tensor as T
+from conftest import use_loss
 
 
 def tiny_cfg(tmp_path, **over):
@@ -350,7 +351,7 @@ class TestAdamTrainer:
             assert np.all(data[~m] == 0.0)
             assert np.any(data[m] != 0.0)
 
-    def test_plateau_exhaustion_stops_early(self):
+    def test_plateau_exhaustion_stops_early(self, monkeypatch):
         # a loss with zero gradient never improves validation, so training
         # must stop after 1 + 2*patience epochs instead of the full budget
         net = self.sing()
@@ -362,8 +363,8 @@ class TestAdamTrainer:
             p = n.parameters()[0]
             return T.mul(T.tsum(p), T.Tensor(0.0))
 
-        harness.adam_trainer(epochs=50, plateau_patience=2, seed=0,
-                             loss_fn=flat_loss)(net, splits)
+        use_loss(monkeypatch, net, flat_loss)
+        harness.adam_trainer(epochs=50, plateau_patience=2, seed=0)(net, splits)
         per_epoch = len(splits.train) + len(splits.valid)
         assert calls["n"] == 5 * per_epoch
 

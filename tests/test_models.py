@@ -12,7 +12,7 @@ from audiotrim import tensor as T
 from audiotrim.models import ModelConfig, MuLawCodec
 from audiotrim.tensor import Tensor
 from conftest import (ddsp_synthesize_dense, directional_gradcheck, mask_units,
-                      nll_composed, units_original, upsample_dense)
+                      nll_composed, no_training, units_original, upsample_dense)
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -602,7 +602,7 @@ class TestRegisteredArch:
     def test_trainerless_imp_and_sampling(self, tmp_path):
         net = self.toy_net()
         cfg = pruning.ImpConfig(mode="trim", iterations=1, criterion="activation")
-        trace = pruning.run_imp(net, self.splits(), cfg, trainer=None,
+        trace = pruning.run_imp(net, self.splits(), cfg, no_training,
                                 out_dir=tmp_path)
         assert trace.aborted is None and len(trace.records) == 2
         small = nn.load_checkpoint(tmp_path / "iter_01.ckpt")
@@ -629,3 +629,5 @@ class TestRegisteredArch:
         net = nn.Network("sequential", [])
         with pytest.raises(ValueError, match="no loss"):
             models.compute_loss(net, {"x": np.zeros((1, 2))})
+        with pytest.raises(ValueError, match="no inputs"):
+            models.forward_batch(nn.Network("mystery", []), {"x": np.zeros((1, 2))})

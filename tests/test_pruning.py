@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 
 from audiotrim import harness, models, nn, pruning
 from audiotrim import tensor as T
-from conftest import mask_units, units_original
+from conftest import mask_units, no_training, units_original, use_loss
+
+
+# the wrapped objective of the custom-loss runs below
+SING_LOSS = nn.arch_spec("sing_ae").loss
 
 
 def round_half_up(x):
@@ -391,13 +395,6 @@ class TestImpConfig:
         with pytest.raises(ValueError, match="stop_error"):
             pruning.ImpConfig(stop_error_multiplier=0.0)
 
-    def test_hybrid_selection_schedule(self):
-        cfg = pruning.ImpConfig(selection="local", global_until=2)
-        assert [cfg.selection_at(i) for i in (1, 2, 3, 4)] \
-            == ["global", "global", "local", "local"]
-        plain = pruning.ImpConfig(selection="local")
-        assert plain.selection_at(1) == "local"
-
     def test_splits_reject_empty_parts(self):
         with pytest.raises(ValueError, match="empty valid"):
             pruning.Splits(train=[{"wave": np.zeros((1, 8))}], valid=[],
@@ -409,7 +406,7 @@ class TestImpDriver:
         net = models.build_model(sing_cfg(), seed=0)
         data = make_splits()
         cfg = pruning.ImpConfig(mode="mask", iterations=6, selection="local")
-        trace = pruning.run_imp(net, data, cfg, trainer=None)
+        trace = pruning.run_imp(net, data, cfg, no_training)
 
         maskable = {k: m.size for k, m in pruning.full_mask(net).entries.items()}
         _, total = net.weight_counts()
@@ -426,7 +423,7 @@ class TestImpDriver:
         net = models.build_model(sing_cfg(), seed=0)
         data = make_splits()
         cfg = pruning.ImpConfig(mode="mask", iterations=5, selection="global")
-        trace = pruning.run_imp(net, data, cfg, trainer=None)
+        trace = pruning.run_imp(net, data, cfg, no_training)
         _, total = net.weight_counts()
         pool = sum(m.size for m in pruning.full_mask(net).entries.values())
         alive = pool
@@ -450,7 +447,7 @@ class TestImpDriver:
         data = make_splits()
         cfg = pruning.ImpConfig(mode="trim", iterations=4, selection="local",
                                 criterion="magnitude")
-        trace = pruning.run_imp(net, data, cfg, trainer=None)
+        trace = pruning.run_imp(net, data, cfg, no_training)
         per_pool = {pid: len(p.kept) for pid, p in net.pools.items()}
         total = sum(per_pool.values())
         expect = [1.0]
@@ -469,16 +466,19 @@ class TestImpDriver:
         assert trace.records[0].test_error_multiplier == 1.0
         assert trace.records[0].weights_remaining_frac == 1.0
 
-    def test_trim_equals_masked_dense_at_every_iteration(self):
+    def test_trim_equals_masked_dense_at_every_iteration(self, tmp_path):
         # the driver's own per-iteration states replay exactly as unit masks
         # on the dense rewind checkpoint
         net = models.build_model(sing_cfg(), seed=3)
         data = make_splits(3)
         x = T.Tensor(data.test[0]["wave"][:, None, :])
         state0 = net.param_state()
+        cfg = pruning.ImpConfig(mode="trim", iterations=4, selection="global",
+                                criterion="magnitude")
+        pruning.run_imp(net, data, cfg, no_training, out_dir=tmp_path)
         seen = []
-
-        def check(it, cur, record):
+        for it in range(1, 5):
+            cur = nn.load_checkpoint(tmp_path / f"iter_{it:02d}.ckpt")
             removed = {}
             for pid, pool in cur.pools.items():
                 gone = np.setdiff1d(np.arange(pool.orig), pool.kept)
@@ -491,20 +491,16 @@ class TestImpDriver:
                 a = cur.eval().forward(x).data
                 b = shadow.eval().forward(x).data
             seen.append(np.max(np.abs(a - b)))
-
-        cfg = pruning.ImpConfig(mode="trim", iterations=4, selection="global",
-                                criterion="magnitude")
-        pruning.run_imp(net, data, cfg, trainer=None, on_iteration=check)
-        assert len(seen) == 4
+        assert not (tmp_path / "iter_05.ckpt").exists()
         assert max(seen) < 1e-6
 
     def test_mask_mode_costs_stay_fixed_trim_mode_costs_shrink(self):
         net = models.build_model(sing_cfg(), seed=0)
         data = make_splits()
         tr_mask = pruning.run_imp(net, data, pruning.ImpConfig(
-            mode="mask", iterations=3), trainer=None)
+            mode="mask", iterations=3), no_training)
         tr_trim = pruning.run_imp(net, data, pruning.ImpConfig(
-            mode="trim", iterations=3), trainer=None)
+            mode="trim", iterations=3), no_training)
         flops_mask = [r.flops_per_second_audio for r in tr_mask.records]
         flops_trim = [r.flops_per_second_audio for r in tr_trim.records]
         assert len(set(flops_mask)) == 1
@@ -516,32 +512,34 @@ class TestImpDriver:
         net = models.build_model(sing_cfg(), seed=0)
         for mode in ("mask", "trim"):
             trace = pruning.run_imp(net, make_splits(), pruning.ImpConfig(
-                mode=mode, iterations=4), trainer=None)
+                mode=mode, iterations=4), no_training)
             curve = trace.weights_curve()
             assert np.all(np.diff(curve) < 0)
 
     def test_rewind_step_beyond_training_rejected(self):
+        # one epoch over three training batches takes three steps
         net = models.build_model(sing_cfg(), seed=0)
-        data = make_splits()
-        with pytest.raises(ValueError, match="trainless"):
-            pruning.run_imp(net, data, pruning.ImpConfig(rewind_step=2),
-                            trainer=None)
+        data = make_splits(n_train=3)
+        with pytest.raises(ValueError, match="rewind step 4 lies beyond the 3 "):
+            pruning.run_imp(net, data, pruning.ImpConfig(rewind_step=4),
+                            harness.adam_trainer(epochs=1))
 
-    def test_stop_error_multiplier_stops_cleanly(self):
+    def test_stop_error_multiplier_stops_cleanly(self, monkeypatch):
         net = models.build_model(sing_cfg(), seed=0)
         data = make_splits()
         calls = {"n": 0}
 
         def spiky_loss(n, batch):
             calls["n"] += 1
-            base = models.compute_loss(n, batch)
+            base = SING_LOSS(n, batch)
             if n.units_remaining() < units_original(n):
                 return T.mul(base, T.Tensor(100.0))
             return base
 
         cfg = pruning.ImpConfig(mode="trim", iterations=5,
                                 stop_error_multiplier=3.0)
-        trace = pruning.run_imp(net, data, cfg, trainer=None, loss_fn=spiky_loss)
+        trace = pruning.run_imp(use_loss(monkeypatch, net, spiky_loss), data, cfg,
+                                no_training)
         assert trace.stopped is not None and "exceeded" in trace.stopped
         assert len(trace.records) == 2
         assert trace.aborted is None
@@ -550,7 +548,7 @@ class TestImpDriver:
         net = models.build_model(sing_cfg(ch=4, layers=2), seed=0)
         data = make_splits()
         cfg = pruning.ImpConfig(mode="trim", iterations=50)
-        trace = pruning.run_imp(net, data, cfg, trainer=None)
+        trace = pruning.run_imp(net, data, cfg, no_training)
         assert trace.stopped is not None and "min_units floor" in trace.stopped
         assert trace.aborted is None
         assert len(trace.records) < 51
@@ -560,45 +558,48 @@ class TestImpDriver:
         assert trace.records[-1].units_remaining_frac == min(
             r.units_remaining_frac for r in trace.records)
 
-    def test_mask_stops_cleanly_at_min_weights_floor(self):
+    def test_mask_stops_cleanly_at_min_weights_floor(self, monkeypatch):
         rng = np.random.default_rng(0)
         net = nn.Network("custom", [nn.make_linear("a", 3, 2, rng)],
                          meta={"config": {"sample_rate": 8000}})
         data = make_splits()
         cfg = pruning.ImpConfig(mode="mask", iterations=50)
         loss = lambda n, batch: T.tsum(n.layers["a"].params["w"])
-        trace = pruning.run_imp(net, data, cfg, trainer=None, loss_fn=loss)
+        trace = pruning.run_imp(use_loss(monkeypatch, net, loss), data, cfg,
+                                no_training)
         assert trace.stopped is not None and "min_weights floor" in trace.stopped
         assert len(trace.records) < 51
 
-    def test_nan_loss_aborts_with_partial_trace(self):
+    def test_nan_loss_aborts_with_partial_trace(self, monkeypatch):
         net = models.build_model(sing_cfg(), seed=0)
         data = make_splits()
 
         def doomed_loss(n, batch):
             if n.units_remaining() < units_original(n):
                 return T.Tensor(float("nan"))
-            return models.compute_loss(n, batch)
+            return SING_LOSS(n, batch)
 
         cfg = pruning.ImpConfig(mode="trim", iterations=5)
-        trace = pruning.run_imp(net, data, cfg, trainer=None, loss_fn=doomed_loss)
+        trace = pruning.run_imp(use_loss(monkeypatch, net, doomed_loss), data, cfg,
+                                no_training)
         assert trace.aborted is not None and "iteration 1" in trace.aborted
         assert len(trace.records) == 2
 
-    def test_overflow_during_retraining_aborts(self):
+    def test_overflow_during_retraining_aborts(self, monkeypatch):
         # the tensor layer raises on non-finite results; the driver turns
         # that into a clean abort instead of crashing
         net = models.build_model(sing_cfg(), seed=0)
         data = make_splits()
 
         def doomed_loss(n, batch):
-            base = models.compute_loss(n, batch)
+            base = SING_LOSS(n, batch)
             if n.units_remaining() < units_original(n):
                 return T.mul(base, T.Tensor(float("inf")))
             return base
 
         cfg = pruning.ImpConfig(mode="trim", iterations=5)
-        trace = pruning.run_imp(net, data, cfg, trainer=None, loss_fn=doomed_loss)
+        trace = pruning.run_imp(use_loss(monkeypatch, net, doomed_loss), data, cfg,
+                                no_training)
         assert trace.aborted is not None and "iteration 1" in trace.aborted
         assert len(trace.records) == 1
 
@@ -634,7 +635,7 @@ class TestImpDriver:
     def test_units_per_pool_accounts_for_trace(self):
         net = models.build_model(sing_cfg(), seed=0)
         trace = pruning.run_imp(net, make_splits(), pruning.ImpConfig(
-            mode="trim", iterations=2), trainer=None)
+            mode="trim", iterations=2), no_training)
         for rec in trace.records:
             assert sum(rec.units_per_pool.values()) \
                 == pytest.approx(rec.units_remaining_frac

@@ -32,3 +32,77 @@ def test_every_public_definition_is_exported_or_used_by_the_program():
                     and node.name not in used):
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"public definitions nothing in the program uses: {unused}"
+
+
+# defaulted parameters that no program call sets, each kept for a reason
+_UNSET_DEFAULTS_KEPT = {
+    # the console entry point reads sys.argv when called without argv
+    "cli.main(argv)",
+    # the acceptance tests measure the estimator's spread over seeds
+    "mi.estimate_mi(seed)",
+    # covers input-side trimming of a GRU
+    "nn.make_gru(in_source)",
+    # covers the running-stat update
+    "nn.batchnorm_forward(momentum)",
+}
+
+
+def _defaulted(fn, is_method):
+    """(call position or None, name) of each parameter with a default;
+    a method's call positions start after self."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - int(is_method), a.arg) for i, a in enumerate(positional)
+           if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    # calls are matched by the callee's final name; a parameter counts as
+    # set when some call passes it by keyword or position, or passes
+    # *args / **kwargs
+    keywords, positions, spread = {}, {}, set()
+    for path in (p for d in ("src", "scripts", "perfbench")
+                 for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            keywords.setdefault(name, set()).update(
+                k.arg for k in node.keywords if k.arg is not None)
+            positions[name] = max(positions.get(name, 0), len(node.args))
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                spread.add(name)
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef):
+                targets = [(node.name, node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                targets = [(f"{node.name}.{fn.name}",
+                            node.name if fn.name == "__init__" else fn.name,
+                            fn, True)
+                           for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for label, callee, fn, is_method in targets:
+                if callee in spread:
+                    continue
+                for pos, param in _defaulted(fn, is_method):
+                    if param in keywords.get(callee, ()):
+                        continue
+                    if pos is not None and pos < positions.get(callee, 0):
+                        continue
+                    unset.append(f"{path.stem}.{label}({param})")
+    assert set(unset) == _UNSET_DEFAULTS_KEPT, (
+        f"defaulted parameters nothing in the program sets: "
+        f"{sorted(set(unset) - _UNSET_DEFAULTS_KEPT)}; exemptions now set "
+        f"or gone: {sorted(_UNSET_DEFAULTS_KEPT - set(unset))}")
