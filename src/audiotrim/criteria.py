@@ -37,14 +37,15 @@ _FEATURE_BINS = 8
 
 
 def fan_in(layer: Layer) -> int:
-    if layer.kind == "linear":
-        return layer.params["w"].shape[1]
-    if layer.kind == "conv1d":
-        w = layer.params["w"]
-        return w.shape[1] * w.shape[2]
-    if layer.kind == "gru":
-        return layer.params["wz"].shape[1] + layer.n_units
-    return 1
+    """Input scalars each unit reads: one for an elementwise kind."""
+    return layer.reads if layer.spec.weights else 1
+
+
+def _scored_params(layer: Layer) -> tuple[str, ...]:
+    """What magnitude and gradient scores sum per unit: the connection
+    weights, or an elementwise kind's first (scale) parameter."""
+    spec = layer.spec
+    return spec.weights or tuple(spec.params)[:1]
 
 
 # -- raw per-layer scores -----------------------------------------------------
@@ -52,10 +53,8 @@ def fan_in(layer: Layer) -> int:
 
 def score_magnitude(layer: Layer) -> np.ndarray:
     """Sum of |weight| per unit over every incoming connection."""
-    if layer.kind not in nn._WEIGHT_PARAMS:
-        raise ValueError(f"layer '{layer.name}' has no scorable weights")
     total = np.zeros(layer.n_units, dtype=np.float64)
-    for pname in nn._WEIGHT_PARAMS[layer.kind]:
+    for pname in _scored_params(layer):
         w = layer.params[pname].data
         total += np.abs(w).reshape(w.shape[0], -1).sum(axis=1)
     return total
@@ -80,7 +79,7 @@ def _gradient_raw(net: Network, batches) -> dict[str, np.ndarray]:
     raw = {}
     for lname, layer in net.layers.items():
         total = np.zeros(layer.n_units, dtype=np.float64)
-        for pname in nn._WEIGHT_PARAMS[layer.kind]:
+        for pname in _scored_params(layer):
             g = acc[f"{lname}.{pname}"]
             total += g.reshape(g.shape[0], -1).sum(axis=1)
         raw[lname] = total
@@ -143,8 +142,8 @@ def _frame_means(stream: np.ndarray, n_frames: int) -> np.ndarray:
     return (cs[:, edges[1:]] - cs[:, edges[:-1]]) / np.maximum(np.diff(edges), 1)
 
 
-def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig,
-                     layer_names) -> dict[str, np.ndarray]:
+def _targets(items) -> list[np.ndarray]:
+    """Each validation item's target features, in item order."""
     if not items:
         raise ValueError("information scoring needs a nonempty validation set")
     feats = []
@@ -153,14 +152,36 @@ def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig,
         if wave.ndim != 2 or wave.shape[0] != 1:
             raise ValueError("information scoring expects single-item batches")
         feats.append(target_features(wave[0]))
-    if np.ptp(np.concatenate(feats, axis=0), axis=0).max() == 0:
-        raise ValueError("degenerate targets: spectral features have zero variance")
+    return feats
+
+
+def _streams(net: Network, items) -> dict[str, list[np.ndarray]]:
+    """Each recorded layer's (units, steps) output per item."""
     with T.no_grad(), nn.capture("full") as tape:
         for item in items:
             models.forward_batch(net, item)
+    return tape.data
+
+
+def check_information_samples(net: Network, items):
+    """Raise the estimator's too-few-samples error before any training:
+    an item gives a pooled layer min(stream length, feature frames)
+    samples. Runs on an eval-mode clone, so `net` stays as it is."""
+    feats = _targets(items)
+    for name, chunks in _streams(net.clone().eval(), items).items():
+        n = sum(min(chunk.shape[1], len(yf)) for chunk, yf in zip(chunks, feats))
+        if name in net.pool_of and n < mi_mod.MIN_SAMPLES:
+            raise ValueError(f"need at least {mi_mod.MIN_SAMPLES} samples, got {n}")
+
+
+def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig) -> dict[str, np.ndarray]:
+    """MI scores of every pooled layer's units."""
+    feats = _targets(items)
+    if np.ptp(np.concatenate(feats, axis=0), axis=0).max() == 0:
+        raise ValueError("degenerate targets: spectral features have zero variance")
     raw = {}
-    for name, chunks in tape.data.items():
-        if name not in layer_names:
+    for name, chunks in _streams(net, items).items():
+        if name not in net.pool_of:
             continue
         z_parts, y_parts = [], []
         lo = np.full(chunks[0].shape[0], np.inf)
@@ -205,8 +226,7 @@ def scale_scores(raw: dict[str, np.ndarray], net: Network,
     return scaled
 
 
-def _raw_scores(net: Network, criterion: str, batches, mi_cfg,
-                info_scope) -> dict[str, np.ndarray]:
+def _raw_scores(net: Network, criterion: str, batches, mi_cfg) -> dict[str, np.ndarray]:
     if criterion == "magnitude":
         return _magnitude_raw(net)
     if criterion == "normalization":
@@ -216,16 +236,14 @@ def _raw_scores(net: Network, criterion: str, batches, mi_cfg,
     if criterion == "activation":
         return _activation_raw(net, batches)
     if criterion == "information":
-        return _information_raw(net, batches, mi_cfg or mi_mod.MiConfig(),
-                                layer_names=info_scope)
+        return _information_raw(net, batches, mi_cfg or mi_mod.MiConfig())
     raise ValueError(f"unknown criterion '{criterion}', expected one of {CRITERIA}")
 
 
 def pool_scores(net: Network, criterion: str, scaling: str, batches=None,
                 mi_cfg: mi_mod.MiConfig | None = None) -> dict[str, np.ndarray]:
     """One score vector per trim pool, averaged over scored members."""
-    pooled = {m for pool in net.pools.values() for m in pool.members}
-    raw = _raw_scores(net, criterion, batches, mi_cfg, info_scope=pooled)
+    raw = _raw_scores(net, criterion, batches, mi_cfg)
     scaled = scale_scores(raw, net, scaling)
     out = {}
     for pid, pool in net.pools.items():

@@ -6,17 +6,16 @@ occupies on disk, and how many memory accesses one generated sample
 costs. Verdicts compare those numbers against platform budgets loaded
 from an editable JSON profile file.
 
-Counting conventions (fixed so that the closed forms below equal an
-instrumented per-scalar operation count exactly):
+Counting conventions, one generic form for every layer kind (fixed so
+that the closed forms equal an instrumented per-scalar operation count
+exactly). Per invocation (one frame or one step):
 
-* one multiply-accumulate = 2 FLOPs; a bias add and the add folding two
-  partial sums both count inside the matrix term
-* conv1d, per output frame: 2 * k * n_in * n_out; a linear layer is a
-  kernel-1 conv1d, here and in the access and working-set forms below
-* batchnorm, per frame: 4 * n_in (subtract mean, scale by inverse
-  deviation, scale by gamma, shift by beta)
-* gru, per step: 6 * n_out * (n_in + n_out) for the six matrices, plus
-  9 elementwise operations per unit:
+* FLOPs = 2 * (connection-weight scalars) + e * n_units. The matrix
+  term bills one multiply-accumulate as 2 FLOPs; a bias add and the add
+  folding two partial sums both count inside it. e is the kind's
+  elementwise operations per unit (nn.LayerKind.elementwise_ops): 0 for
+  linear and conv1d, 4 for batchnorm (subtract mean, scale by inverse
+  deviation, scale by gamma, shift by beta) and 9 for gru:
       sigmoid (update gate)            1
       sigmoid (reset gate)             1
       tanh (candidate state)           1
@@ -27,21 +26,19 @@ instrumented per-scalar operation count exactly):
       blend add                        1
       state write-back into the
       recurrent buffer                 1
+  So a linear 3->2 costs 12 FLOPs, a gru 6 * n_out * (n_in + n_out) +
+  9 * n_out.
+* accesses = stored scalars + reads + writes: every parameter and
+  buffer scalar is read once, every input scalar is read once (k * n_in
+  for conv1d, n_in + n_out for gru, whose previous state is an input,
+  n_in for batchnorm), and every output scalar is written once. A
+  layer's output being read again downstream is billed as the
+  consumer's input reads. So a linear 3->2 costs 6 + 2 + 3 + 2 = 13.
+* live scalars (working set) = reads + writes.
 
 Activation functions BETWEEN layers (tanh/relu/sigmoid in the model
 wrappers) are not billed: they are not prunable layers and their cost
 is invariant under trimming of a fixed layer's output width only.
-
-Memory-access model (reads + writes, per invocation): every weight and
-bias scalar is read once, every input scalar is read once, every output
-scalar is written once. A layer's output being read again downstream is
-billed as the consumer's input reads.
-
-* conv1d, per frame: k*n_in*n_out + n_out + k*n_in + n_out
-  (linear 3->2: 13)
-* batchnorm, per frame: 4*n_in + n_in + n_in
-* gru, per step: 3*n_out*(n_in+n_out) + 3*n_out + n_in + n_out + n_out
-  (x read once, previous state read once, new state written once)
 
 Invocation rates: the autoregressive model runs every layer once per
 output sample; a frame-based model runs once per frame, so per-sample
@@ -53,7 +50,6 @@ per sample).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,51 +86,26 @@ class EmbedReport:
     error_multiplier: float = float("nan")
 
 
-def _dims(layer: nn.Layer) -> tuple[int, int, int]:
-    """(n_in, n_out, kernel) from current parameter shapes."""
-    if layer.kind in ("linear", "conv1d"):
-        n_out, n_in, *k = layer.params["w"].shape
-        return n_in, n_out, math.prod(k)
-    if layer.kind == "gru":
-        n_out, n_in = layer.params["wz"].shape
-        return n_in, n_out, 1
-    if layer.kind == "batchnorm":
-        n = layer.params["gamma"].shape[0]
-        return n, n, 1
-    raise ValueError(f"unknown layer kind '{layer.kind}'")
-
-
 def layer_flops(layer: nn.Layer) -> int:
     """FLOPs for one invocation (one frame or one step) of the layer."""
-    n_in, n_out, k = _dims(layer)
-    if layer.kind in ("linear", "conv1d"):
-        return FLOPS_PER_MAC * k * n_in * n_out
-    if layer.kind == "gru":
-        return 3 * FLOPS_PER_MAC * n_out * (n_in + n_out) + 9 * n_out
-    if layer.kind == "batchnorm":
-        return 4 * n_in
-    raise ValueError(f"unknown layer kind '{layer.kind}'")
+    spec = layer.spec
+    macs = sum(layer.params[p].data.size for p in spec.weights)
+    return FLOPS_PER_MAC * macs + spec.elementwise_ops * layer.n_units
+
+
+def _stored_scalars(layer: nn.Layer) -> int:
+    return (sum(p.data.size for p in layer.params.values())
+            + sum(b.size for b in layer.buffers.values()))
+
+
+def _live_scalars(layer: nn.Layer) -> int:
+    """Scalars live at once during one invocation: reads and output."""
+    return layer.reads + layer.n_units
 
 
 def layer_rw(layer: nn.Layer) -> int:
     """Memory accesses for one invocation of the layer."""
-    n_in, n_out, k = _dims(layer)
-    if layer.kind in ("linear", "conv1d"):
-        return k * n_in * n_out + n_out + k * n_in + n_out
-    if layer.kind == "gru":
-        return 3 * n_out * (n_in + n_out) + 3 * n_out + n_in + 2 * n_out
-    if layer.kind == "batchnorm":
-        return 6 * n_in
-    raise ValueError(f"unknown layer kind '{layer.kind}'")
-
-
-def _live_scalars(layer: nn.Layer) -> int:
-    """Scalars simultaneously live while the layer executes one invocation."""
-    n_in, n_out, k = _dims(layer)
-    if layer.kind == "gru":
-        # input, previous state, and new state coexist
-        return n_in + 2 * n_out
-    return k * n_in + n_out
+    return _stored_scalars(layer) + _live_scalars(layer)
 
 
 def _samples_per_invocation(net: nn.Network) -> int:
@@ -169,11 +140,9 @@ def disk_size(net: nn.Network) -> int:
 def working_set_bytes(net: nn.Network) -> int:
     """Resident bytes under sequential layer execution: every stored
     parameter scalar plus the largest per-layer live activation set."""
-    params = sum(p.data.size for p in net.parameters())
-    buffers = sum(b.size for layer in net.layers.values()
-                  for b in layer.buffers.values())
+    stored = sum(_stored_scalars(layer) for layer in net.layers.values())
     peak = max((_live_scalars(layer) for layer in net.layers.values()), default=0)
-    return 4 * (params + buffers + peak)
+    return 4 * (stored + peak)
 
 
 def feasibility(flops_per_audio_second: float, disk_bytes: int,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _NOISE_SIGMA_RELATIVE = 0.01
+MIN_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,8 @@ class MiConfig:
         for b in self.bin_counts:
             if b < 2:
                 raise ValueError(f"bin counts must be >= 2, got {b}")
-        if self.max_samples < 100:
-            raise ValueError(f"max_samples must be >= 100, got {self.max_samples}")
+        if self.max_samples < MIN_SAMPLES:
+            raise ValueError(f"max_samples must be >= {MIN_SAMPLES}, got {self.max_samples}")
 
 
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
@@ -82,8 +83,8 @@ def _prepare(z, y, cfg: MiConfig):
         # evenly spaced, deterministic subsample
         idx = np.linspace(0, len(z) - 1, cfg.max_samples).astype(np.int64)
         z, y = z[idx], y[idx]
-    if len(z) < 100:
-        raise ValueError(f"need at least 100 samples, got {len(z)}")
+    if len(z) < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {len(z)}")
     if np.ptp(z) == 0:
         raise ValueError("z is constant; dependency undefined")
     if np.ptp(y, axis=0).max() == 0:

@@ -37,49 +37,58 @@ class StructureError(ValueError):
     pass
 
 
-# canonical parameter order per layer kind; serialisation and counting
-# walk params in exactly this order
-_PARAM_ORDER = {
-    "linear": ("w", "b"),
-    "conv1d": ("w", "b"),
-    "gru": ("wz", "wr", "wh", "uz", "ur", "uh", "bz", "br", "bh"),
-    "batchnorm": ("gamma", "beta"),
-}
-_BUFFER_ORDER = {
-    "linear": (),
-    "conv1d": (),
-    "gru": (),
-    "batchnorm": ("running_mean", "running_var"),
+@dataclass(frozen=True)
+class LayerKind:
+    """Everything that sets one layer kind apart. params and buffers map
+    each parameter and buffer, in serialisation order, to its axes'
+    roles: "out" = the layer's own units (axis 0 of the first parameter
+    counts them), "in" = units of the in_source layer, "self" = own
+    units on the input side (recurrent matrices), None = an axis pruning
+    leaves whole (kernel taps). elementwise_ops is the FLOPs per unit and
+    invocation outside the matrix products (embed itemises them).
+
+    Derived: the connection weights (parameters with an "in" or "self"
+    axis) and inputs, the first of them per input read (x, and a
+    recurrent kind's state). A kind without connection weights is
+    elementwise: unit i reads input i, in its in_source's unit space.
+    """
+    params: dict
+    buffers: dict = field(default_factory=dict)
+    elementwise_ops: int = 0
+    roles: dict = field(init=False)
+    weights: tuple = field(init=False)
+    inputs: tuple = field(init=False)
+
+    def __post_init__(self):
+        inputs = {}
+        for pname, roles in self.params.items():
+            for role in {"in", "self"} & set(roles):
+                inputs.setdefault(role, pname)
+        object.__setattr__(self, "roles", {**self.params, **self.buffers})
+        object.__setattr__(self, "weights", tuple(
+            p for p, roles in self.params.items() if {"in", "self"} & set(roles)))
+        object.__setattr__(self, "inputs", tuple(inputs.values()))
+
+
+_LAYER_KINDS = {
+    "linear": LayerKind({"w": ("out", "in"), "b": ("out",)}),
+    "conv1d": LayerKind({"w": ("out", "in", None), "b": ("out",)}),
+    "gru": LayerKind(
+        {"wz": ("out", "in"), "wr": ("out", "in"), "wh": ("out", "in"),
+         "uz": ("out", "self"), "ur": ("out", "self"), "uh": ("out", "self"),
+         "bz": ("out",), "br": ("out",), "bh": ("out",)},
+        elementwise_ops=9),
+    "batchnorm": LayerKind({"gamma": ("out",), "beta": ("out",)},
+                           {"running_mean": ("out",), "running_var": ("out",)},
+                           elementwise_ops=4),
 }
 
-# which axis of each parameter indexes which unit space:
-# "out"  = this layer's own units, "in" = units of the in_source layer,
-# "self" = own units again but on the input side (recurrent matrices),
-# None   = structural axis untouched by pruning (e.g. kernel taps)
-_AXIS_ROLES = {
-    "linear": {"w": ("out", "in"), "b": ("out",)},
-    "conv1d": {"w": ("out", "in", None), "b": ("out",)},
-    "gru": {
-        "wz": ("out", "in"), "wr": ("out", "in"), "wh": ("out", "in"),
-        "uz": ("out", "self"), "ur": ("out", "self"), "uh": ("out", "self"),
-        "bz": ("out",), "br": ("out",), "bh": ("out",),
-    },
-    "batchnorm": {
-        "gamma": ("out",), "beta": ("out",),
-        "running_mean": ("out",), "running_var": ("out",),
-    },
-}
 
-_UNIT_PARAM = {"linear": "w", "conv1d": "w", "gru": "bz", "batchnorm": "gamma"}
-
-# parameters that count as connection weights: magnitude and gradient
-# scores sum them, and weight masking ranks all but batchnorm's gamma
-_WEIGHT_PARAMS = {
-    "linear": ("w",),
-    "conv1d": ("w",),
-    "gru": ("wz", "wr", "wh", "uz", "ur", "uh"),
-    "batchnorm": ("gamma",),
-}
+def _layer_kind(kind: str) -> LayerKind:
+    try:
+        return _LAYER_KINDS[kind]
+    except KeyError:
+        raise StructureError(f"unknown layer kind '{kind}'") from None
 
 
 @dataclass
@@ -93,14 +102,19 @@ class Layer:
     eps: float = 1e-5
 
     @property
+    def spec(self) -> LayerKind:
+        return _layer_kind(self.kind)
+
+    @property
     def n_units(self) -> int:
-        return self.params[_UNIT_PARAM[self.kind]].shape[0]
+        return self.params[next(iter(self.spec.params))].shape[0]
 
-    def param_order(self):
-        return _PARAM_ORDER[self.kind]
-
-    def buffer_order(self):
-        return _BUFFER_ORDER[self.kind]
+    @property
+    def reads(self) -> int:
+        """Input scalars one invocation reads: each unit reads the same row
+        of each input (k * n_in for a conv), or one scalar if elementwise."""
+        return (sum(math.prod(self.params[p].shape[1:]) for p in self.spec.inputs)
+                or self.n_units)
 
 
 def _init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -260,8 +274,7 @@ class Network:
 
     def _validate_structure(self):
         for layer in self.layers.values():
-            if layer.kind not in _PARAM_ORDER:
-                raise StructureError(f"unknown layer kind '{layer.kind}'")
+            _layer_kind(layer.kind)
             if layer.in_source is not None and layer.in_source not in self.layers:
                 raise StructureError(
                     f"layer '{layer.name}' reads from unknown layer '{layer.in_source}'"
@@ -292,8 +305,8 @@ class Network:
         for name, layer in self.layers.items():
             if name in self.pool_of or name in self.protected:
                 continue
-            if layer.kind == "batchnorm":
-                # normalisation shares its producer's unit space
+            if not layer.spec.weights:
+                # an elementwise layer shares its source's unit space
                 src = self.pool_of.get(layer.in_source)
                 if src is not None:
                     pool = self.pools[src]
@@ -321,7 +334,7 @@ class Network:
         `name` that indexes a pool's units."""
         own = self.pool_of.get(layer.name)
         src = self.pool_of.get(layer.in_source)
-        for axis, role in enumerate(_AXIS_ROLES[layer.kind][name]):
+        for axis, role in enumerate(layer.spec.roles[name]):
             pid = own if role in ("out", "self") else src if role == "in" else None
             if pid is not None:
                 yield axis, pid
@@ -330,7 +343,7 @@ class Network:
 
     def named_parameters(self):
         for name, layer in self.layers.items():
-            for pname in layer.param_order():
+            for pname in layer.spec.params:
                 yield f"{name}.{pname}", layer.params[pname]
 
     def parameters(self):
@@ -391,7 +404,7 @@ class Network:
         remaining = sum(p.data.size for p in self.parameters())
         original = 0
         for layer in self.layers.values():
-            for pname in layer.param_order():
+            for pname in layer.spec.params:
                 shape = list(layer.params[pname].shape)
                 for axis, pid in self._pooled_axes(layer, pname):
                     shape[axis] = self.pools[pid].orig
@@ -431,10 +444,10 @@ def apply_trim(net: Network, plan: dict[str, np.ndarray]) -> Network:
         return arr
 
     for layer in out.layers.values():
-        for pname in layer.param_order():
+        for pname in layer.spec.params:
             layer.params[pname] = Tensor(take(layer, pname, layer.params[pname].data),
                                          requires_grad=True)
-        for bname in layer.buffer_order():
+        for bname in layer.spec.buffers:
             layer.buffers[bname] = take(layer, bname, layer.buffers[bname])
     for pid, keep in keep_cur.items():
         pool = out.pools[pid]
@@ -508,7 +521,7 @@ def gru_scan(layer: Layer, x: Tensor) -> Tensor:
     """
     if x.ndim != 3:
         raise T.ShapeError(f"gru expects (batch, time, features), got {x.shape}")
-    p = {k: layer.params[k] for k in layer.param_order()}
+    p = {k: layer.params[k] for k in layer.spec.params}
     b, t, n_in = x.shape
     n = layer.n_units
     w = np.concatenate([p["wz"].data, p["wr"].data, p["wh"].data])
@@ -579,9 +592,9 @@ def _structure_doc(net: Network) -> dict:
             {
                 "name": layer.name,
                 "kind": layer.kind,
-                "shapes": {p: list(layer.params[p].shape) for p in layer.param_order()},
+                "shapes": {p: list(layer.params[p].shape) for p in layer.spec.params},
                 "buffer_shapes": {b: list(layer.buffers[b].shape)
-                                  for b in layer.buffer_order()},
+                                  for b in layer.spec.buffers},
                 "in_source": layer.in_source,
                 "dilation": layer.dilation,
                 "eps": layer.eps,
@@ -604,9 +617,9 @@ def checkpoint_bytes(net: Network) -> bytes:
     blob += len(doc).to_bytes(4, "little")
     blob += doc
     for layer in net.layers.values():
-        for pname in layer.param_order():
+        for pname in layer.spec.params:
             blob += layer.params[pname].data.astype("<f4").tobytes()
-        for bname in layer.buffer_order():
+        for bname in layer.spec.buffers:
             blob += layer.buffers[bname].astype("<f4").tobytes()
     blob += (zlib.crc32(bytes(blob)) & 0xFFFFFFFF).to_bytes(4, "little")
     return bytes(blob)
@@ -646,13 +659,11 @@ def _check_structure_doc(doc):
             and all(fields(spec, _LAYER_FIELDS) for spec in doc["layers"])):
         raise StructureError("checkpoint structure document is malformed")
     for spec in doc["layers"]:
-        kind = spec["kind"]
-        if kind not in _AXIS_ROLES:
-            raise StructureError(f"unknown layer kind '{kind}'")
+        kind = _layer_kind(spec["kind"])
         shapes = {**spec["shapes"], **spec["buffer_shapes"]}
-        if (spec["shapes"].keys() != set(_PARAM_ORDER[kind])
-                or spec["buffer_shapes"].keys() != set(_BUFFER_ORDER[kind])
-                or not all(counts(v) and len(v) == len(_AXIS_ROLES[kind][k])
+        if (spec["shapes"].keys() != kind.params.keys()
+                or spec["buffer_shapes"].keys() != kind.buffers.keys()
+                or not all(counts(v) and len(v) == len(kind.roles[k])
                            for k, v in shapes.items())
                 or spec["dilation"] < 1):
             raise StructureError(f"layer '{spec['name']}' has bad shapes or dilation")
@@ -688,10 +699,10 @@ def load_checkpoint(path) -> Network:
 
     layers = []
     for spec in doc["layers"]:
+        kind = _LAYER_KINDS[spec["kind"]]
         params = {p: Tensor(take(spec["shapes"][p]), requires_grad=True)
-                  for p in _PARAM_ORDER[spec["kind"]]}
-        buffers = {b: take(spec["buffer_shapes"][b])
-                   for b in _BUFFER_ORDER[spec["kind"]]}
+                  for p in kind.params}
+        buffers = {b: take(spec["buffer_shapes"][b]) for b in kind.buffers}
         layers.append(Layer(spec["name"], spec["kind"], params, buffers,
                             spec["in_source"], spec["dilation"], spec["eps"]))
     return Network(

@@ -36,11 +36,6 @@ TRACE_COLUMNS = ("iteration", "weights_remaining_frac", "units_remaining_frac",
                  "valid_loss", "test_error_multiplier", "flops_per_second_audio",
                  "disk_bytes", "rw_accesses")
 
-# weight-granularity masking ranks the connection weights; biases and
-# normalization scales stay untouched
-_MASKABLE = {kind: names for kind, names in nn._WEIGHT_PARAMS.items()
-             if kind != "batchnorm"}
-
 
 def _round_half_up(x: float) -> int:
     return int(x + 0.5)
@@ -193,9 +188,11 @@ def _layer_keys(mask: WeightMask) -> dict[str, list[str]]:
 
 
 def full_mask(net: nn.Network) -> WeightMask:
+    """All connection weights alive; biases and normalization scales are
+    never masked."""
     entries = {}
     for lname, layer in net.layers.items():
-        for pname in _MASKABLE.get(layer.kind, ()):
+        for pname in layer.spec.weights:
             entries[f"{lname}.{pname}"] = np.ones(layer.params[pname].shape, dtype=bool)
     if not entries:
         raise ValueError("network has no maskable weight arrays")
@@ -240,7 +237,7 @@ def removable_units(net: nn.Network, mask: WeightMask) -> dict[str, np.ndarray]:
     for pid, pool in net.pools.items():
         n = len(pool.kept)
         dead = [~mask.entries[f"{m}.{p}"].reshape(n, -1).any(axis=1)
-                for m in pool.members for p in _MASKABLE.get(net.layers[m].kind, ())]
+                for m in pool.members for p in net.layers[m].spec.weights]
         out[pid] = np.logical_and.reduce(dead) if dead else np.zeros(n, dtype=bool)
     return out
 
@@ -366,13 +363,16 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer, *,
     Emits per-iteration checkpoints and the trace CSV under ``out_dir``
     when given. A non-finite validation loss aborts with the trace so far;
     exceeding ``stop_error_multiplier`` or hitting the min_units /
-    min_weights floor everywhere stops cleanly.
+    min_weights floor everywhere stops cleanly. A validation split too
+    short for information scoring fails before training.
     """
     cur = net.clone()
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    if cfg.criterion == "information" and cfg.iterations:
+        cr.check_information_samples(cur, list(data.valid))
     t0 = time.perf_counter()
     state_k = trainer(cur, data, record_step=cfg.rewind_step, after_step=None)
     wall = time.perf_counter() - t0

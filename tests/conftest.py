@@ -315,7 +315,7 @@ def mask_units(net, plan):
     """
     out = net.clone()
     for layer in out.layers.values():
-        roles = nn._AXIS_ROLES[layer.kind]
+        roles = layer.spec.roles
         own = out.pool_of.get(layer.name)
         src = out.pool_of.get(layer.in_source)
         arrays = {k: p.data for k, p in layer.params.items()} | layer.buffers

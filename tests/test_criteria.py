@@ -64,7 +64,7 @@ def score_activation(layer, net, batches):
 
 
 def score_information(layer, net, items, mi_cfg=mi_mod.MiConfig()):
-    raw = cr._information_raw(net, items, mi_cfg, {layer.name})
+    raw = cr._information_raw(net, items, mi_cfg)
     if layer.name not in raw:
         raise ValueError(f"layer '{layer.name}' records no activations")
     return raw[layer.name]
@@ -316,6 +316,19 @@ class TestInformation:
         net = probe_net(2)
         with pytest.raises(ValueError, match="nonempty"):
             score_information(net.layers["probe"], net, [])
+
+    def test_sample_check_leaves_the_net_untouched(self):
+        # a training-mode batchnorm net: the check's forward pass must not
+        # move its running statistics
+        net = models.build_model(models.ModelConfig(
+            arch="sing_ae", conv_channels=4, n_conv_layers=2, sing_kernel=3), seed=0)
+        items = single_items(np.random.default_rng(3), n=8, t=1024)
+        before = nn.checkpoint_bytes(net)
+        cr.check_information_samples(net, items)
+        assert net.training
+        assert nn.checkpoint_bytes(net) == before
+        with pytest.raises(ValueError, match="need at least 100 samples, got 13"):
+            cr.check_information_samples(net, items[:1])
 
 
 class TestScaling:

@@ -3,6 +3,7 @@ memory-access accounting, disk measurement, feasibility verdicts, and
 Pareto front extraction."""
 
 import csv
+import math
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audiotrim import embed, harness, models, nn
+from audiotrim import tensor as T
 
 
 def sim_layer_ops(kind, n_in, n_out, k=1):
@@ -54,7 +56,13 @@ def sim_layer_ops(kind, n_in, n_out, k=1):
 def sim_net_ops(net):
     total = 0
     for layer in net.layers.values():
-        n_in, n_out, k = embed._dims(layer)
+        if layer.kind == "batchnorm":
+            n_in = n_out = layer.params["gamma"].shape[0]
+            k = 1
+        else:
+            w = layer.params["wz" if layer.kind == "gru" else "w"]
+            n_out, n_in, *taps = w.shape
+            k = math.prod(taps)
         total += sim_layer_ops(layer.kind, n_in, n_out, k)
     return total
 
@@ -184,6 +192,64 @@ class TestFlops:
         net = random_chain(np.random.default_rng(0))
         with pytest.raises(ValueError, match="sample_rate"):
             embed.count_flops(net)
+
+
+# elementwise FLOPs per unit and invocation, as the module docstring
+# itemises them
+ELEMENTWISE_OPS = {"linear": 0, "conv1d": 0, "gru": 9, "batchnorm": 4}
+
+TINY_MODELS = {
+    "wavenet": models.ModelConfig(
+        arch="wavenet", sample_rate=8000, n_stacks=1, blocks_per_stack=3,
+        residual_channels=4, gate_channels=5, skip_channels=3,
+        head_channels=6, n_classes=8),
+    "sing_ae": models.ModelConfig(arch="sing_ae", sample_rate=8000,
+                                  conv_channels=5, n_conv_layers=3, sing_kernel=5),
+    "ddsp": models.ModelConfig(arch="ddsp", sample_rate=8000, frame_hop=50,
+                               gru_units=5, dense_units=4, n_partials=3,
+                               noise_bins=3),
+}
+
+
+class TestCountedMacs:
+    """The closed form's matrix term against the multiply-accumulates one
+    forward pass runs through tensor.matmul and the causal conv."""
+
+    @pytest.mark.parametrize("trim", [False, True])
+    @pytest.mark.parametrize("arch", sorted(TINY_MODELS))
+    def test_matrix_term_equals_counted_macs(self, monkeypatch, arch, trim):
+        cfg = TINY_MODELS[arch]
+        net = models.build_model(cfg, seed=1)
+        if trim:
+            net = nn.apply_trim(net, {pid: [0] for pid, p in net.pools.items()
+                                      if len(p.kept) > 1})
+        # 2000 samples, far beyond the 8-sample receptive field
+        batch = harness.collate(harness.gen_synthetic_tones(
+            2, cfg.sample_rate, 0.25, seed=2, frame_hop=cfg.frame_hop))
+        x = nn.arch_spec(arch).inputs(batch)
+        # (batch, frames, features) for ddsp, (batch, 1, time) for the convs
+        positions = x.shape[0] * (x.shape[1] if arch == "ddsp" else x.shape[2])
+        macs = []
+        matmul, conv = T.matmul, T.conv1d_dilated_causal
+
+        def counting_matmul(a, b):
+            assert b.ndim == 2
+            macs.append(a.data.size * b.shape[1])  # (..., k) @ (k, n)
+            return matmul(a, b)
+
+        def counting_conv(x, w, dilation=1, bias=None):
+            n_out, _, k = w.shape
+            assert (k - 1) * dilation < x.shape[-1]  # every tap reaches the signal
+            macs.append(x.data.size * n_out * k)  # (b, c, t) by (o, c, k)
+            return conv(x, w, dilation, bias=bias)
+
+        monkeypatch.setattr(T, "matmul", counting_matmul)
+        monkeypatch.setattr(T, "conv1d_dilated_causal", counting_conv)
+        with T.no_grad():
+            models.forward_batch(net, batch)
+        matrix = sum(embed.layer_flops(layer) - ELEMENTWISE_OPS[layer.kind] * layer.n_units
+                     for layer in net.layers.values())
+        assert macs and embed.FLOPS_PER_MAC * sum(macs) == matrix * positions
 
 
 class TestRwMemory:

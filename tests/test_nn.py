@@ -147,7 +147,7 @@ class TestTrim:
         full = {k: v.data.copy() for k, v in net.named_parameters()}
         out = nn.apply_trim(net, {"conv1": np.array([2, 5]), "conv2": np.array([0])})
         for lname, layer in out.layers.items():
-            for pname in layer.param_order():
+            for pname in layer.spec.params:
                 got = nn.restrict_param(out, lname, pname, full[f"{lname}.{pname}"])
                 assert np.array_equal(got, layer.params[pname].data)
 
@@ -335,7 +335,7 @@ class TestFusedGru:
         monkeypatch.setattr(T, "matmul", counting)
         x = Tensor(np.ones((b, t, n_in), dtype=np.float32))
         out = nn.gru_scan(layer, x)
-        assert out._parents[1:] == tuple(layer.params[k] for k in layer.param_order())
+        assert out._parents[1:] == tuple(layer.params[k] for k in layer.spec.params)
         flops = embed.layer_flops(layer) - 9 * layer.n_units
         assert embed.FLOPS_PER_MAC * sum(macs) == flops * b * t
 

@@ -466,6 +466,25 @@ class TestImpDriver:
         assert trace.records[0].test_error_multiplier == 1.0
         assert trace.records[0].weights_remaining_frac == 1.0
 
+    def test_information_run_too_short_to_score_fails_before_training(self, tmp_path):
+        # one validation item of 0.25 s at hop 200 gives the MI estimator
+        # 20 frames, not the 100 it needs
+        cfg = models.ModelConfig(arch="ddsp", gru_units=4, dense_units=4,
+                                 n_partials=3, noise_bins=3)
+        net = models.build_model(cfg, seed=0)
+        items = harness.gen_synthetic_tones(3, 16000, 0.25, seed=0)
+        data = pruning.Splits(train=[harness.collate(items[:2])],
+                              valid=[harness.collate(items[2:])],
+                              test=[harness.collate(items[2:])])
+
+        def trainer(*args, **kwargs):
+            raise AssertionError("trained before the validation split was checked")
+
+        imp = pruning.ImpConfig(iterations=1, criterion="information")
+        with pytest.raises(ValueError, match="need at least 100 samples, got 20"):
+            pruning.run_imp(net, data, imp, trainer, out_dir=tmp_path)
+        assert not list(tmp_path.glob("*.ckpt"))
+
     def test_trim_equals_masked_dense_at_every_iteration(self, tmp_path):
         # the driver's own per-iteration states replay exactly as unit masks
         # on the dense rewind checkpoint

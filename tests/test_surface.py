@@ -106,3 +106,30 @@ def test_every_defaulted_parameter_is_set_by_the_program():
         f"defaulted parameters nothing in the program sets: "
         f"{sorted(set(unset) - _UNSET_DEFAULTS_KEPT)}; exemptions now set "
         f"or gone: {sorted(_UNSET_DEFAULTS_KEPT - set(unset))}")
+
+
+# a layer kind is described once, by its record in nn; elsewhere only the
+# criterion that batchnorm defines may test a layer's kind by name
+_LAYER_KIND_NAMES = {"linear", "conv1d", "gru", "batchnorm"}
+_KIND_TESTS_ALLOWED = {"criteria.score_normalization", "criteria._normalization_raw"}
+
+
+def _names_a_kind(node):
+    consts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return any(isinstance(c, ast.Constant) and c.value in _LAYER_KIND_NAMES
+               for c in consts)
+
+
+def test_layer_kinds_are_compared_only_where_they_are_described():
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "nn":
+            continue
+        for top in _tree(path).body:
+            where = (f"{path.stem}.{top.name}"
+                     if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else path.stem)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Compare) and where not in _KIND_TESTS_ALLOWED
+                        and any(map(_names_a_kind, [node.left, *node.comparators]))):
+                    stray.append(f"{where} (line {node.lineno})")
+    assert not stray, f"layer-kind comparisons outside nn: {stray}"
