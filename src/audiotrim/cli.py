@@ -128,7 +128,7 @@ def _cmd_analyze(args) -> int:
         cfg = _load_config(args.config, None, None)
         items = harness._build_dataset(cfg)
         split = harness.split_dataset(items, cfg.seed)
-        batches = [harness.collate([it]) for it in split.valid]
+        batches = harness.build_splits(split, cfg.training.batch_size).valid
         imp = cfg.imp
     elif args.criterion != "magnitude":
         raise UsageError(f"criterion '{args.criterion}' needs data batches; "

@@ -25,7 +25,7 @@ from . import mi as mi_mod
 from . import models, nn
 from . import tensor as T
 from .nn import Layer, Network
-from .tensor import SpectrogramConfig, Tensor
+from .tensor import SpectrogramConfig
 
 CRITERIA = ("magnitude", "gradient", "activation", "normalization", "information")
 SCALINGS = ("none", "layer_max", "fan_scaled")
@@ -89,10 +89,15 @@ def _gradient_raw(net: Network, batches) -> dict[str, np.ndarray]:
 def _activation_raw(net: Network, batches) -> dict[str, np.ndarray]:
     if not batches:
         raise ValueError("activation scoring needs a nonempty validation set")
-    with T.no_grad(), nn.capture("sum") as tape:
+    sums = {}
+    with T.no_grad(), nn.capture() as tape:
         for batch in batches:
             models.forward_batch(net, batch)
-    return {name: np.asarray(v, dtype=np.float64) for name, v in tape.data.items()}
+            # reduce each pass as it lands, so the tape holds one pass
+            for name, passes in tape.items():
+                red = np.abs(passes.pop()).sum(axis=1)
+                sums[name] = sums[name] + red if name in sums else red
+    return {name: np.asarray(v, dtype=np.float64) for name, v in sums.items()}
 
 
 def score_normalization(layer: Layer) -> np.ndarray:
@@ -115,31 +120,27 @@ def target_features(wave: np.ndarray) -> np.ndarray:
     Keeps the bins with the largest variance across frames: audio energy
     concentrates in few bins, so an even subset would mostly sample noise.
     """
-    cfg = SpectrogramConfig(window_sizes=(_FEATURE_WINDOW,))
-    with T.no_grad():
-        (spec,) = T.stft_logmag(Tensor(np.asarray(wave, dtype=np.float32).reshape(-1)),
-                                cfg)
-    arr = spec.data.astype(np.float64)
+    (spec,) = models.log_spectrograms(np.asarray(wave).reshape(-1),
+                                      SpectrogramConfig(window_sizes=(_FEATURE_WINDOW,)))
+    arr = spec.astype(np.float64)
     if arr.shape[1] > _FEATURE_BINS:
         sel = np.sort(np.argsort(arr.var(axis=0))[-_FEATURE_BINS:])
         arr = arr[:, sel]
     return arr
 
 
-def _align(series_len: int, target_len: int):
-    n = min(series_len, target_len)
-    zi = np.linspace(0, series_len - 1, n).astype(np.int64)
-    yi = np.linspace(0, target_len - 1, n).astype(np.int64)
-    return zi, yi
-
-
-def _frame_means(stream: np.ndarray, n_frames: int) -> np.ndarray:
-    """Average a (units, steps) stream into n_frames contiguous blocks,
-    matching sample-rate activations to frame-rate target features."""
-    edges = np.linspace(0, stream.shape[1], n_frames + 1).astype(np.int64)
-    cs = np.concatenate([np.zeros((stream.shape[0], 1)), np.cumsum(stream, axis=1)],
+def _aligned(chunk: np.ndarray, feats: np.ndarray):
+    """One item's (units, n) stream and (n, bins) targets, where n is
+    min(stream steps, feature frames): a longer stream is averaged into
+    one contiguous block per frame (sample-rate activations against
+    frame-rate features), a shorter one is matched to evenly spaced frames."""
+    steps, frames = chunk.shape[1], len(feats)
+    if steps < frames:
+        return chunk, feats[np.linspace(0, frames - 1, steps).astype(np.int64)]
+    edges = np.linspace(0, steps, frames + 1).astype(np.int64)
+    cs = np.concatenate([np.zeros((chunk.shape[0], 1)), np.cumsum(chunk, axis=1)],
                         axis=1)
-    return (cs[:, edges[1:]] - cs[:, edges[:-1]]) / np.maximum(np.diff(edges), 1)
+    return (cs[:, edges[1:]] - cs[:, edges[:-1]]) / np.maximum(np.diff(edges), 1), feats
 
 
 def _targets(items) -> list[np.ndarray]:
@@ -157,19 +158,18 @@ def _targets(items) -> list[np.ndarray]:
 
 def _streams(net: Network, items) -> dict[str, list[np.ndarray]]:
     """Each recorded layer's (units, steps) output per item."""
-    with T.no_grad(), nn.capture("full") as tape:
+    with T.no_grad(), nn.capture() as tape:
         for item in items:
             models.forward_batch(net, item)
-    return tape.data
+    return tape
 
 
 def check_information_samples(net: Network, items):
-    """Raise the estimator's too-few-samples error before any training:
-    an item gives a pooled layer min(stream length, feature frames)
-    samples. Runs on an eval-mode clone, so `net` stays as it is."""
+    """Raise the estimator's too-few-samples error before any training.
+    Runs on an eval-mode clone, so `net` stays as it is."""
     feats = _targets(items)
     for name, chunks in _streams(net.clone().eval(), items).items():
-        n = sum(min(chunk.shape[1], len(yf)) for chunk, yf in zip(chunks, feats))
+        n = sum(_aligned(chunk, yf)[0].shape[1] for chunk, yf in zip(chunks, feats))
         if name in net.pool_of and n < mi_mod.MIN_SAMPLES:
             raise ValueError(f"need at least {mi_mod.MIN_SAMPLES} samples, got {n}")
 
@@ -183,26 +183,13 @@ def _information_raw(net: Network, items, mi_cfg: mi_mod.MiConfig) -> dict[str, 
     for name, chunks in _streams(net, items).items():
         if name not in net.pool_of:
             continue
-        z_parts, y_parts = [], []
-        lo = np.full(chunks[0].shape[0], np.inf)
-        hi = np.full(chunks[0].shape[0], -np.inf)
-        for chunk, yf in zip(chunks, feats):
-            lo = np.minimum(lo, chunk.min(axis=1))
-            hi = np.maximum(hi, chunk.max(axis=1))
-            if chunk.shape[1] >= yf.shape[0]:
-                z_parts.append(_frame_means(chunk, yf.shape[0]))
-                y_parts.append(yf)
-            else:
-                zi, yi = _align(chunk.shape[1], yf.shape[0])
-                z_parts.append(chunk[:, zi])
-                y_parts.append(yf[yi])
-        z_all = np.concatenate(z_parts, axis=1)
-        y_all = np.concatenate(y_parts, axis=0)
-        scores = np.zeros(z_all.shape[0], dtype=np.float64)
-        for u in range(z_all.shape[0]):
-            if hi[u] == lo[u]:
-                continue  # constant output carries nothing; score stays 0
-            scores[u] = mi_mod.estimate_mi(z_all[u], y_all, mi_cfg)
+        z_parts, y_parts = zip(*(_aligned(c, yf) for c, yf in zip(chunks, feats)))
+        # a constant output carries nothing; its score stays 0
+        live = np.ptp(np.concatenate(chunks, axis=1), axis=1) > 0
+        scores = np.zeros(len(live), dtype=np.float64)
+        if live.any():
+            scores[live] = mi_mod.estimate_mi(np.concatenate(z_parts, axis=1)[live],
+                                              np.concatenate(y_parts, axis=0), mi_cfg)
         raw[name] = scores
     return raw
 

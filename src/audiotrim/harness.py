@@ -527,9 +527,11 @@ def run_experiment(cfg: ExperimentConfig) -> pruning.ImpTrace:
 
 
 def run_paired(cfg: ExperimentConfig) -> dict:
-    """Mask-vs-trim comparison from one dense start; both runs share the
-    config except for the pruning mode. Emits paired.csv with the two
-    multiplier curves keyed by their weight-remaining fractions."""
+    """Mask-vs-trim comparison: two full runs that share the config
+    except for the pruning mode. Each arm builds and trains its own dense
+    net; the same config and seed make the two dense nets identical.
+    Emits paired.csv with the two multiplier curves keyed by their
+    weight-remaining fractions."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     traces = {}

@@ -1,4 +1,4 @@
-"""Mutual information between a unit's activations and target features.
+"""Mutual information between each unit's activations and target features.
 
 The estimator is an ensemble of binned plug-in estimates: both variables
 are rank-normalised (multi-dimensional targets are first reduced to
@@ -71,38 +71,41 @@ def _plugin_mi(zr: np.ndarray, yr: np.ndarray, bins: int) -> float:
 
 
 def _prepare(z, y, cfg: MiConfig):
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
-    if y.ndim != 2 or len(y) != len(z):
-        raise ValueError(f"z has {len(z)} samples but y has shape {y.shape}")
+    if y.ndim != 2 or len(y) != z.shape[-1]:
+        raise ValueError(f"z has {z.shape[-1]} samples but y has shape {y.shape}")
     if not (np.isfinite(z).all() and np.isfinite(y).all()):
         raise ValueError("mi estimation needs finite inputs")
-    if len(z) > cfg.max_samples:
+    if len(y) > cfg.max_samples:
         # evenly spaced, deterministic subsample
-        idx = np.linspace(0, len(z) - 1, cfg.max_samples).astype(np.int64)
-        z, y = z[idx], y[idx]
-    if len(z) < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {len(z)}")
-    if np.ptp(z) == 0:
+        idx = np.linspace(0, len(y) - 1, cfg.max_samples).astype(np.int64)
+        z, y = z[..., idx], y[idx]
+    if len(y) < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {len(y)}")
+    if (np.ptp(z, axis=-1) == 0).any():
         raise ValueError("z is constant; dependency undefined")
     if np.ptp(y, axis=0).max() == 0:
         raise ValueError("y is constant; dependency undefined")
     return z, y
 
 
-def estimate_mi(z, y, cfg: MiConfig = MiConfig(), seed: int = 0) -> float:
-    """MI in nats between activations z (N,) and targets y (N,) or (N, d)."""
+def estimate_mi(z, y, cfg: MiConfig = MiConfig(), seed: int = 0) -> float | np.ndarray:
+    """MI in nats between each row of activations z (..., N) and targets
+    y (N,) or (N, d): a float for a 1-d z, else an array of z's leading
+    shape. Every row gets the same noise draw, scaled to its own spread."""
     z, y = _prepare(z, y, cfg)
     y1 = y[:, 0] if y.shape[1] == 1 else _principal_direction(y)
     if np.ptp(y1) == 0:
         raise ValueError("y collapses to a constant principal direction")
-    rng = np.random.default_rng(seed)
-    sigma = _NOISE_SIGMA_RELATIVE * z.std()
-    zn = z + rng.normal(0.0, sigma, len(z)) if sigma > 0 else z
-    zr = _rank_normalize(zn)
     yr = _rank_normalize(y1)
-    est = float(np.mean([_plugin_mi(zr, yr, b) for b in cfg.bin_counts]))
-    return max(0.0, est)
-
+    noise = np.random.default_rng(seed).standard_normal(len(y))
+    rows = z.reshape(-1, len(y))
+    est = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        sigma = _NOISE_SIGMA_RELATIVE * row.std()
+        zr = _rank_normalize(row + sigma * noise)
+        est[i] = max(0.0, float(np.mean([_plugin_mi(zr, yr, b) for b in cfg.bin_counts])))
+    return float(est[0]) if z.ndim == 1 else est.reshape(z.shape[:-1])

@@ -202,7 +202,6 @@ def _forward_wavenet(net: Network, x: Tensor) -> Tensor:
         z = T.mul(f, g)
         # the gated product is the pair's unit activation
         nn.record(f"filter_{i}", z, -2)
-        nn.record(f"gate_{i}", z, -2)
         s = nn.conv_forward(net.layers[f"skip_{i}"], z)
         nn.record(f"skip_{i}", s, -2)
         skip_total = s if skip_total is None else T.add(skip_total, s)
@@ -212,9 +211,7 @@ def _forward_wavenet(net: Network, x: Tensor) -> Tensor:
     h = T.relu(skip_total)
     h = T.relu(nn.conv_forward(net.layers["out1"], h))
     nn.record("out1", h, -2)
-    out = nn.conv_forward(net.layers["out2"], h)
-    nn.record("out2", out, -2)
-    return out
+    return nn.conv_forward(net.layers["out2"], h)
 
 
 def _wavenet_loss(net: Network, batch: dict) -> Tensor:
@@ -284,9 +281,7 @@ def _forward_sing(net: Network, x: Tensor) -> Tensor:
         x = nn.batchnorm_forward(net.layers[f"bn{i}"], x, net.training)
         x = T.tanh(x)
         nn.record(f"conv{i}", x, -2)
-    out = T.tanh(nn.conv_forward(net.layers["out"], x))
-    nn.record("out", out, -2)
-    return out
+    return T.tanh(nn.conv_forward(net.layers["out"], x))
 
 
 def _sing_render(net: Network, batch: dict) -> Tensor:
@@ -417,9 +412,6 @@ def _forward_ddsp(net: Network, feats: Tensor) -> dict[str, Tensor]:
     # harmonic distribution sums to one so overall level lives in amp
     harm = T.div(harm, T.tsum(harm, axis=-1, keepdims=True))
     noise = T.sigmoid(nn.linear_forward(net.layers["noise_head"], h))
-    nn.record("amp_head", amp, -1)
-    nn.record("harm_head", harm, -1)
-    nn.record("noise_head", noise, -1)
     return {"amp": amp, "harm": harm, "noise": noise}
 
 

@@ -208,29 +208,16 @@ def arch_spec(name: str) -> ArchSpec:
     return _ARCHS.get(name, ArchSpec())
 
 
-class Tape:
-    """Collects per-layer unit activations during forward passes.
-
-    mode "sum": accumulates sum of |activation| per unit across every
-    recorded pass (activation statistics). mode "full": keeps each pass
-    as a (units, steps) array (information scoring).
-    """
-
-    def __init__(self, mode: str):
-        if mode not in ("sum", "full"):
-            raise ValueError(f"tape mode must be 'sum' or 'full', got '{mode}'")
-        self.mode = mode
-        self.data: dict = {}
-
-
-_TAPE: Tape | None = None
+_TAPE: dict | None = None
 
 
 @contextlib.contextmanager
-def capture(mode: str = "sum"):
+def capture():
+    """Collect unit streams during forward passes: yields a dict mapping
+    each recorded layer to one (units, steps) array per pass."""
     global _TAPE
     prev = _TAPE
-    _TAPE = Tape(mode)
+    _TAPE = {}
     try:
         yield _TAPE
     finally:
@@ -239,19 +226,12 @@ def capture(mode: str = "sum"):
 
 def record(name: str, t: Tensor, unit_axis: int):
     """Log a layer's output on the active tape, if any."""
-    tape = _TAPE
-    if tape is None:
+    if _TAPE is None:
         return
     arr = t.data
     ax = unit_axis % arr.ndim
-    if tape.mode == "sum":
-        axes = tuple(i for i in range(arr.ndim) if i != ax)
-        red = np.abs(arr).sum(axis=axes) if axes else np.abs(arr)
-        prev = tape.data.get(name)
-        tape.data[name] = red if prev is None else prev + red
-    else:
-        series = np.moveaxis(arr, ax, 0).reshape(arr.shape[ax], -1)
-        tape.data.setdefault(name, []).append(series)
+    _TAPE.setdefault(name, []).append(
+        np.moveaxis(arr, ax, 0).reshape(arr.shape[ax], -1))
 
 
 class Network:

@@ -317,6 +317,25 @@ class TestInformation:
         with pytest.raises(ValueError, match="nonempty"):
             score_information(net.layers["probe"], net, [])
 
+    def test_one_estimator_call_per_pooled_layer_with_a_live_unit(self, monkeypatch):
+        net = models.build_model(wavenet_cfg(), seed=0)
+        for p in net.layers["out1"].params.values():
+            p.data[...] = 0.0  # every out1 unit outputs a constant 0
+        items = single_items(np.random.default_rng(4), n=10, t=1024)
+        with T.no_grad(), nn.capture() as tape:
+            models.forward_batch(net, items[0])
+        assert "out1" in tape
+        real, calls = mi_mod.estimate_mi, []
+
+        def counted(z, *args):
+            calls.append(z.shape[0])
+            return real(z, *args)
+
+        monkeypatch.setattr(mi_mod, "estimate_mi", counted)
+        scores = cr.pool_scores(net, "information", "none", batches=items)
+        assert len(calls) == len(tape) - 1
+        assert np.all(scores[net.pool_of["out1"]] == 0.0)
+
     def test_sample_check_leaves_the_net_untouched(self):
         # a training-mode batchnorm net: the check's forward pass must not
         # move its running statistics

@@ -109,6 +109,69 @@ class TestMechanics:
             estimate_mi(z, y)
 
 
+def row_cases(rng, n):
+    """Rows that stress ranking: continuous, relu-style ties, quantised."""
+    x = rng.standard_normal((3, n))
+    return np.stack([x[0], np.maximum(x[1], 0.0), np.round(x[2] * 2.0) / 2.0])
+
+
+def per_unit_oracle(z, y, cfg, seed):
+    """One unit's estimate with its own rng.normal(0, sigma, N) noise draw."""
+    z, y = mi._prepare(z, y, cfg)
+    y1 = y[:, 0] if y.shape[1] == 1 else mi._principal_direction(y)
+    sigma = 0.01 * z.std()
+    zn = z + np.random.default_rng(seed).normal(0.0, sigma, len(z)) if sigma > 0 else z
+    zr, yr = mi._rank_normalize(zn), mi._rank_normalize(y1)
+    return max(0.0, float(np.mean([mi._plugin_mi(zr, yr, b) for b in cfg.bin_counts])))
+
+
+class TestLayerAtOnce:
+    """A (units, N) call equals one 1-d call per row, bit for bit."""
+
+    def check_rows(self, z, y, cfg=MiConfig(), seed=0):
+        batch = estimate_mi(z, y, cfg, seed=seed)
+        assert batch.shape == z.shape[:-1]
+        single = np.array([estimate_mi(row, y, cfg, seed=seed) for row in z])
+        assert np.array_equal(batch, single)
+        oracle = np.array([per_unit_oracle(row, y, cfg, seed) for row in z])
+        assert np.array_equal(batch, oracle)
+        return batch
+
+    @pytest.mark.parametrize("n", [300, 2048, 3001])
+    def test_scalar_targets(self, n):
+        rng = np.random.default_rng(n)
+        z = row_cases(rng, n)
+        y = z[0] + rng.standard_normal(n)
+        self.check_rows(z, y, seed=4)
+
+    @pytest.mark.parametrize("n", [500, 2500])
+    def test_multidimensional_targets(self, n):
+        rng = np.random.default_rng(n + 1)
+        z = row_cases(rng, n)
+        y = np.stack([z[1] + rng.standard_normal(n), rng.standard_normal(n),
+                      np.round(rng.standard_normal(n))], axis=1)
+        self.check_rows(z, y)
+        self.check_rows(z, y, MiConfig(bin_counts=(4, 11), max_samples=1000), seed=7)
+
+    def test_row_with_zero_spread_gets_no_noise(self):
+        # its standard deviation underflows to zero, its range does not
+        rng = np.random.default_rng(20)
+        tiny = np.zeros(400)
+        tiny[::7] = 1e-170
+        assert tiny.std() == 0.0 and np.ptp(tiny) > 0
+        y = rng.standard_normal(400)
+        z = np.stack([rng.standard_normal(400), tiny])
+        est = self.check_rows(z, y, seed=1)
+        assert est[1] == estimate_mi(tiny, y, seed=2)
+
+    def test_constant_row_raises(self):
+        rng = np.random.default_rng(21)
+        z = rng.standard_normal((3, 300))
+        z[1] = 0.5
+        with pytest.raises(ValueError, match="z is constant"):
+            estimate_mi(z, rng.standard_normal(300))
+
+
 def shuffle_baseline(z, y, cfg: MiConfig = MiConfig(), trials: int = 10,
                      seed: int = 0) -> float:
     """Mean estimate over random re-pairings: the estimator's zero-MI bias."""

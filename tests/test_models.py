@@ -491,6 +491,21 @@ class TestBatchConstants:
         assert refs and all(r() is None for r in refs)
 
 
+class TestUnitStreams:
+    @pytest.mark.parametrize("cfg_fn", [tiny_wavenet_cfg, tiny_sing_cfg, tiny_ddsp_cfg])
+    def test_one_pass_records_pooled_layers_and_covers_every_pool(self, cfg_fn):
+        cfg = cfg_fn()
+        net = models.build_model(cfg, seed=0)
+        batch = ddsp_batch(cfg, batch=1, frames=8)
+        with T.no_grad(), nn.capture() as tape:
+            models.forward_batch(net, batch)
+        assert set(tape) <= set(net.pool_of)
+        assert {net.pool_of[name] for name in tape} == set(net.pools)
+        for name, passes in tape.items():
+            assert len(passes) == 1
+            assert passes[0].shape[0] == net.layers[name].n_units
+
+
 class TestBuildAndCheckpoint:
     @pytest.mark.parametrize("cfg_fn", [tiny_wavenet_cfg, tiny_sing_cfg, tiny_ddsp_cfg])
     def test_build_is_deterministic(self, cfg_fn):
