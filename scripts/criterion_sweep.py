@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep unit-selection criteria and selection scopes on one model.
 
-Runs iterative trim-rewind-retrain once per (criterion, selection) cell on
-a small synthesizer-controller network over synthetic tones, then writes
+Trains a small synthesizer-controller network over synthetic tones once,
+then runs iterative trim-rewind-retrain from that dense start once per
+(criterion, selection) cell, and writes
 sweep_summary.csv with the error multiplier each cell reaches at matched
 unit budgets. Default settings finish in a few minutes on a laptop CPU.
 
@@ -38,30 +39,30 @@ def base_config(out_dir: str, seed: int, iterations: int) -> harness.ExperimentC
 
 
 def sweep(base: harness.ExperimentConfig, criteria) -> list[list]:
-    """One IMP run per (criterion, selection) cell, each under its own
-    directory in base.output_dir; writes and returns the summary rows."""
+    """One IMP arm per (criterion, selection) cell, all pruning one dense
+    start, each under its own directory in base.output_dir; writes and
+    returns the summary rows."""
     out = Path(base.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cells = [(c, s) for c in criteria for s in ("local", "global")]
+    t0 = time.time()
+    traces = harness.run_arms(base, {
+        f"{c}_{s}": dataclasses.replace(base.imp, criterion=c, selection=s)
+        for c, s in cells})
+    print(f"{len(cells)} cells from one dense start ({time.time() - t0:.0f}s)")
     rows = []
-    for criterion in criteria:
-        for selection in ("local", "global"):
-            cfg = dataclasses.replace(
-                base, output_dir=str(out / f"{criterion}_{selection}"),
-                imp=dataclasses.replace(base.imp, criterion=criterion,
-                                        selection=selection))
-            t0 = time.time()
-            trace = harness.run_experiment(cfg)
-            dt = time.time() - t0
-            last = trace.records[-1]
-            print(f"{criterion:>12} {selection:>6}: "
-                  f"units {last.units_remaining_frac:.3f}, "
-                  f"multiplier {last.test_error_multiplier:.3f} "
-                  f"({dt:.0f}s)")
-            for rec in trace.records:
-                rows.append([criterion, selection, rec.iteration,
-                             f"{rec.units_remaining_frac:.6g}",
-                             f"{rec.weights_remaining_frac:.6g}",
-                             f"{rec.test_error_multiplier:.6g}"])
+    for criterion, selection in cells:
+        trace = traces[f"{criterion}_{selection}"]
+        last = trace.records[-1]
+        pruned = sum(r.wall_seconds for r in trace.records[1:])
+        print(f"{criterion:>12} {selection:>6}: "
+              f"units {last.units_remaining_frac:.3f}, "
+              f"multiplier {last.test_error_multiplier:.3f} "
+              f"({pruned:.1f}s pruning)")
+        for rec in trace.records:
+            rows.append([criterion, selection, rec.iteration,
+                         f"{rec.units_remaining_frac:.6g}",
+                         f"{rec.weights_remaining_frac:.6g}",
+                         f"{rec.test_error_multiplier:.6g}"])
 
     with open(out / "sweep_summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -2,9 +2,8 @@
 """Masking versus trimming on the same network, plus the prunability gap.
 
 Part 1 runs the paired experiment: unstructured weight masking and
-structured unit trimming, each from its own training of the same seeded
-dense network (the two dense starts are identical), emitting aligned
-error curves (paired.csv). Part 2 pushes a wider network to ~99% masked
+structured unit trimming, both pruning one training of the seeded dense
+network, emitting aligned error curves (paired.csv). Part 2 pushes a wider network to ~99% masked
 weight sparsity with local magnitude selection and reports how few whole
 units that sparsity actually frees for deletion.
 

@@ -358,6 +358,8 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
     The learning rate halves after ``plateau_patience`` consecutive epochs
     without a validation improvement; training ends at the epoch budget or
     once validation has stalled through two full patience windows. The
+    validation loss is taken after every epoch but the last: it only
+    steers the halving and the early stop, and both end with the loop. The
     returned callable keeps the trainer contract ``pruning.run_imp``
     states: it trains the net in place and returns the parameter snapshot
     after ``record_step`` optimizer steps (0 = the initial values) when
@@ -377,7 +379,7 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
         t = 0
         best = np.inf
         stalled = 0
-        for _ in range(epochs):
+        for epoch in range(epochs):
             net.train()
             order = rng.permutation(len(splits.train))
             for bi in order:
@@ -400,6 +402,8 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
                 if record_step == t:
                     state_k = net.param_state()
             net.zero_grad()
+            if epoch == epochs - 1:
+                break
             vloss = pruning.mean_loss(net, splits.valid)
             if vloss < best:
                 best = vloss
@@ -500,22 +504,32 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, status: str):
     (out / "MANIFEST.txt").write_text("\n".join(lines) + "\n")
 
 
-def run_experiment(cfg: ExperimentConfig) -> pruning.ImpTrace:
-    """Dense baseline + IMP per the config; artifacts land in output_dir."""
+def _incomplete(exc: Exception) -> str:
+    return f"incomplete ({type(exc).__name__}: {exc})"
+
+
+def _write_config(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
         json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    return out
+
+
+def _run_arm(cfg: ExperimentConfig, prune) -> pruning.ImpTrace:
+    """One run directory: config.json, then ``prune(out)``'s trace and the
+    reports drawn from it, then the MANIFEST (marked incomplete, and the
+    error re-raised, when any step fails)."""
+    out = _write_config(cfg)
     try:
-        splits, net, trainer = setup(cfg)
-        trace = pruning.run_imp(net, splits, cfg.imp, trainer, out_dir=out)
+        trace, splits = prune(out)
         profiles = embed.load_platforms(cfg.platforms)
         _emit_embed_reports(out, trace, profiles)
         _emit_pareto(out, trace)
         if cfg.emit_samples:
             _emit_samples(out, trace, splits, cfg.dataset.sr)
     except Exception as exc:
-        _write_manifest(out, cfg, f"incomplete ({type(exc).__name__}: {exc})")
+        _write_manifest(out, cfg, _incomplete(exc))
         raise
     status = "complete"
     if trace.aborted:
@@ -526,22 +540,50 @@ def run_experiment(cfg: ExperimentConfig) -> pruning.ImpTrace:
     return trace
 
 
-def run_paired(cfg: ExperimentConfig) -> dict:
-    """Mask-vs-trim comparison: two full runs that share the config
-    except for the pruning mode. Each arm builds and trains its own dense
-    net; the same config and seed make the two dense nets identical.
-    Emits paired.csv with the two multiplier curves keyed by their
-    weight-remaining fractions."""
+def run_experiment(cfg: ExperimentConfig) -> pruning.ImpTrace:
+    """Dense baseline + IMP per the config; artifacts land in output_dir."""
+    def prune(out):
+        splits, net, trainer = setup(cfg)
+        return pruning.run_imp(net, splits, cfg.imp, trainer, out_dir=out), splits
+    return _run_arm(cfg, prune)
+
+
+def run_arms(cfg: ExperimentConfig, arms: dict) -> dict:
+    """IMP arms (name -> ImpConfig) that share one dense start.
+
+    The net is built and trained once, as cfg and the arms' one
+    ``rewind_step`` say, and each arm prunes its own clone of it under
+    output_dir/<name>. Each arm directory holds, byte for byte, what
+    run_experiment writes for cfg with the arm's ImpConfig and directory,
+    apart from the MANIFEST timestamp. If the dense phase fails, every arm
+    directory gets its config.json and an incomplete MANIFEST.
+    """
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    traces = {}
-    for mode in ("trim", "mask"):
-        imp = dataclasses.replace(
+    subs = {name: dataclasses.replace(cfg, imp=imp, output_dir=str(out / name))
+            for name, imp in arms.items()}
+    try:
+        splits, net, trainer = setup(cfg)
+        dense = pruning.train_dense(net, splits, list(arms.values()), trainer)
+    except Exception as exc:
+        for sub in subs.values():
+            _write_manifest(_write_config(sub), sub, _incomplete(exc))
+        raise
+    return {name: _run_arm(sub, lambda o, imp=sub.imp: (pruning.prune_from(
+                dense, splits, imp, trainer, out_dir=o), splits))
+            for name, sub in subs.items()}
+
+
+def run_paired(cfg: ExperimentConfig) -> dict:
+    """Mask-vs-trim comparison: two arms of run_arms, pruning one dense
+    start, that share the config except for the pruning mode (the mask
+    arm ranks weights by magnitude). Emits paired.csv with the two
+    multiplier curves keyed by their weight-remaining fractions."""
+    out = Path(cfg.output_dir)
+    traces = run_arms(cfg, {
+        mode: dataclasses.replace(
             cfg.imp, mode=mode,
             criterion=cfg.imp.criterion if mode == "trim" else "magnitude")
-        sub = dataclasses.replace(cfg, imp=imp,
-                                  output_dir=str(out / mode))
-        traces[mode] = run_experiment(sub)
+        for mode in ("trim", "mask")})
     rows = []
     for i in range(max(len(t.records) for t in traces.values())):
         row = [i]

@@ -17,6 +17,10 @@ giving up more than its floor allows). One tie rule serves both: (score,
 index within group, group order). Rewinding restores surviving
 parameters to their values at a recorded training step; the dense
 snapshot is stored once and restricted on demand in trim mode.
+
+The IMP loop runs in two phases: ``train_dense`` trains the dense net once,
+and ``prune_from`` runs one arm's rounds on a clone of it, so arms that
+differ only in how they prune share one dense training.
 """
 
 from __future__ import annotations
@@ -349,55 +353,77 @@ def _at_floor(net: nn.Network, mask: WeightMask | None, cfg: ImpConfig) -> str |
     return None
 
 
-def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer, *,
-            out_dir=None) -> ImpTrace:
-    """Train, score, prune, rewind, retrain for cfg.iterations rounds.
+@dataclass(frozen=True)
+class DenseStart:
+    """What every IMP arm of one dense training starts from: the trained
+    net, its snapshot after ``rewind_step`` optimizer steps, the
+    iteration-0 record (whose wall time is the training's) and the
+    baseline test loss the error multipliers divide by."""
+    net: nn.Network
+    rewind_step: int
+    state_k: dict
+    record: ImpRecord
+    test_loss: float
 
-    ``trainer(net, splits, record_step, after_step)`` trains ``net`` in
-    place, calls ``after_step(net)`` (when given) after every optimizer
-    step, and returns the parameter state after ``record_step`` steps
-    (0 = before the first) when ``record_step`` is not None, raising
-    ValueError if training takes fewer steps; ``harness.adam_trainer``
-    is the one implementation. Losses come from the net's registered
-    arch (``models.compute_loss``).
-    Emits per-iteration checkpoints and the trace CSV under ``out_dir``
-    when given. A non-finite validation loss aborts with the trace so far;
-    exceeding ``stop_error_multiplier`` or hitting the min_units /
-    min_weights floor everywhere stops cleanly. A validation split too
-    short for information scoring fails before training.
+
+def _measure(net: nn.Network, data: Splits, mask: WeightMask | None,
+             total_units: int):
+    """(valid loss, test loss, ImpRecord fields after the multiplier)."""
+    valid_loss = mean_loss(net, data.valid)
+    test_loss = mean_loss(net, data.test)
+    w_rem, w_orig = net.weight_counts()
+    dead = mask.total() - mask.alive() if mask is not None else 0
+    units = _pool_units(net, mask)
+    return valid_loss, test_loss, dict(
+        weights_remaining_frac=(w_rem - dead) / w_orig,
+        units_remaining_frac=sum(units.values()) / total_units,
+        valid_loss=valid_loss, flops_per_second_audio=embed.count_flops(net),
+        disk_bytes=embed.disk_size(net), rw_accesses=embed.rw_memory(net),
+        units_per_pool=units)
+
+
+def train_dense(net: nn.Network, data: Splits, cfgs, trainer) -> DenseStart:
+    """Train a clone of ``net`` once, as the dense phase of every IMP arm
+    in ``cfgs``; the arms must share one ``rewind_step``. A validation
+    split too short for an arm that scores with information fails here,
+    before training. ``trainer`` follows the contract ``run_imp`` states.
     """
+    steps = {cfg.rewind_step for cfg in cfgs}
+    if len(steps) != 1:
+        raise ValueError(f"arms of one dense start need one rewind_step, "
+                         f"got {sorted(steps)}")
+    (step,) = steps
     cur = net.clone()
+    if any(cfg.criterion == "information" and cfg.iterations for cfg in cfgs):
+        cr.check_information_samples(cur, list(data.valid))
+    t0 = time.perf_counter()
+    state_k = trainer(cur, data, record_step=step, after_step=None)
+    wall = time.perf_counter() - t0
+    _, test_loss, fields = _measure(cur, data, None, cur.units_remaining())
+    record = ImpRecord(iteration=0, test_error_multiplier=1.0,
+                       wall_seconds=wall, **fields)
+    return DenseStart(cur, step, state_k, record, test_loss)
+
+
+def prune_from(dense: DenseStart, data: Splits, cfg: ImpConfig, trainer, *,
+               out_dir=None) -> ImpTrace:
+    """The prune phase of one IMP arm: score, prune, rewind and retrain a
+    clone of the dense net for cfg.iterations rounds, as ``run_imp``
+    describes; ``dense`` itself is left as it is."""
+    if cfg.rewind_step != dense.rewind_step:
+        raise ValueError(f"arm rewinds to step {cfg.rewind_step}, the dense "
+                         f"start recorded step {dense.rewind_step}")
+    cur = dense.net.clone()
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    if cfg.criterion == "information" and cfg.iterations:
-        cr.check_information_samples(cur, list(data.valid))
-    t0 = time.perf_counter()
-    state_k = trainer(cur, data, record_step=cfg.rewind_step, after_step=None)
-    wall = time.perf_counter() - t0
-
     mask = full_mask(cur) if cfg.mode == "mask" else None
     total_units = cur.units_remaining()
-
-    def measure():
-        valid_loss = mean_loss(cur, data.valid)
-        test_loss = mean_loss(cur, data.test)
-        w_rem, w_orig = cur.weight_counts()
-        dead = mask.total() - mask.alive() if mask is not None else 0
-        weights_frac = (w_rem - dead) / w_orig
-        units = _pool_units(cur, mask)
-        units_frac = sum(units.values()) / total_units
-        costs = embed.count_flops(cur), embed.disk_size(cur), embed.rw_memory(cur)
-        return valid_loss, test_loss, weights_frac, units_frac, units, costs
-
-    valid_loss, test_loss, wfrac, ufrac, units, costs = measure()
-    baseline_test = test_loss
-    records = [ImpRecord(0, wfrac, ufrac, valid_loss, 1.0, *costs, wall, units)]
+    records = [dense.record]
     trace = ImpTrace(records)
     if out_dir is not None:
         nn.save_checkpoint(cur, out_dir / "iter_00.ckpt")
-    if not np.isfinite(valid_loss) or not np.isfinite(test_loss):
+    if not np.isfinite(dense.record.valid_loss) or not np.isfinite(dense.test_loss):
         trace.aborted = "non-finite loss after baseline training"
     else:
         for it in range(1, cfg.iterations + 1):
@@ -416,26 +442,26 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer, *,
                     plan = select_units(scores, cfg.prune_fraction_per_iter,
                                         cfg.selection, min_units=cfg.min_units)
                     cur = nn.apply_trim(cur, plan)
-                    rewind(cur, state_k)
+                    rewind(cur, dense.state_k)
                     after = None
                 else:
                     mask = select_weights(cur, cfg.prune_fraction_per_iter,
                                           cfg.selection, mask=mask,
                                           min_weights=cfg.min_weights)
-                    rewind(cur, state_k, mask)
+                    rewind(cur, dense.state_k, mask)
                     after = mask.enforce
                 trainer(cur, data, record_step=None, after_step=after)
                 wall = time.perf_counter() - t0
 
-                valid_loss, test_loss, wfrac, ufrac, units, costs = measure()
+                valid_loss, test_loss, fields = _measure(cur, data, mask, total_units)
             except T.NumericError as exc:
                 # overflow guards in the tensor layer surface divergence as
                 # exceptions; keep the trace gathered so far
                 trace.aborted = f"numeric failure at iteration {it}: {exc}"
                 break
-            multiplier = test_loss / baseline_test
-            records.append(ImpRecord(it, wfrac, ufrac, valid_loss, multiplier,
-                                     *costs, wall, units))
+            multiplier = test_loss / dense.test_loss
+            records.append(ImpRecord(iteration=it, test_error_multiplier=multiplier,
+                                     wall_seconds=wall, **fields))
             if out_dir is not None:
                 nn.save_checkpoint(cur, out_dir / f"iter_{it:02d}.ckpt")
             if not np.isfinite(valid_loss) or not np.isfinite(test_loss):
@@ -450,3 +476,26 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer, *,
     if out_dir is not None:
         trace.to_csv(out_dir / "trace.csv")
     return trace
+
+
+def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer, *,
+            out_dir=None) -> ImpTrace:
+    """Train, score, prune, rewind, retrain for cfg.iterations rounds:
+    the dense phase (``train_dense``), then the prune phase
+    (``prune_from``).
+
+    ``trainer(net, splits, record_step, after_step)`` trains ``net`` in
+    place, calls ``after_step(net)`` (when given) after every optimizer
+    step, and returns the parameter state after ``record_step`` steps
+    (0 = before the first) when ``record_step`` is not None, raising
+    ValueError if training takes fewer steps; ``harness.adam_trainer``
+    is the one implementation. Losses come from the net's registered
+    arch (``models.compute_loss``).
+    Emits per-iteration checkpoints and the trace CSV under ``out_dir``
+    when given. A non-finite validation loss aborts with the trace so far;
+    exceeding ``stop_error_multiplier`` or hitting the min_units /
+    min_weights floor everywhere stops cleanly. A validation split too
+    short for information scoring fails before training.
+    """
+    return prune_from(train_dense(net, data, [cfg], trainer), data, cfg,
+                      trainer, out_dir=out_dir)

@@ -93,10 +93,14 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray):
-        """Add g to this tensor's flow in the running backward() pass."""
+        """Add g to this tensor's flow in the running backward() pass.
+
+        The first flow is stored as it is, without a copy: no backward
+        closure writes into a flow it receives or passes on, and a later
+        flow is added into a new array."""
         g = g.astype(np.float32, copy=False)
         cur = _FLOWS.get(id(self))
-        _FLOWS[id(self)] = g.copy() if cur is None else cur + g
+        _FLOWS[id(self)] = g if cur is None else cur + g
 
     def backward(self):
         """Add d(self)/d(leaf) into .grad for every leaf of the graph.
@@ -106,7 +110,9 @@ class Tensor:
         flow is dropped as soon as its own backward has pushed it to its
         inputs, so a pass holds the flows of one frontier, not the graph's.
         Each call contributes exactly one gradient pass, so calling twice
-        without zero_grad doubles the leaves' grads.
+        without zero_grad doubles the leaves' grads. A leaf's .grad may
+        share memory with other flows, or be a read-only broadcast view:
+        read it, never write into it.
         """
         global _FLOWS
         if self.data.size != 1:

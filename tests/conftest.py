@@ -1,14 +1,15 @@
 """Shared oracles: finite-difference gradients, a naive DFT, the masked
 sigmoid, the composed reference versions of the fused ops, the dense
 upsampling render (the synthesis heads' oracle), unit masking (trimming's
-oracle), the test-only "sequential" arch, a trainer that takes no step,
-and per-test losses registered as throwaway archs."""
+oracle), the test-only "sequential" arch, a trainer that takes no step, a
+counter of Adam train calls, and per-test losses registered as throwaway
+archs."""
 
 import dataclasses
 
 import numpy as np
 
-from audiotrim import fourier, models, nn
+from audiotrim import fourier, harness, models, nn
 from audiotrim import tensor as T
 
 
@@ -379,6 +380,24 @@ def no_training(net, splits, record_step=None, after_step=None):
         raise ValueError(f"rewind step {record_step} lies beyond the "
                          "0 training steps taken")
     return net.param_state()
+
+
+def count_train_calls(monkeypatch) -> list:
+    """A list that gains one entry per call of any trainer that
+    harness.adam_trainer makes from now on in the test."""
+    calls = []
+    factory = harness.adam_trainer
+
+    def counting_factory(*args, **kwargs):
+        train = factory(*args, **kwargs)
+
+        def counted(*a, **k):
+            calls.append(k.get("record_step"))
+            return train(*a, **k)
+        return counted
+
+    monkeypatch.setattr(harness, "adam_trainer", counting_factory)
+    return calls
 
 
 def use_loss(monkeypatch, net, loss):

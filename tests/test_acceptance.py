@@ -472,33 +472,32 @@ def test_deep_masking_leaves_most_units_unremovable():
 # -- 8/9. lottery behavior on tiny-DDSP ---------------------------------------------
 
 
-def _lottery_run(selection: str, iterations: int, seed: int, out) -> pruning.ImpTrace:
+def _lottery_arms(seed: int, out) -> dict[str, pruning.ImpTrace]:
+    """The global (12 iterations) and local (2 iterations) arms of one
+    seed, pruning one dense start."""
     cfg = harness.ExperimentConfig(
         model=models.ModelConfig(arch="ddsp", gru_units=16, dense_units=16,
                                  n_partials=12, noise_bins=9,
                                  spec_windows=(64, 128, 256)),
         dataset=harness.DatasetConfig(n_items=60, duration=0.5),
         training=harness.TrainingConfig(epochs=6, batch_size=16),
-        imp=pruning.ImpConfig(iterations=iterations, mode="trim",
-                              criterion="information", selection=selection,
-                              rewind_step=3),
         output_dir=out,
         seed=seed,
         emit_samples=False,
     )
-    return harness.run_experiment(cfg)
+    return harness.run_arms(cfg, {
+        selection: pruning.ImpConfig(iterations=iterations, mode="trim",
+                                     criterion="information",
+                                     selection=selection, rewind_step=3)
+        for selection, iterations in (("global", 12), ("local", 2))})
 
 
 @pytest.fixture(scope="module")
 def lottery_curves(tmp_path_factory):
     base = tmp_path_factory.mktemp("lottery")
     t0 = time.perf_counter()
-    curves = {
-        "global": {s: _lottery_run("global", 12, s, base / f"g{s}")
-                   for s in SEEDS},
-        "local": {s: _lottery_run("local", 2, s, base / f"l{s}")
-                  for s in SEEDS},
-    }
+    runs = {s: _lottery_arms(s, base / f"s{s}") for s in SEEDS}
+    curves = {sel: {s: runs[s][sel] for s in SEEDS} for sel in ("global", "local")}
     curves["elapsed"] = time.perf_counter() - t0
     return curves
 

@@ -10,7 +10,7 @@ import pytest
 
 from audiotrim import harness, models, nn, pruning
 from audiotrim import tensor as T
-from conftest import use_loss
+from conftest import count_train_calls, use_loss
 
 
 def tiny_cfg(tmp_path, **over):
@@ -368,6 +368,15 @@ class TestAdamTrainer:
         per_epoch = len(splits.train) + len(splits.valid)
         assert calls["n"] == 5 * per_epoch
 
+    def test_last_epoch_is_not_validated(self, monkeypatch):
+        # its loss would only steer the halving and the early stop
+        passes = []
+        mean_loss = pruning.mean_loss
+        monkeypatch.setattr(pruning, "mean_loss",
+                            lambda net, items: passes.append(1) or mean_loss(net, items))
+        harness.adam_trainer(epochs=3, seed=0)(self.sing(), quick_splits())
+        assert len(passes) == 2
+
 
 class TestRunExperiment:
     def test_artifacts_and_manifest(self, tmp_path):
@@ -423,6 +432,18 @@ class TestRunExperiment:
         assert manifest.startswith("status: incomplete")
         assert "WavFormatError" in manifest
 
+    def test_dense_failure_leaves_incomplete_manifest_in_every_arm(self, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        cfg = tiny_cfg(tmp_path, dataset=harness.DatasetConfig(
+            kind="wav_dir", wav_dir=str(empty)))
+        with pytest.raises(harness.WavFormatError):
+            harness.run_paired(cfg)
+        for mode in ("trim", "mask"):
+            manifest = (tmp_path / "run" / mode / "MANIFEST.txt").read_text()
+            assert manifest.startswith("status: incomplete")
+            assert "WavFormatError" in manifest
+
     def test_paired_run_aligns_both_modes(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         traces = harness.run_paired(cfg)
@@ -438,3 +459,31 @@ class TestRunExperiment:
         # trimming deletes whole units so its weight curve falls faster
         last = rows[-1].split(",")
         assert float(last[1]) < float(last[3])
+
+    def test_paired_run_trains_the_dense_net_once(self, tmp_path, monkeypatch):
+        calls = count_train_calls(monkeypatch)
+        traces = harness.run_paired(tiny_cfg(tmp_path))
+        assert [len(t.records) for t in traces.values()] == [3, 3]
+        # the dense training records the rewind step; each iteration of
+        # each arm retrains without one
+        assert calls == [0, None, None, None, None]
+
+    def test_paired_arms_match_plain_runs_byte_for_byte(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, emit_samples=True,
+                       imp=pruning.ImpConfig(iterations=2, criterion="gradient",
+                                             rewind_step=1))
+        harness.run_paired(cfg)
+
+        def artifacts(out):
+            return {str(p.relative_to(out)): p.read_bytes()
+                    for p in sorted(out.rglob("*"))
+                    if p.is_file() and p.name not in ("MANIFEST.txt", "config.json")}
+
+        for mode in ("trim", "mask"):
+            arm = tmp_path / "run" / mode
+            plain = tmp_path / f"plain_{mode}"
+            harness.run_experiment(replace(harness.load_config(arm / "config.json"),
+                                           output_dir=str(plain)))
+            got, want = artifacts(arm), artifacts(plain)
+            assert "iter_02.ckpt" in want and "samples/iter_02.wav" in want
+            assert got == want, mode

@@ -5,6 +5,8 @@ The schedule arithmetic is checked against an integer recurrence oracle
 trimming is checked against the masked-dense oracle at every iteration.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -484,6 +486,49 @@ class TestImpDriver:
         with pytest.raises(ValueError, match="need at least 100 samples, got 20"):
             pruning.run_imp(net, data, imp, trainer, out_dir=tmp_path)
         assert not list(tmp_path.glob("*.ckpt"))
+
+    def test_dense_start_checks_every_arm_before_training(self):
+        cfg = models.ModelConfig(arch="ddsp", gru_units=4, dense_units=4,
+                                 n_partials=3, noise_bins=3)
+        items = harness.gen_synthetic_tones(3, 16000, 0.25, seed=0)
+        data = pruning.Splits(train=[harness.collate(items[:2])],
+                              valid=[harness.collate(items[2:])],
+                              test=[harness.collate(items[2:])])
+
+        def trainer(*args, **kwargs):
+            raise AssertionError("trained before the validation split was checked")
+
+        arms = [pruning.ImpConfig(iterations=1),
+                pruning.ImpConfig(iterations=1, criterion="information")]
+        with pytest.raises(ValueError, match="need at least 100 samples"):
+            pruning.train_dense(models.build_model(cfg, seed=0), data, arms, trainer)
+
+    def test_arms_of_one_dense_start_share_the_rewind_step(self):
+        net = models.build_model(sing_cfg(), seed=0)
+        arms = [pruning.ImpConfig(rewind_step=0), pruning.ImpConfig(rewind_step=1)]
+        with pytest.raises(ValueError, match="one rewind_step"):
+            pruning.train_dense(net, make_splits(), arms, no_training)
+        dense = pruning.train_dense(net, make_splits(), arms[:1], no_training)
+        with pytest.raises(ValueError, match="dense start recorded step 0"):
+            pruning.prune_from(dense, make_splits(), arms[1], no_training)
+
+    def test_arms_prune_clones_of_the_dense_start(self):
+        # a mask arm zeroes weights and a trim arm deletes units; neither
+        # touches the dense start the next arm prunes
+        net = models.build_model(sing_cfg(), seed=4)
+        data = make_splits(4)
+        dense = pruning.train_dense(net, data, [pruning.ImpConfig()], no_training)
+        before = dense.net.param_state()
+        for mode in ("mask", "trim"):
+            cfg = pruning.ImpConfig(mode=mode, iterations=3)
+            shared = pruning.prune_from(dense, data, cfg, no_training)
+            alone = pruning.run_imp(net, data, cfg, no_training)
+            for a, b in zip(shared.records, alone.records):
+                assert replace(a, wall_seconds=0) == replace(b, wall_seconds=0)
+            assert len(shared.records) == len(alone.records) == 4
+        for key, arr in before.items():
+            assert np.array_equal(dense.net.param_state()[key], arr)
+            assert np.array_equal(dense.state_k[key], arr)
 
     def test_trim_equals_masked_dense_at_every_iteration(self, tmp_path):
         # the driver's own per-iteration states replay exactly as unit masks

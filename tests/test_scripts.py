@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from audiotrim import harness
+from conftest import count_train_calls
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -27,8 +28,9 @@ def _tiny(cfg, **dataset):
         imp=dataclasses.replace(cfg.imp, rewind_step=1))
 
 
-def test_criterion_sweep_writes_one_row_per_cell_and_iteration(tmp_path):
+def test_criterion_sweep_writes_one_row_per_cell_and_iteration(tmp_path, monkeypatch):
     script = _load("criterion_sweep")
+    calls = count_train_calls(monkeypatch)
     # information scoring needs 100 frames in a validation item: 1.25 s
     cfg = _tiny(script.base_config(str(tmp_path), seed=0, iterations=1),
                 duration=1.25)
@@ -41,6 +43,8 @@ def test_criterion_sweep_writes_one_row_per_cell_and_iteration(tmp_path):
         (c, s, i) for c in criteria
         for s in ("local", "global") for i in (0, 1)]
     assert all(float(r[3]) < 1.0 for r in rows if r[2] == 1)
+    # one dense start for all 8 cells, then one retraining per iteration
+    assert len(calls) == 1 + 8 * 1
 
 
 def test_mask_vs_trim_runs_both_parts(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audiotrim import harness, models
 from audiotrim import tensor as T
 from conftest import (adjoint_dot_check, concat, conv1d_padded,
                       directional_gradcheck, fft_mag2, frame, sigmoid_masked,
@@ -335,6 +336,105 @@ class TestLeafOnlyGrads:
         x = T.Tensor(3.0, requires_grad=True)
         x.backward()
         assert np.array_equal(x.grad, np.float32(1.0))
+
+
+def _flow_cases():
+    """(build, x0) for every op of the engine, and for the composed
+    oracles; each build sends the flow of x through the op to a scalar."""
+    rng = np.random.default_rng(99)
+
+    def arr(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    def const(*shape):
+        return T.Tensor(arr(*shape))
+
+    row, col, w, bias, w3 = const(1, 4), const(3, 1), const(4, 3, 2), const(4), const(2, 3, 3)
+    xc, basis, mix, tw = const(2, 3, 10), arr(2, 12, 3), const(2, 12), const(2, 2, 3)
+    kern, spec = const(2, 1, 3), T.SpectrogramConfig((32, 64))
+    left, right = const(5, 2), const(4, 3)
+
+    def scalar(x):
+        return T.reshape(T.tmean(x, keepdims=True), (1,))
+
+    return {
+        "add_sub_broadcast": (lambda x: T.tsum(T.mul(T.sub(T.add(x, row), col), x)),
+                              arr(3, 4)),
+        "mul_div": (lambda x: T.tsum(T.div(T.mul(x, x), T.add(T.mul(x, x), T.Tensor(1.0)))),
+                    arr(3, 4)),
+        "matmul_left_right": (lambda x: T.tsum(T.tanh(T.matmul(left, T.matmul(x, right)))),
+                              arr(2, 4)),
+        "matmul_batched": (lambda x: T.tmean(T.matmul(x, x)), arr(2, 3, 3)),
+        "conv1d_bias_input": (lambda x: T.tmean(T.tanh(
+            T.conv1d_dilated_causal(x, w, 2, bias=bias))), arr(2, 3, 10)),
+        "conv1d_weight_bias": (lambda v: T.tmean(T.tanh(T.conv1d_dilated_causal(
+            xc, v, 2, bias=T.tsum(v, axis=(1, 2))))), arr(4, 3, 2)),
+        "conv1d_unbatched": (lambda x: T.tsum(T.tanh(T.conv1d_dilated_causal(x, w3, 1))),
+                             arr(3, 8)),
+        "frame_lerp_basis": (lambda x: T.tsum(T.sigmoid(T.frame_lerp(x, 4, basis))),
+                             arr(2, 3, 3)),
+        "frame_lerp_plain": (lambda x: T.tsum(T.mul(T.frame_lerp(x, 4), mix)), arr(2, 3, 1)),
+        "unary": (lambda x: T.tsum(T.tsqrt(T.add(T.tabs(T.tanh(T.sigmoid(x))),
+                                                 T.Tensor(1.0)))), arr(3, 4)),
+        "relu": (lambda x: T.tsum(T.mul(T.relu(x), x)), np.where(
+            np.abs(arr(3, 4)) < 0.2, 0.5, arr(3, 4)).astype(np.float32)),
+        "sum_mean_axes": (lambda x: T.tsum(T.mul(T.tmean(x, axis=1, keepdims=True),
+                                                 T.tsum(x, axis=(0, 1)))), arr(2, 3, 4)),
+        "reshape_transpose": (lambda x: T.tsum(T.mul(T.transpose(
+            T.reshape(x, (2, 3, 2)), (2, 0, 1)), tw)), arr(3, 4)),
+        "stft_logmag": (lambda x: T.tsum(concat([scalar(p) for p in T.stft_logmag(x, spec)])),
+                        0.3 * arr(2, 128)),
+        "composed_oracles": (lambda x: T.tsum(concat([
+            scalar(fft_mag2(frame(x, 8, 4))),
+            scalar(tlog(T.add(texp(slice_axis(x, 0, 2, 6)), T.Tensor(1.0)))),
+            scalar(conv1d_padded(T.reshape(x, (1, 1, 16)), kern, 2))])), 0.3 * arr(16)),
+    }
+
+
+def _tiny_arch_batch(arch):
+    cfg = {"ddsp": models.ModelConfig(arch="ddsp", sample_rate=8000, frame_hop=50,
+                                      gru_units=5, dense_units=4, n_partials=3,
+                                      noise_bins=3, spec_windows=(32, 64)),
+           "wavenet": models.ModelConfig(arch="wavenet", sample_rate=8000, n_stacks=1,
+                                         blocks_per_stack=3, residual_channels=4,
+                                         gate_channels=5, skip_channels=3,
+                                         head_channels=6, n_classes=8),
+           "sing_ae": models.ModelConfig(arch="sing_ae", sample_rate=8000,
+                                         conv_channels=5, n_conv_layers=3,
+                                         sing_kernel=5, spec_windows=(32, 64))}[arch]
+    batch = harness.collate(harness.gen_synthetic_tones(
+        2, 8000, 0.25, seed=3, frame_hop=cfg.frame_hop))
+    return models.build_model(cfg, seed=2).train(), batch
+
+
+class TestFlowsStayUnwritten:
+    """accumulate_grad stores a node's first flow without a copy, which is
+    sound only while no backward closure writes into a flow it received
+    or passed on. Every stored flow is made read-only here, so such a
+    write raises."""
+
+    @pytest.fixture(autouse=True)
+    def readonly_flows(self, monkeypatch):
+        store = T.Tensor.accumulate_grad
+
+        def accumulate(self, g):
+            store(self, g)
+            T._FLOWS[id(self)].flags.writeable = False
+
+        monkeypatch.setattr(T.Tensor, "accumulate_grad", accumulate)
+
+    @pytest.mark.parametrize("name", sorted(_flow_cases()))
+    def test_op_gradcheck(self, name):
+        build, x0 = _flow_cases()[name]
+        directional_gradcheck(build, x0, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("arch", ["ddsp", "sing_ae", "wavenet"])
+    def test_arch_loss_backward(self, arch):
+        net, batch = _tiny_arch_batch(arch)
+        models.compute_loss(net, batch).backward()
+        grads = [p.grad for p in net.parameters()]
+        assert all(g is not None and np.all(np.isfinite(g)) for g in grads)
+        assert not any(g.flags.writeable for g in grads)
 
 
 def _libc_has_mallopt() -> bool:
