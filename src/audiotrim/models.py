@@ -190,16 +190,22 @@ def _build_wavenet(cfg: ModelConfig, rng) -> Network:
                    protected={"out2"}, meta=meta)
 
 
-def _forward_wavenet(net: Network, x: Tensor) -> Tensor:
-    """x: (batch, 1, time) waveform; returns (batch, classes, time) logits."""
+def _wavenet_inputs(batch: dict) -> Tensor:
+    # teacher forcing: each sample but the last predicts its successor
+    return Tensor(_waves(batch)[:, None, :-1])
+
+
+def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
+    """x: (batch, 1, time) waveform; returns the class head's input, the
+    (batch, head channels, time) output of out1's relu."""
     n_blocks = len(net.meta["dilations"])
     r = nn.conv_forward(net.layers["in_conv"], x)
     nn.record("in_conv", r, -2)
     skip_total = None
     for i in range(n_blocks):
-        f = T.tanh(nn.conv_forward(net.layers[f"filter_{i}"], r))
-        g = T.sigmoid(nn.conv_forward(net.layers[f"gate_{i}"], r))
-        z = T.mul(f, g)
+        filt, gate = net.layers[f"filter_{i}"], net.layers[f"gate_{i}"]
+        z = T.gated_conv1d(r, filt.params["w"], filt.params["b"],
+                           gate.params["w"], gate.params["b"], filt.dilation)
         # the gated product is the pair's unit activation
         nn.record(f"filter_{i}", z, -2)
         s = nn.conv_forward(net.layers[f"skip_{i}"], z)
@@ -211,13 +217,21 @@ def _forward_wavenet(net: Network, x: Tensor) -> Tensor:
     h = T.relu(skip_total)
     h = T.relu(nn.conv_forward(net.layers["out1"], h))
     nn.record("out1", h, -2)
-    return nn.conv_forward(net.layers["out2"], h)
+    return h
+
+
+def _forward_wavenet(net: Network, x: Tensor) -> Tensor:
+    """x: (batch, 1, time) waveform; returns (batch, classes, time) logits."""
+    return nn.conv_forward(net.layers["out2"], _wavenet_trunk(net, x))
 
 
 def _wavenet_loss(net: Network, batch: dict) -> Tensor:
+    """The trunk, then the class head and its NLL as one node: the
+    (batch, classes, time) logits are never a graph node."""
     codec = MuLawCodec(net.meta["config"]["n_classes"] - 1)
     targets = codec.encode(_waves(batch))[:, 1:]
-    return nll_from_logits(forward_batch(net, batch), targets)
+    h = _wavenet_trunk(net, _wavenet_inputs(batch))
+    return nll_from_logits(h, net.layers["out2"], targets)
 
 
 def wavenet_generate(net: Network, n_samples: int, seed: int) -> np.ndarray:
@@ -243,8 +257,7 @@ def wavenet_generate(net: Network, n_samples: int, seed: int) -> np.ndarray:
 
 nn.register_arch("wavenet", nn.ArchSpec(
     build=_build_wavenet, forward=_forward_wavenet, loss=_wavenet_loss,
-    # teacher forcing: each sample but the last predicts its successor
-    inputs=lambda batch: Tensor(_waves(batch)[:, None, :-1]),
+    inputs=_wavenet_inputs,
     sample=lambda net, n_samples, seed, conditioning:
         wavenet_generate(net, n_samples, seed)))
 
@@ -425,31 +438,44 @@ nn.register_arch("ddsp", nn.ArchSpec(
 # -- losses -------------------------------------------------------------------
 
 
-def nll_from_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood; logits (batch, classes, time).
+def nll_from_logits(h: Tensor, head: nn.Layer, targets: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of targets (batch, time) under the class
+    logits of the conv layer head applied to h (batch, channels, time).
 
-    One graph node: the forward pass is a max-shifted log-sum-exp over
-    classes minus the gathered target logit, and the backward pass writes
-    softmax - onehot into one fresh array, scaled by g / (batch * time).
+    One graph node. The logits come from a grad-free conv1d_dilated_causal
+    call into one private buffer, and the max-shifted log-sum-exp runs in
+    place on it. When a gradient is needed, the forward pass leaves
+    (softmax - onehot) / (batch * time) in that buffer; the backward pass
+    runs only the head's weight, input and bias products on it
+    (tensor.conv1d_grads), scaled by the incoming flow, and never writes
+    into it, so a second backward() sees the same buffer.
     """
-    b, c, t = logits.shape
+    w, bias = head.params["w"], head.params["b"]
+    hd, wd, dilation = h.data, w.data, head.dilation
+    x = T.conv1d_dilated_causal(Tensor(hd), Tensor(wd), dilation,
+                                bias=Tensor(bias.data)).data
+    b, c, t = x.shape
     if targets.shape != (b, t):
-        raise T.ShapeError(f"targets {targets.shape} do not match logits {logits.shape}")
-    x = logits.data
-    shift = x.max(axis=1, keepdims=True)
-    z = x - shift
-    np.exp(z, out=z)
-    lse = np.log(z.sum(axis=1, keepdims=True)) + shift
+        raise T.ShapeError(f"targets {targets.shape} do not match logits {x.shape}")
     at = (np.arange(b)[:, None], targets, np.arange(t)[None, :])
-    loss = (lse[:, 0, :] - x[at]).mean()
-    out = T._node(np.asarray(loss), (logits,), "nll")
+    picked = x[at]
+    shift = x.max(axis=1, keepdims=True)
+    x -= shift
+    np.exp(x, out=x)
+    total = x.sum(axis=1, keepdims=True)
+    lse = np.log(total) + shift
+    loss = (lse[:, 0, :] - picked).mean()
+    out = T._node(np.asarray(loss), (h, w, bias), "nll")
     if out.requires_grad:
+        x /= total
+        x[at] -= 1.0
+        x *= np.float32(1.0 / (b * t))
         def _bw(g):
-            p = x - lse
-            np.exp(p, out=p)
-            p[at] -= 1.0
-            p *= g / (b * t)
-            logits.accumulate_grad(p)
+            grads = T.conv1d_grads(x, hd, wd, dilation, h.requires_grad,
+                                   w.requires_grad, bias.requires_grad)
+            for leaf, grad in zip((h, w, bias), grads):
+                if grad is not None:
+                    leaf.accumulate_grad(grad * g)
         out._backward = _bw
     return out
 

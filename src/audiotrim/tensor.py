@@ -252,6 +252,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _taps(k: int, dilation: int, t: int) -> list[tuple[int, int]]:
+    """(tap, shift) of every tap of a causal conv that reaches inside a
+    length-t signal; empty only when t == 0."""
+    return [(j, (k - 1 - j) * dilation) for j in range(k)
+            if (k - 1 - j) * dilation < t]
+
+
 def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
                           bias: Tensor | None = None) -> Tensor:
     """Causal dilated 1-d convolution, plus an optional per-channel bias.
@@ -261,10 +268,8 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
     s = (K-1-j)*dilation, applied as y[..., s:] += w[:, :, j] @ x[..., :T-s]
     with no padded copy of x, and a tap with s >= T reads nothing. The
     first tap that reaches the signal is written in place (matmul out=,
-    zeroing only y[..., :s]); the others add in tap order. The input
-    gradient mirrors the same slices the same way. The weight gradient of
-    tap j is the per-item product g[..., s:] @ x[..., :T-s]^T summed over
-    the batch, read through a transposed view with no copy.
+    zeroing only y[..., :s]); the others add in tap order. The backward
+    pass is conv1d_grads.
     """
     xd, wd = x.data, w.data
     if wd.ndim != 3:
@@ -284,11 +289,9 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
             f"op 'conv1d' bias must be ({n_out},), got {bias.shape}"
         )
     t = xd.shape[-1]
-    # (tap, shift) for every tap that reaches inside the signal
-    taps = [(j, (k - 1 - j) * dilation) for j in range(k)
-            if (k - 1 - j) * dilation < t]
+    taps = _taps(k, dilation, t)
     acc = np.empty(xd.shape[:-2] + (n_out, t), dtype=np.float32)
-    if taps:  # empty only when t == 0
+    if taps:
         j0, s0 = taps[0]
         acc[..., :s0] = 0.0
         np.matmul(wd[:, :, j0], xd[..., : t - s0], out=acc[..., s0:])
@@ -300,23 +303,90 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
     out = _node(acc, parents, "conv1d")
     if out.requires_grad:
         def _bw(g):
-            if w.requires_grad:
-                gw = np.zeros_like(wd)
-                for j, s in taps:
-                    gj = np.matmul(g[..., s:], np.swapaxes(xd[..., : t - s], -1, -2))
-                    gw[:, :, j] = gj if gj.ndim == 2 else gj.sum(axis=0)
-                w.accumulate_grad(gw)
-            if x.requires_grad:
-                gx = np.empty(xd.shape, dtype=np.float32)
-                if taps:
-                    gx[..., t - s0:] = 0.0
-                    np.matmul(wd[:, :, j0].T, g[..., s0:], out=gx[..., : t - s0])
-                for j, s in taps[1:]:
-                    gx[..., : t - s] += np.matmul(wd[:, :, j].T, g[..., s:])
+            grads = conv1d_grads(g, xd, wd, dilation, x.requires_grad,
+                                 w.requires_grad,
+                                 bias is not None and bias.requires_grad)
+            for leaf, grad in zip(parents, grads):
+                if grad is not None:
+                    leaf.accumulate_grad(grad)
+        out._backward = _bw
+    return out
+
+
+def conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, dilation: int,
+                 want_x: bool, want_w: bool, want_bias: bool):
+    """(input, weight, bias) gradients of conv1d_dilated_causal for the
+    output flow g, each None unless wanted.
+
+    The input gradient mirrors the forward's slices: the first tap is
+    written in place, zeroing only the tail it cannot reach, and the
+    others add in tap order. The weight gradient of tap j is the per-item
+    product g[..., s:] @ x[..., :T-s]^T summed over the batch, read
+    through a transposed view with no copy.
+    """
+    t = xd.shape[-1]
+    taps = _taps(wd.shape[2], dilation, t)
+    gx = gw = gb = None
+    if want_w:
+        gw = np.zeros_like(wd)
+        for j, s in taps:
+            gj = np.matmul(g[..., s:], np.swapaxes(xd[..., : t - s], -1, -2))
+            gw[:, :, j] = gj if gj.ndim == 2 else gj.sum(axis=0)
+    if want_x:
+        gx = np.empty(xd.shape, dtype=np.float32)
+        if taps:
+            j0, s0 = taps[0]
+            gx[..., t - s0:] = 0.0
+            np.matmul(wd[:, :, j0].T, g[..., s0:], out=gx[..., : t - s0])
+        for j, s in taps[1:]:
+            gx[..., : t - s] += np.matmul(wd[:, :, j].T, g[..., s:])
+    if want_bias:
+        gb = (g.sum(axis=0) if g.ndim == 3 else g).sum(axis=1)
+    return gx, gw, gb
+
+
+def gated_conv1d(x: Tensor, wf: Tensor, bf: Tensor, wg: Tensor, bg: Tensor,
+                 dilation: int = 1) -> Tensor:
+    """WaveNet's gated unit tanh(conv(x, wf) + bf) * sigmoid(conv(x, wg) + bg)
+    as one node.
+
+    The filter and gate weights are stacked along the output axis, so one
+    grad-free conv1d_dilated_causal call (one matmul per tap) makes both
+    pre-activations. tanh and sigmoid overwrite their halves of that
+    buffer, and the node keeps only those two halves, t and s. Backward
+    writes dz*s*(1-t^2) and dz*t*s*(1-s) into one stacked buffer, runs
+    conv1d_grads once and splits the weight and bias gradients back to
+    the filter and the gate.
+    """
+    if wg.shape != wf.shape or bg.shape != bf.shape:
+        raise ShapeError(
+            f"op 'gated' filter {wf.shape}, {bf.shape} and gate "
+            f"{wg.shape}, {bg.shape} differ"
+        )
+    n = wf.shape[0]
+    w = np.concatenate([wf.data, wg.data])
+    ts = conv1d_dilated_causal(Tensor(x.data), Tensor(w), dilation,
+                               bias=Tensor(np.concatenate([bf.data, bg.data]))).data
+    t, s = ts[..., :n, :], ts[..., n:, :]
+    np.tanh(t, out=t)
+    s[...] = sigmoid_array(s)
+    out = _node(t * s, (x, wf, bf, wg, bg), "gated")
+    if out.requires_grad:
+        xd = x.data
+        def _bw(g):
+            # the expression order of the mul, tanh and sigmoid nodes' backward
+            d = np.empty(ts.shape, dtype=np.float32)
+            np.multiply(g * s, 1.0 - t * t, out=d[..., :n, :])
+            np.multiply(g * t, s * (1.0 - s), out=d[..., n:, :])
+            gx, gw, gb = conv1d_grads(d, xd, w, dilation, x.requires_grad,
+                                      wf.requires_grad or wg.requires_grad,
+                                      bf.requires_grad or bg.requires_grad)
+            if gx is not None:
                 x.accumulate_grad(gx)
-            if bias is not None and bias.requires_grad:
-                gb = g.sum(axis=0) if g.ndim == 3 else g
-                bias.accumulate_grad(gb.sum(axis=1))
+            halves = (slice(None, n), slice(n, None))
+            for leaf, grad, half in zip((wf, wg, bf, bg), (gw, gw, gb, gb), halves * 2):
+                if leaf.requires_grad:
+                    leaf.accumulate_grad(grad[half])
         out._backward = _bw
     return out
 
@@ -369,10 +439,12 @@ def _unary(a: Tensor, fn, dfn, op: str) -> Tensor:
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Logistic function as 1/(1+e) for x >= 0 and e/(1+e) below, with
-    e = exp(-|x|) <= 1, so neither branch overflows."""
+    e = exp(-|x|) <= 1, so neither branch overflows. One division serves
+    both: max(e, x >= 0) is exactly 1 where x >= 0 and e elsewhere (NaN
+    stays NaN), and costs a fraction of np.where on a mixed-sign mask."""
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.maximum(e, x >= 0) / d
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -71,11 +71,15 @@ def sigmoid_masked(x):
 
 # -- composed reference ops ---------------------------------------------------
 #
-# Built from the engine's elementary ops only, these are the oracles for the
-# fused nodes that replaced them in src: tensor.stft_logmag (one node per
-# window), nn.gru_scan (one node per sequence), models.nll_from_logits (one
-# node per loss) and tensor.conv1d_dilated_causal's pad-free taps and bias.
-# texp, tlog, slice_axis and concat are elementary ops only these oracles use.
+# These are the oracles for the fused nodes that replaced them in src:
+# tensor.stft_logmag (one node per window), nn.gru_scan (one node per
+# sequence), tensor.gated_conv1d (one node per gated unit; gated_composed is
+# two conv nodes, tanh, sigmoid and mul), models.nll_from_logits (one node
+# for the class head and its NLL; head_nll_composed is the head's own conv
+# node followed by the logits-NLL node nll_logits_node, itself checked
+# against the elementary-op chain nll_composed) and
+# tensor.conv1d_dilated_causal's pad-free taps and bias. texp, tlog,
+# slice_axis and concat are elementary ops only these oracles use.
 
 
 def texp(a):
@@ -186,6 +190,43 @@ def nll_composed(logits, targets):
     onehot[np.arange(b)[:, None], targets, np.arange(t)[None, :]] = 1.0
     picked = T.tsum(T.mul(logits, T.Tensor(onehot)), axis=1, keepdims=True)
     return T.tmean(T.sub(lse, picked))
+
+
+def nll_logits_node(logits, targets):
+    """Mean NLL of logits (batch, classes, time) as one node: a max-shifted
+    log-sum-exp and a gather forward, softmax minus one-hot backward."""
+    b, c, t = logits.shape
+    if targets.shape != (b, t):
+        raise T.ShapeError(f"targets {targets.shape} do not match logits {logits.shape}")
+    x = logits.data
+    shift = x.max(axis=1, keepdims=True)
+    z = x - shift
+    np.exp(z, out=z)
+    lse = np.log(z.sum(axis=1, keepdims=True)) + shift
+    at = (np.arange(b)[:, None], targets, np.arange(t)[None, :])
+    loss = (lse[:, 0, :] - x[at]).mean()
+    out = T._node(np.asarray(loss), (logits,), "nll_logits")
+    if out.requires_grad:
+        def _bw(g):
+            p = x - lse
+            np.exp(p, out=p)
+            p[at] -= 1.0
+            p *= g / (b * t)
+            logits.accumulate_grad(p)
+        out._backward = _bw
+    return out
+
+
+def head_nll_composed(h, head, targets, nll=nll_logits_node):
+    """The class head as its own conv node, then nll of its logits."""
+    return nll(nn.conv_forward(head, h), targets)
+
+
+def gated_composed(x, wf, bf, wg, bg, dilation=1):
+    """tanh of the filter conv times sigmoid of the gate conv, as two conv
+    nodes, a tanh, a sigmoid and a mul."""
+    return T.mul(T.tanh(T.conv1d_dilated_causal(x, wf, dilation, bias=bf)),
+                 T.sigmoid(T.conv1d_dilated_causal(x, wg, dilation, bias=bg)))
 
 
 def frame(a, window, hop):

@@ -174,6 +174,14 @@ def _op_bank():
         return (lambda t: T.conv1d_dilated_causal(t, w, dil),
                 _signed(rng, (2, ci, 10)))
 
+    def gated(rng):
+        ci, co, k = (int(rng.integers(1, 4)) for _ in range(3))
+        wf, wg = (T.Tensor(0.5 * _signed(rng, (co, ci, k))) for _ in range(2))
+        bf, bg = (T.Tensor(0.5 * _signed(rng, (co,))) for _ in range(2))
+        dil = int(rng.integers(1, 3))
+        return (lambda t: T.gated_conv1d(t, wf, bf, wg, bg, dil),
+                _signed(rng, (2, ci, 10)))
+
     def sigmoid(rng):
         return lambda t: T.sigmoid(t), _signed(rng, (3, 5))
 
@@ -212,11 +220,13 @@ def _op_bank():
         return lambda t: nn.gru_scan(layer, t), _signed(rng, (2, 5, 3))
 
     def nll(rng):
-        # a mean over few positions is too flat for the probe's noise floor
+        # the class head and its NLL; a mean over few positions is too flat
+        # for the probe's noise floor
+        head = nn.make_conv("out2", 3, 4, 1, rng)
         targets = rng.integers(0, 4, size=(2, 3))
         up = T.Tensor(np.float32(64.0))
-        return (lambda t: T.mul(models.nll_from_logits(t, targets), up),
-                _signed(rng, (2, 4, 3)))
+        return (lambda t: T.mul(models.nll_from_logits(t, head, targets), up),
+                _signed(rng, (2, 3, 3)))
 
     def frame_lerp(rng):
         # the three synthesis heads at once: a per-item basis, a shared one
@@ -230,7 +240,7 @@ def _op_bank():
                                     T.frame_lerp(t, hop, shared)))
         return op, _signed(rng, (b, f, k))
 
-    return [add, sub, mul, div, matmul, conv, sigmoid, tanh, relu, tabs,
+    return [add, sub, mul, div, matmul, conv, gated, sigmoid, tanh, relu, tabs,
             tsqrt, tsum, tmean, reshape, transpose, stft_logmag, gru_scan, nll,
             frame_lerp]
 

@@ -11,8 +11,9 @@ from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
 from audiotrim.models import ModelConfig, MuLawCodec
 from audiotrim.tensor import Tensor
-from conftest import (ddsp_synthesize_dense, directional_gradcheck, mask_units,
-                      nll_composed, no_training, units_original, upsample_dense)
+from conftest import (ddsp_synthesize_dense, directional_gradcheck, gated_composed,
+                      head_nll_composed, mask_units, nll_composed, no_training,
+                      units_original, upsample_dense)
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -81,18 +82,50 @@ class TestMuLaw:
         assert (np.diff(wave) > 0).all()
 
 
+def identity_head(c):
+    """A 1x1 conv layer whose logits are its input, so the head node's NLL
+    is the NLL of h itself."""
+    head = nn.make_conv("out2", c, c, 1, np.random.default_rng(0))
+    head.params["w"].data = np.eye(c, dtype=np.float32)[:, :, None]
+    head.params["b"].data = np.zeros(c, dtype=np.float32)
+    return head
+
+
+def loss_and_grads(net, batch):
+    """A fresh loss of net on batch and the gradient of every parameter."""
+    net.zero_grad()
+    loss = models.compute_loss(net, batch)
+    loss.backward()
+    return float(loss.data), {name: p.grad for name, p in net.named_parameters()}
+
+
+def surviving(net, plan, layer_name, pname, arr):
+    """arr, a parameter-shaped array of net's layer, without the entries
+    of the units plan removes (plan as for nn.apply_trim)."""
+    layer = net.layers[layer_name]
+    own, src = net.pool_of.get(layer.name), net.pool_of.get(layer.in_source)
+    for axis, role in enumerate(layer.spec.roles[pname]):
+        pid = {"out": own, "self": own, "in": src}.get(role)
+        if pid in plan:
+            arr = np.delete(arr, plan[pid], axis=axis)
+    return arr
+
+
 class TestNll:
+    """The class head and its NLL as one node; an identity head makes its
+    input the logits."""
+
     def test_uniform_logits_give_log_classes(self):
         logits = Tensor(np.zeros((2, 16, 5), dtype=np.float32))
         targets = np.random.default_rng(0).integers(0, 16, size=(2, 5))
-        loss = models.nll_from_logits(logits, targets)
+        loss = models.nll_from_logits(logits, identity_head(16), targets)
         assert float(loss.data) == pytest.approx(np.log(16.0), rel=1e-5)
 
     def test_matches_numpy_log_softmax(self):
         rng = np.random.default_rng(1)
         raw = rng.standard_normal((3, 8, 4)).astype(np.float32)
         targets = rng.integers(0, 8, size=(3, 4))
-        loss = float(models.nll_from_logits(Tensor(raw), targets).data)
+        loss = float(models.nll_from_logits(Tensor(raw), identity_head(8), targets).data)
         x = raw.astype(np.float64)
         logp = x - np.log(np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) \
             - x.max(axis=1, keepdims=True)
@@ -103,7 +136,7 @@ class TestNll:
         logits = np.full((1, 4, 3), -10.0, dtype=np.float32)
         targets = np.array([[2, 2, 2]])
         logits[0, 2, :] = 10.0
-        loss = models.nll_from_logits(Tensor(logits), targets)
+        loss = models.nll_from_logits(Tensor(logits), identity_head(4), targets)
         assert float(loss.data) < 1e-3
 
     def test_gradient_matches_softmax_minus_onehot(self):
@@ -111,7 +144,7 @@ class TestNll:
         raw = rng.standard_normal((2, 5, 3)).astype(np.float32)
         targets = rng.integers(0, 5, size=(2, 3))
         logits = Tensor(raw, requires_grad=True)
-        models.nll_from_logits(logits, targets).backward()
+        models.nll_from_logits(logits, identity_head(5), targets).backward()
         p = np.exp(raw - raw.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         onehot = np.zeros_like(raw)
@@ -120,33 +153,51 @@ class TestNll:
 
     @pytest.mark.parametrize("shape,scale", [((2, 5, 3), 1.0), ((3, 256, 40), 4.0)])
     def test_matches_composed_chain(self, shape, scale):
+        # the head against its own conv node followed by the logits-NLL
+        # node, and by the elementary-op chain; one class's weight row is
+        # zeroed, as a mask would leave it
+        b, c, t = shape
         rng = np.random.default_rng(3)
-        raw = (scale * rng.standard_normal(shape)).astype(np.float32)
-        targets = rng.integers(0, shape[1], size=(shape[0], shape[2]))
+        raw = (scale * rng.standard_normal((b, 7, t))).astype(np.float32)
+        targets = rng.integers(0, c, size=(b, t))
+        head = nn.make_conv("out2", 7, c, 1, rng)
+        head.params["w"].data[1] = 0.0
         out = {}
-        for name, fn in (("node", models.nll_from_logits), ("composed", nll_composed)):
-            logits = Tensor(raw, requires_grad=True)
-            loss = fn(logits, targets)
+        for name, fn in (("node", models.nll_from_logits),
+                         ("logits_node", head_nll_composed),
+                         ("composed", lambda h, hd, tg: head_nll_composed(
+                             h, hd, tg, nll=nll_composed))):
+            h = Tensor(raw, requires_grad=True)
+            for p in head.params.values():
+                p.zero_grad()
+            loss = fn(h, head, targets)
             loss.backward()
-            out[name] = (float(loss.data), logits.grad)
-        assert out["node"][0] == pytest.approx(out["composed"][0], rel=1e-6)
-        assert np.allclose(out["node"][1], out["composed"][1], rtol=1e-6, atol=1e-6)
+            out[name] = (float(loss.data), h.grad, head.params["w"].grad,
+                         head.params["b"].grad)
+        for ref in ("logits_node", "composed"):
+            assert out["node"][0] == pytest.approx(out[ref][0], rel=1e-6)
+            for what, got, want in zip(("h", "w", "b"), out["node"][1:], out[ref][1:]):
+                assert np.allclose(got, want, rtol=1e-6, atol=1e-6), (ref, what)
 
     def test_is_one_node(self):
-        logits = Tensor(np.zeros((2, 4, 3), dtype=np.float32), requires_grad=True)
-        loss = models.nll_from_logits(logits, np.zeros((2, 3), dtype=np.int64))
-        assert loss._parents == (logits,)
+        h = Tensor(np.zeros((2, 4, 3), dtype=np.float32), requires_grad=True)
+        head = identity_head(4)
+        loss = models.nll_from_logits(h, head, np.zeros((2, 3), dtype=np.int64))
+        assert loss._op == "nll"
+        assert loss._parents == (h, head.params["w"], head.params["b"])
 
     def test_gradcheck(self):
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal((2, 6, 5)).astype(np.float32)
-        targets = rng.integers(0, 6, size=(2, 5))
-        directional_gradcheck(lambda x: models.nll_from_logits(x, targets), x0, rng)
+        head = nn.make_conv("out2", 6, 4, 1, rng)
+        targets = rng.integers(0, 4, size=(2, 5))
+        directional_gradcheck(lambda x: models.nll_from_logits(x, head, targets), x0, rng)
 
     def test_mismatched_targets_raise(self):
         logits = Tensor(np.zeros((2, 4, 3), dtype=np.float32))
         with pytest.raises(T.ShapeError, match="targets"):
-            models.nll_from_logits(logits, np.zeros((2, 4), dtype=np.int64))
+            models.nll_from_logits(logits, identity_head(4),
+                                   np.zeros((2, 4), dtype=np.int64))
 
 
 class TestWavenet:
@@ -187,12 +238,74 @@ class TestWavenet:
                 "out1": np.array([6, 0])}
         trimmed = nn.apply_trim(net, plan)
         masked = mask_units(net, plan)
-        x = np.random.default_rng(5).uniform(-1, 1, (2, 1, 24)).astype(np.float32)
+        wave = np.random.default_rng(5).uniform(-1, 1, (2, 25)).astype(np.float32)
+        x = wave[:, None, :-1]
         with T.no_grad():
             yt = trimmed.forward(Tensor(x)).data
             ym = masked.forward(Tensor(x)).data
         assert yt.shape == ym.shape == (2, 16, 24)
         assert np.abs(yt - ym).max() <= 1e-6
+        # the loss and the gradients of every surviving entry agree too
+        lt, gt = loss_and_grads(trimmed, {"wave": wave})
+        lm, gm = loss_and_grads(masked, {"wave": wave})
+        assert abs(lt - lm) <= 1e-6
+        for name, g in gt.items():
+            layer, pname = name.split(".")
+            kept = surviving(masked, plan, layer, pname, gm[name])
+            assert kept.shape == g.shape, name
+            assert np.abs(g - kept).max() <= 1e-6, name
+
+    @pytest.mark.parametrize("variant", ["dense", "trimmed", "masked"])
+    def test_fused_loss_matches_composed(self, variant, monkeypatch):
+        # trimming out1 trims out2's input axis; masking filter_1 zeroes
+        # a filter row and its gate row
+        net = models.build_model(tiny_wavenet_cfg(), seed=9)
+        if variant == "trimmed":
+            net = nn.apply_trim(net, {"out1": np.array([1, 4]), "filter_1": np.array([2])})
+        elif variant == "masked":
+            net = mask_units(net, {"filter_1": np.array([0, 5])})
+        batch = {"wave": np.random.default_rng(9).uniform(-0.9, 0.9, (3, 30))
+                 .astype(np.float32)}
+        fused = loss_and_grads(net, batch)
+        monkeypatch.setattr(T, "gated_conv1d", gated_composed)
+        monkeypatch.setattr(models, "nll_from_logits", head_nll_composed)
+        composed = loss_and_grads(net, batch)
+        assert fused[0] == pytest.approx(composed[0], rel=1e-5)
+        for name, g in fused[1].items():
+            ref = composed[1][name]
+            assert g.shape == ref.shape, name
+            assert np.abs(g - ref).max() <= 1e-5 * np.abs(ref).max(), name
+
+    def test_second_backward_doubles_grads(self):
+        net = models.build_model(tiny_wavenet_cfg(), seed=10)
+        batch = {"wave": np.random.default_rng(10).uniform(-0.9, 0.9, (2, 30))
+                 .astype(np.float32)}
+        loss = models.compute_loss(net, batch)
+        loss.backward()
+        once = {name: p.grad.copy() for name, p in net.named_parameters()}
+        loss.backward()
+        for name, p in net.named_parameters():
+            assert np.array_equal(p.grad, 2 * once[name]), name
+
+    def test_train_step_graph_holds_no_logits(self):
+        # the class logits live only inside the head node, and no
+        # activation node keeps a conv pre-activation as its parent
+        cfg = tiny_wavenet_cfg()
+        net = models.build_model(cfg, seed=11)
+        wave = np.random.default_rng(11).uniform(-0.9, 0.9, (2, 30)).astype(np.float32)
+        loss = models.compute_loss(net, {"wave": wave})
+        logits_shape = (2, cfg.n_classes, 29)
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            node = stack.pop()
+            assert node.shape != logits_shape, node
+            if node._op in ("tanh", "sigmoid", "nll"):
+                assert all(p._op != "conv1d" for p in node._parents), node
+            for p in node._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        assert len(seen) > 1
 
     def test_loss_decreases_on_tiny_overfit(self):
         cfg = tiny_wavenet_cfg()

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiotrim import harness, models
+from audiotrim import harness, models, nn
 from audiotrim import tensor as T
 from conftest import (adjoint_dot_check, concat, conv1d_padded,
-                      directional_gradcheck, fft_mag2, frame, sigmoid_masked,
-                      slice_axis, texp, tlog)
+                      directional_gradcheck, fft_mag2, frame, gated_composed,
+                      sigmoid_masked, slice_axis, texp, tlog)
 
 RNG = np.random.default_rng(1234)
 
@@ -102,6 +102,74 @@ class TestSigmoidArray:
         shape = (8, 16, 1999)
         x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 2, shape)
         self._assert_same(x.astype(np.float32))
+
+    def test_one_division_matches_two(self):
+        # the shared numerator is exactly 1 or e and the divisor is the
+        # same, so each value must agree bit for bit with the form that
+        # divides once per branch
+        def two_divisions(x):
+            e = np.exp(-np.abs(x))
+            d = 1.0 + e
+            return np.where(x >= 0, 1.0 / d, e / d)
+
+        special = np.array([0.0, np.inf, np.nan, 88.0, 1e-30], dtype=np.float32)
+        grid = np.random.default_rng(121).uniform(-100, 100, 10_000).astype(np.float32)
+        for x in (np.concatenate([special, -special]), grid):
+            got, ref = T.sigmoid_array(x), two_divisions(x)
+            assert got.dtype == ref.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+
+class TestGatedNode:
+    """The gated unit as one node against two conv nodes, tanh, sigmoid
+    and mul."""
+
+    @staticmethod
+    def _run(gated, x0, params, dilation, y):
+        x = T.Tensor(x0, requires_grad=True)
+        leaves = [T.Tensor(p, requires_grad=True) for p in params]
+        out = gated(x, *leaves, dilation)
+        T.tsum(T.mul(out, T.Tensor(y))).backward()
+        return [out.data, x.grad] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("k,dilation,t", [(1, 1, 9), (2, 4, 9), (3, 4, 6)])
+    def test_matches_composed_oracle(self, lead, k, dilation, t):
+        rng = np.random.default_rng(130 + 10 * k + dilation)
+        x0 = rng.standard_normal(lead + (4, t)).astype(np.float32)
+        params = [rng.standard_normal(s).astype(np.float32)
+                  for s in ((5, 4, k), (5,), (5, 4, k), (5,))]
+        for p in params:  # a masked unit: zeroed filter and gate rows
+            p[2] = 0.0
+        y = rng.standard_normal(lead + (5, t)).astype(np.float32)
+        got = self._run(T.gated_conv1d, x0, params, dilation, y)
+        ref = self._run(gated_composed, x0, params, dilation, y)
+        for name, a, r in zip(("out", "x", "wf", "bf", "wg", "bg"), got, ref):
+            assert a.shape == r.shape, name
+            scale = float(np.abs(r).max())
+            assert np.abs(a - r).max() <= 1e-5 * scale, name
+
+    def test_is_one_node_and_counts_both_layers(self, monkeypatch):
+        rng = np.random.default_rng(140)
+        x = T.Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
+        leaves = [T.Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                  for s in ((4, 3, 2), (4,), (4, 3, 2), (4,))]
+        calls, conv = [], T.conv1d_dilated_causal
+
+        def counting(x, w, *args, **kwargs):
+            calls.append(w.shape)
+            return conv(x, w, *args, **kwargs)
+
+        monkeypatch.setattr(T, "conv1d_dilated_causal", counting)
+        out = T.gated_conv1d(x, *leaves, 2)
+        assert out._op == "gated" and out._parents == (x, *leaves)
+        assert calls == [(8, 3, 2)]
+
+    def test_filter_gate_mismatch(self):
+        z = T.Tensor(np.zeros((4, 3, 2), dtype=np.float32))
+        with pytest.raises(T.ShapeError, match="gated"):
+            T.gated_conv1d(T.Tensor(np.zeros((1, 3, 5))), z, T.Tensor(np.zeros(4)),
+                           T.Tensor(np.zeros((5, 3, 2))), T.Tensor(np.zeros(5)))
 
 
 class TestShapeAndNumericFaults:
@@ -353,6 +421,9 @@ def _flow_cases():
     xc, basis, mix, tw = const(2, 3, 10), arr(2, 12, 3), const(2, 12), const(2, 2, 3)
     kern, spec = const(2, 1, 3), T.SpectrogramConfig((32, 64))
     left, right = const(5, 2), const(4, 3)
+    wg = const(4, 3, 2)
+    head = nn.make_conv("out2", 3, 6, 1, rng)
+    targets = rng.integers(0, 6, size=(2, 10))
 
     def scalar(x):
         return T.reshape(T.tmean(x, keepdims=True), (1,))
@@ -371,6 +442,11 @@ def _flow_cases():
             xc, v, 2, bias=T.tsum(v, axis=(1, 2))))), arr(4, 3, 2)),
         "conv1d_unbatched": (lambda x: T.tsum(T.tanh(T.conv1d_dilated_causal(x, w3, 1))),
                              arr(3, 8)),
+        "gated_input": (lambda x: T.tmean(T.gated_conv1d(x, w, bias, wg, bias, 2)),
+                        arr(2, 3, 10)),
+        "gated_filter": (lambda v: T.tmean(T.gated_conv1d(xc, v, bias, wg, bias, 2)),
+                         arr(4, 3, 2)),
+        "nll_head": (lambda x: models.nll_from_logits(x, head, targets), arr(2, 3, 10)),
         "frame_lerp_basis": (lambda x: T.tsum(T.sigmoid(T.frame_lerp(x, 4, basis))),
                              arr(2, 3, 3)),
         "frame_lerp_plain": (lambda x: T.tsum(T.mul(T.frame_lerp(x, 4), mix)), arr(2, 3, 1)),
