@@ -350,10 +350,9 @@ _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
 
 
-def adam_trainer(epochs: int = 30, lr: float = 1e-3,
-                 weight_decay: float = 2e-4, plateau_patience: int = 10,
-                 seed: int = 0):
-    """Adam with decoupled weight decay and plateau-halved learning rate.
+def adam_trainer(training: TrainingConfig, seed: int):
+    """Adam with decoupled weight decay and plateau-halved learning rate,
+    as ``training`` sets them; ``seed`` orders the batches.
 
     The learning rate halves after ``plateau_patience`` consecutive epochs
     without a validation improvement; training ends at the epoch budget or
@@ -374,12 +373,12 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
              for name, p in net.named_parameters()}
         v = {name: np.zeros_like(p.data, dtype=np.float64)
              for name, p in net.named_parameters()}
-        cur_lr = lr
+        cur_lr = training.lr
         b1, b2 = _ADAM_BETAS
         t = 0
         best = np.inf
         stalled = 0
-        for epoch in range(epochs):
+        for epoch in range(training.epochs):
             net.train()
             order = rng.permutation(len(splits.train))
             for bi in order:
@@ -395,14 +394,14 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
                     mhat = m[name] / (1.0 - b1 ** t)
                     vhat = v[name] / (1.0 - b2 ** t)
                     p.data = (p.data - cur_lr * (mhat / (np.sqrt(vhat) + _ADAM_EPS)
-                                                 + weight_decay * p.data)
+                                                 + training.weight_decay * p.data)
                               ).astype(np.float32)
                 if after_step is not None:
                     after_step(net)
                 if record_step == t:
                     state_k = net.param_state()
             net.zero_grad()
-            if epoch == epochs - 1:
+            if epoch == training.epochs - 1:
                 break
             vloss = pruning.mean_loss(net, splits.valid)
             if vloss < best:
@@ -410,9 +409,9 @@ def adam_trainer(epochs: int = 30, lr: float = 1e-3,
                 stalled = 0
             else:
                 stalled += 1
-                if stalled % plateau_patience == 0:
+                if stalled % training.plateau_patience == 0:
                     cur_lr *= 0.5
-                if stalled >= 2 * plateau_patience:
+                if stalled >= 2 * training.plateau_patience:
                     break
         net.eval()
         if record_step is not None and state_k is None:
@@ -445,11 +444,7 @@ def setup(cfg: ExperimentConfig):
     items = _build_dataset(cfg)
     splits = build_splits(split_dataset(items, cfg.seed), cfg.training.batch_size)
     net = models.build_model(cfg.model, seed=cfg.seed)
-    tr = cfg.training
-    trainer = adam_trainer(epochs=tr.epochs, lr=tr.lr,
-                           weight_decay=tr.weight_decay,
-                           plateau_patience=tr.plateau_patience, seed=cfg.seed)
-    return splits, net, trainer
+    return splits, net, adam_trainer(cfg.training, cfg.seed)
 
 
 def write_csv(path, header: list, rows):

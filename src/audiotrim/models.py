@@ -465,18 +465,15 @@ def nll_from_logits(h: Tensor, head: nn.Layer, targets: np.ndarray) -> Tensor:
     total = x.sum(axis=1, keepdims=True)
     lse = np.log(total) + shift
     loss = (lse[:, 0, :] - picked).mean()
-    out = T._node(np.asarray(loss), (h, w, bias), "nll")
+    def backward(g):
+        grads = T.conv1d_grads(x, hd, wd, dilation, h.requires_grad,
+                               w.requires_grad, bias.requires_grad)
+        return [None if grad is None else grad * g for grad in grads]
+    out = T._node(np.asarray(loss), (h, w, bias), "nll", backward)
     if out.requires_grad:
         x /= total
         x[at] -= 1.0
         x *= np.float32(1.0 / (b * t))
-        def _bw(g):
-            grads = T.conv1d_grads(x, hd, wd, dilation, h.requires_grad,
-                                   w.requires_grad, bias.requires_grad)
-            for leaf, grad in zip((h, w, bias), grads):
-                if grad is not None:
-                    leaf.accumulate_grad(grad * g)
-        out._backward = _bw
     return out
 
 

@@ -525,37 +525,30 @@ def gru_scan(layer: Layer, x: Tensor) -> Tensor:
         cand[:, i] = np.tanh(xw[:, i, 2 * n :] + ru + p["bh"].data)
         h = (np.float32(1.0) - z) * h + z * cand[:, i]
         hs[:, i] = h
-    out = T._node(hs, (x,) + tuple(p.values()), "gru")
-    if out.requires_grad:
-        def _bw(g):
-            # gradients of the three gate pre-activations, per step
-            da = np.empty((b, t, 3 * n), dtype=np.float32)
-            dh = np.zeros((b, n), dtype=np.float32)
-            for i in reversed(range(t)):
-                dh = dh + g[:, i]
-                z, r, c = zr[:, i, :n], zr[:, i, n:], cand[:, i]
-                da[:, i, :n] = dh * (c - prev[:, i]) * z * (1.0 - z)
-                da[:, i, 2 * n :] = dh * z * (1.0 - c * c)
-                drh = da[:, i, 2 * n :] @ u_h
-                da[:, i, n : 2 * n] = drh * prev[:, i] * r * (1.0 - r)
-                dh = dh * (1.0 - z) + drh * r + da[:, i, : 2 * n] @ u_zr
-            flat = da.reshape(b * t, 3 * n)
-            grads = {}
-            dw = flat.T @ x.data.reshape(b * t, n_in)
-            du_zr = flat[:, : 2 * n].T @ prev.reshape(b * t, n)
-            db = flat.sum(axis=0)
-            grads["uh"] = flat[:, 2 * n :].T @ rh.reshape(b * t, n)
-            for k, gate in enumerate("zrh"):
-                grads["w" + gate] = dw[k * n : (k + 1) * n]
-                grads["b" + gate] = db[k * n : (k + 1) * n]
-            grads["uz"], grads["ur"] = du_zr[:n], du_zr[n:]
-            for k, param in p.items():
-                if param.requires_grad:
-                    param.accumulate_grad(grads[k])
-            if x.requires_grad:
-                x.accumulate_grad((flat @ w).reshape(b, t, n_in))
-        out._backward = _bw
-    return out
+    def backward(g):
+        # gradients of the three gate pre-activations, per step
+        da = np.empty((b, t, 3 * n), dtype=np.float32)
+        dh = np.zeros((b, n), dtype=np.float32)
+        for i in reversed(range(t)):
+            dh = dh + g[:, i]
+            z, r, c = zr[:, i, :n], zr[:, i, n:], cand[:, i]
+            da[:, i, :n] = dh * (c - prev[:, i]) * z * (1.0 - z)
+            da[:, i, 2 * n :] = dh * z * (1.0 - c * c)
+            drh = da[:, i, 2 * n :] @ u_h
+            da[:, i, n : 2 * n] = drh * prev[:, i] * r * (1.0 - r)
+            dh = dh * (1.0 - z) + drh * r + da[:, i, : 2 * n] @ u_zr
+        flat = da.reshape(b * t, 3 * n)
+        dw = flat.T @ x.data.reshape(b * t, n_in)
+        du_zr = flat[:, : 2 * n].T @ prev.reshape(b * t, n)
+        db = flat.sum(axis=0)
+        grads = {"uh": flat[:, 2 * n :].T @ rh.reshape(b * t, n),
+                 "uz": du_zr[:n], "ur": du_zr[n:]}
+        for k, gate in enumerate("zrh"):
+            grads["w" + gate] = dw[k * n : (k + 1) * n]
+            grads["b" + gate] = db[k * n : (k + 1) * n]
+        gx = (flat @ w).reshape(b, t, n_in) if x.requires_grad else None
+        return (gx, *(grads[k] for k in p))
+    return T._node(hs, (x,) + tuple(p.values()), "gru", backward)
 
 
 # -- checkpoints ---------------------------------------------------------

@@ -1,7 +1,8 @@
 """Reverse-mode autodiff over float32 numpy arrays.
 
-Every op builds a closure that knows how to push gradients to its inputs;
-`backward()` walks the graph in reverse topological order. Ops raise
+Every op records a node whose backward function maps the node's gradient
+to one gradient (or None) per input; `backward()` walks the graph in
+reverse topological order and routes each one to its input. Ops raise
 ShapeError on incompatible shapes and NumericError as soon as any forward
 result stops being finite, so faults surface at the op that caused them
 instead of as a NaN loss many steps later.
@@ -55,7 +56,6 @@ class GraphError(RuntimeError):
 
 
 _GRAD_ENABLED = True
-_FLOWS: dict[int, np.ndarray] | None = None
 
 
 @contextlib.contextmanager
@@ -92,16 +92,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray):
-        """Add g to this tensor's flow in the running backward() pass.
-
-        The first flow is stored as it is, without a copy: no backward
-        closure writes into a flow it receives or passes on, and a later
-        flow is added into a new array."""
-        g = g.astype(np.float32, copy=False)
-        cur = _FLOWS.get(id(self))
-        _FLOWS[id(self)] = g if cur is None else cur + g
-
     def backward(self):
         """Add d(self)/d(leaf) into .grad for every leaf of the graph.
 
@@ -110,11 +100,18 @@ class Tensor:
         flow is dropped as soon as its own backward has pushed it to its
         inputs, so a pass holds the flows of one frontier, not the graph's.
         Each call contributes exactly one gradient pass, so calling twice
-        without zero_grad doubles the leaves' grads. A leaf's .grad may
-        share memory with other flows, or be a read-only broadcast view:
-        read it, never write into it.
+        without zero_grad doubles the leaves' grads.
+
+        Routing happens here and nowhere else: a node's backward returns
+        one gradient or None per parent, in parent order; None and parents
+        that need no gradient are skipped, and a wrong count of gradients,
+        or a gradient whose shape is not its parent's, raises GraphError
+        (see _route). A parent's first flow is stored
+        as it is, without a copy, since no backward writes into a flow it
+        receives or returns; a later flow is added into a new array. So a
+        leaf's .grad may share memory with other flows, or be a read-only
+        broadcast view: read it, never write into it.
         """
-        global _FLOWS
         if self.data.size != 1:
             raise GraphError(
                 f"backward() needs a scalar, got shape {self.shape}"
@@ -136,15 +133,10 @@ class Tensor:
                     stack.append((p, False))
         # per-call flows stay in a scratch map; .grad only sees the fold
         flows: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        _FLOWS = flows
-        try:
-            for node in reversed(order):
-                if node._backward is not None:
-                    g = flows.pop(id(node), None)
-                    if g is not None:
-                        node._backward(g)
-        finally:
-            _FLOWS = None
+        for node in reversed(order):
+            g = None if node._backward is None else flows.pop(id(node), None)
+            if g is not None:
+                _route(node, node._backward(g), flows)
         for node in order:
             g = flows.get(id(node))
             if g is not None and node.requires_grad:
@@ -154,12 +146,33 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self._op})"
 
 
+def _route(node: Tensor, grads, flows: dict[int, np.ndarray]):
+    """Add the gradients node's backward returned to its parents' flows.
+    A function of its own, so no flow outlives the call in a local."""
+    if len(grads) != len(node._parents):
+        raise GraphError(f"op '{node._op}' returned {len(grads)} gradients "
+                         f"for {len(node._parents)} inputs")
+    for p, g in zip(node._parents, grads):
+        if g is None or not p.requires_grad:
+            continue
+        if g.shape != p.shape:
+            raise GraphError(f"op '{node._op}' returned a gradient of shape "
+                             f"{g.shape} for an input of shape {p.shape}")
+        g = g.astype(np.float32, copy=False)
+        cur = flows.get(id(p))
+        flows[id(p)] = g if cur is None else cur + g
+
+
 def _check_finite(arr: np.ndarray, op: str):
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
+          backward=None) -> Tensor:
+    """A node computed from parents. backward(g) maps the node's gradient
+    g to one gradient or None per parent, in parent order; it is kept only
+    while the graph records, so a no_grad node pins nothing it captured."""
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data.astype(np.float32, copy=False)
@@ -168,7 +181,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
     record = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out.requires_grad = record
     out._parents = parents if record else ()
-    out._backward = None
+    out._backward = backward if record else None
     return out
 
 
@@ -192,15 +205,10 @@ def _binary(a: Tensor, b: Tensor, fn, da, db, op: str) -> Tensor:
         raise ShapeError(
             f"op '{op}' cannot broadcast {a.shape} with {b.shape}"
         ) from None
-    out = _node(fn(a.data, b.data), (a, b), op)
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(da(g, a.data, b.data), a.shape))
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(db(g, a.data, b.data), b.shape))
-        out._backward = _bw
-    return out
+    def backward(g):
+        return [_unbroadcast(d(g, a.data, b.data), p.shape) if p.requires_grad
+                else None for p, d in ((a, da), (b, db))]
+    return _node(fn(a.data, b.data), (a, b), op, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -239,17 +247,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"op 'matmul' cannot broadcast batch dims: {a.shape} @ {b.shape}"
         ) from None
-    out = _node(res, (a, b), "matmul")
-    if out.requires_grad:
-        def _bw(g):
-            if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-                a.accumulate_grad(_unbroadcast(ga, ad.shape))
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-                b.accumulate_grad(_unbroadcast(gb, bd.shape))
-        out._backward = _bw
-    return out
+    def backward(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+        return ga, gb
+    return _node(res, (a, b), "matmul", backward)
 
 
 def _taps(k: int, dilation: int, t: int) -> list[tuple[int, int]]:
@@ -300,17 +305,10 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
     if bias is not None:
         acc += bias.data[:, None]
     parents = (x, w) if bias is None else (x, w, bias)
-    out = _node(acc, parents, "conv1d")
-    if out.requires_grad:
-        def _bw(g):
-            grads = conv1d_grads(g, xd, wd, dilation, x.requires_grad,
-                                 w.requires_grad,
-                                 bias is not None and bias.requires_grad)
-            for leaf, grad in zip(parents, grads):
-                if grad is not None:
-                    leaf.accumulate_grad(grad)
-        out._backward = _bw
-    return out
+    def backward(g):
+        return conv1d_grads(g, xd, wd, dilation, x.requires_grad, w.requires_grad,
+                            bias is not None and bias.requires_grad)[:len(parents)]
+    return _node(acc, parents, "conv1d", backward)
 
 
 def conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, dilation: int,
@@ -370,25 +368,19 @@ def gated_conv1d(x: Tensor, wf: Tensor, bf: Tensor, wg: Tensor, bg: Tensor,
     t, s = ts[..., :n, :], ts[..., n:, :]
     np.tanh(t, out=t)
     s[...] = sigmoid_array(s)
-    out = _node(t * s, (x, wf, bf, wg, bg), "gated")
-    if out.requires_grad:
-        xd = x.data
-        def _bw(g):
-            # the expression order of the mul, tanh and sigmoid nodes' backward
-            d = np.empty(ts.shape, dtype=np.float32)
-            np.multiply(g * s, 1.0 - t * t, out=d[..., :n, :])
-            np.multiply(g * t, s * (1.0 - s), out=d[..., n:, :])
-            gx, gw, gb = conv1d_grads(d, xd, w, dilation, x.requires_grad,
-                                      wf.requires_grad or wg.requires_grad,
-                                      bf.requires_grad or bg.requires_grad)
-            if gx is not None:
-                x.accumulate_grad(gx)
-            halves = (slice(None, n), slice(n, None))
-            for leaf, grad, half in zip((wf, wg, bf, bg), (gw, gw, gb, gb), halves * 2):
-                if leaf.requires_grad:
-                    leaf.accumulate_grad(grad[half])
-        out._backward = _bw
-    return out
+    xd = x.data
+    def backward(g):
+        # the expression order of the mul, tanh and sigmoid nodes' backward
+        d = np.empty(ts.shape, dtype=np.float32)
+        np.multiply(g * s, 1.0 - t * t, out=d[..., :n, :])
+        np.multiply(g * t, s * (1.0 - s), out=d[..., n:, :])
+        gx, gw, gb = conv1d_grads(d, xd, w, dilation, x.requires_grad,
+                                  wf.requires_grad or wg.requires_grad,
+                                  bf.requires_grad or bg.requires_grad)
+        (gwf, gwg), (gbf, gbg) = [(None, None) if a is None else (a[:n], a[n:])
+                                  for a in (gw, gb)]
+        return gx, gwf, gbf, gwg, gbg
+    return _node(t * s, (x, wf, bf, wg, bg), "gated", backward)
 
 
 def frame_lerp(x: Tensor, hop: int, basis: np.ndarray | None = None) -> Tensor:
@@ -411,30 +403,22 @@ def frame_lerp(x: Tensor, hop: int, basis: np.ndarray | None = None) -> Tensor:
     pair = np.stack([xd, np.concatenate([xd[:, 1:], xd[:, -1:]], axis=1)], -1)
     c4 = None if basis is None else basis.reshape(basis.shape[:-2] + (f, hop, k))
     r = pair if c4 is None else np.matmul(c4, pair)  # (B, F, hop or 1, 2)
-    out = _node((r[..., 0] * w[0] + r[..., 1] * w[1]).reshape(b, f * hop),
-                (x,), "frame_lerp")
-    if out.requires_grad:
-        def _bw(g):
-            g = g.reshape(b, f, hop)
-            gw = np.stack([g * w[0], g * w[1]], -1)
-            d = (gw.sum(axis=2, keepdims=True) if c4 is None
-                 else np.matmul(np.swapaxes(c4, -1, -2), gw))
-            d[:, 1:, :, 0] += d[:, :-1, :, 1]
-            d[:, -1, :, 0] += d[:, -1, :, 1]
-            x.accumulate_grad(d[..., 0])
-        out._backward = _bw
-    return out
+    def backward(g):
+        g = g.reshape(b, f, hop)
+        gw = np.stack([g * w[0], g * w[1]], -1)
+        d = (gw.sum(axis=2, keepdims=True) if c4 is None
+             else np.matmul(np.swapaxes(c4, -1, -2), gw))
+        d[:, 1:, :, 0] += d[:, :-1, :, 1]
+        d[:, -1, :, 0] += d[:, -1, :, 1]
+        return (d[..., 0],)
+    return _node((r[..., 0] * w[0] + r[..., 1] * w[1]).reshape(b, f * hop),
+                 (x,), "frame_lerp", backward)
 
 
 def _unary(a: Tensor, fn, dfn, op: str) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _node(fn(a.data), (a,), op)
-    if out.requires_grad:
-        y = out.data  # not out: a closure holding its own node makes a cycle
-        def _bw(g):
-            a.accumulate_grad(g * dfn(a.data, y))
-        out._backward = _bw
-    return out
+        y = fn(a.data).astype(np.float32, copy=False)
+    return _node(y, (a,), op, lambda g: (g * dfn(a.data, y),))
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
@@ -479,14 +463,11 @@ def _reduce_axes(axis, ndim):
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     axes = _reduce_axes(axis, a.ndim)
     data = a.data.sum(axis=axes, keepdims=keepdims)
-    out = _node(np.asarray(data, dtype=np.float32), (a,), "sum")
-    if out.requires_grad:
-        def _bw(g):
-            if not keepdims:
-                g = np.expand_dims(g, axes) if axes else g
-            a.accumulate_grad(np.broadcast_to(g, a.shape))
-        out._backward = _bw
-    return out
+    def backward(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes) if axes else g
+        return (np.broadcast_to(g, a.shape),)
+    return _node(np.asarray(data, dtype=np.float32), (a,), "sum", backward)
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -495,14 +476,11 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     for ax in axes:
         count *= a.shape[ax]
     data = a.data.mean(axis=axes, keepdims=keepdims)
-    out = _node(np.asarray(data, dtype=np.float32), (a,), "mean")
-    if out.requires_grad:
-        def _bw(g):
-            if not keepdims:
-                g = np.expand_dims(g, axes) if axes else g
-            a.accumulate_grad(np.broadcast_to(g / count, a.shape))
-        out._backward = _bw
-    return out
+    def backward(g):
+        if not keepdims:
+            g = np.expand_dims(g, axes) if axes else g
+        return (np.broadcast_to(g / count, a.shape),)
+    return _node(np.asarray(data, dtype=np.float32), (a,), "mean", backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -512,26 +490,13 @@ def reshape(a: Tensor, shape) -> Tensor:
         raise ShapeError(
             f"op 'reshape' cannot view {a.shape} as {tuple(shape)}"
         ) from None
-    out = _node(data, (a,), "reshape")
-    if out.requires_grad:
-        def _bw(g):
-            a.accumulate_grad(g.reshape(a.shape))
-        out._backward = _bw
-    return out
+    return _node(data, (a,), "reshape", lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
-    data = np.transpose(a.data, axes)
-    out = _node(data, (a,), "transpose")
-    if out.requires_grad:
-        if axes is None:
-            inv = None
-        else:
-            inv = tuple(np.argsort(axes))
-        def _bw(g):
-            a.accumulate_grad(np.transpose(g, inv))
-        out._backward = _bw
-    return out
+    inv = None if axes is None else tuple(np.argsort(axes))
+    return _node(np.transpose(a.data, axes), (a,), "transpose",
+                 lambda g: (np.transpose(g, inv),))
 
 
 @dataclass(frozen=True)
@@ -581,20 +546,17 @@ def _logmag_scale(a: Tensor, window: int, hop: int, floor: np.float32) -> Tensor
     frames = np.lib.stride_tricks.sliding_window_view(a.data, window, axis=-1)
     spec = fourier.fft(frames[..., ::hop, :] * taper)
     denom = spec.real ** 2 + spec.imag ** 2 + floor
-    out = _node(np.log(denom), (a,), "stft_logmag")
-    if out.requires_grad:
-        def _bw(g):
-            # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
-            # interior bin twice (it and its mirror) but DC and Nyquist once,
-            # so those two are doubled here
-            h = (g / denom) * spec
-            h[..., 0] *= 2.0
-            if window % 2 == 0:
-                h[..., window // 2] *= 2.0
-            gt = window * fourier.ifft(h, window)
-            a.accumulate_grad(_overlap_add(gt * taper, a.shape[-1], hop))
-        out._backward = _bw
-    return out
+    def backward(g):
+        # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
+        # interior bin twice (it and its mirror) but DC and Nyquist once,
+        # so those two are doubled here
+        h = (g / denom) * spec
+        h[..., 0] *= 2.0
+        if window % 2 == 0:
+            h[..., window // 2] *= 2.0
+        gt = window * fourier.ifft(h, window)
+        return (_overlap_add(gt * taper, a.shape[-1], hop),)
+    return _node(np.log(denom), (a,), "stft_logmag", backward)
 
 
 def stft_logmag(signal: Tensor, cfg: SpectrogramConfig) -> list[Tensor]:

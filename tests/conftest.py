@@ -1,9 +1,9 @@
 """Shared oracles: finite-difference gradients, a naive DFT, the masked
 sigmoid, the composed reference versions of the fused ops, the dense
 upsampling render (the synthesis heads' oracle), unit masking (trimming's
-oracle), the test-only "sequential" arch, a trainer that takes no step, a
-counter of Adam train calls, and per-test losses registered as throwaway
-archs."""
+oracle), the test-only "sequential" arch, a trainer that takes no step, an
+Adam trainer from keyword fields, a counter of Adam train calls, and
+per-test losses registered as throwaway archs."""
 
 import dataclasses
 
@@ -79,7 +79,9 @@ def sigmoid_masked(x):
 # node followed by the logits-NLL node nll_logits_node, itself checked
 # against the elementary-op chain nll_composed) and
 # tensor.conv1d_dilated_causal's pad-free taps and bias. texp, tlog,
-# slice_axis and concat are elementary ops only these oracles use.
+# slice_axis and concat are elementary ops only these oracles use. Each
+# oracle node is built as src builds its own: T._node with a backward that
+# returns one gradient (or None) per input, which Tensor.backward routes.
 
 
 def texp(a):
@@ -89,12 +91,7 @@ def texp(a):
 def tlog(a):
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
-    out = T._node(data, (a,), "log")
-    if out.requires_grad:
-        def _bw(g):
-            a.accumulate_grad(g / a.data)
-        out._backward = _bw
-    return out
+    return T._node(data, (a,), "log", lambda g: (g / a.data,))
 
 
 def slice_axis(a, axis, start, stop):
@@ -108,14 +105,12 @@ def slice_axis(a, axis, start, stop):
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
-    out = T._node(a.data[idx], (a,), "slice")
-    if out.requires_grad:
-        def _bw(g):
-            full = np.zeros(a.shape, dtype=np.float32)
-            full[idx] = g
-            a.accumulate_grad(full)
-        out._backward = _bw
-    return out
+
+    def backward(g):
+        full = np.zeros(a.shape, dtype=np.float32)
+        full[idx] = g
+        return (full,)
+    return T._node(a.data[idx], (a,), "slice", backward)
 
 
 def concat(parts, axis=0):
@@ -132,19 +127,16 @@ def concat(parts, axis=0):
     except ValueError:
         shapes = [p.shape for p in parts]
         raise T.ShapeError(f"op 'concat' incompatible shapes {shapes}") from None
-    out = T._node(data, tuple(parts), "concat")
-    if out.requires_grad:
-        sizes = [p.shape[axis] for p in parts]
-        def _bw(g):
-            offset = 0
-            for p, size in zip(parts, sizes):
-                if p.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(offset, offset + size)
-                    p.accumulate_grad(g[tuple(idx)])
-                offset += size
-        out._backward = _bw
-    return out
+    bounds = np.cumsum([0] + [p.shape[axis] for p in parts])
+
+    def backward(g):
+        idx = [slice(None)] * g.ndim
+        grads = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            idx[axis] = slice(lo, hi)
+            grads.append(g[tuple(idx)])
+        return grads
+    return T._node(data, tuple(parts), "concat", backward)
 
 
 def conv1d_padded(x, w, dilation=1, bias=None):
@@ -158,23 +150,17 @@ def conv1d_padded(x, w, dilation=1, bias=None):
     acc = np.zeros(x.shape[:-2] + (wd.shape[0], t), dtype=np.float32)
     for j in range(k):
         acc += np.matmul(wd[:, :, j], xd[..., j * dilation : j * dilation + t])
-    y = T._node(acc, (x, w), "conv1d_padded")
-    if y.requires_grad:
-        def _bw(g):
-            if w.requires_grad:
-                gw = np.zeros_like(wd)
-                for j in range(k):
-                    seg = xd[..., j * dilation : j * dilation + t]
-                    axes = [0, 2] if g.ndim == 3 else [1]
-                    gw[:, :, j] = np.tensordot(g, seg, axes=(axes, axes))
-                w.accumulate_grad(gw)
-            if x.requires_grad:
-                gxp = np.zeros_like(xd)
-                for j in range(k):
-                    gxp[..., j * dilation : j * dilation + t] += np.matmul(
-                        wd[:, :, j].T, g)
-                x.accumulate_grad(gxp[..., pad:])
-        y._backward = _bw
+
+    def backward(g):
+        gw = np.zeros_like(wd)
+        gxp = np.zeros_like(xd)
+        for j in range(k):
+            seg = xd[..., j * dilation : j * dilation + t]
+            axes = [0, 2] if g.ndim == 3 else [1]
+            gw[:, :, j] = np.tensordot(g, seg, axes=(axes, axes))
+            gxp[..., j * dilation : j * dilation + t] += np.matmul(wd[:, :, j].T, g)
+        return gxp[..., pad:], gw
+    y = T._node(acc, (x, w), "conv1d_padded", backward)
     return y if bias is None else T.add(y, T.reshape(bias, (-1, 1)))
 
 
@@ -205,16 +191,14 @@ def nll_logits_node(logits, targets):
     lse = np.log(z.sum(axis=1, keepdims=True)) + shift
     at = (np.arange(b)[:, None], targets, np.arange(t)[None, :])
     loss = (lse[:, 0, :] - x[at]).mean()
-    out = T._node(np.asarray(loss), (logits,), "nll_logits")
-    if out.requires_grad:
-        def _bw(g):
-            p = x - lse
-            np.exp(p, out=p)
-            p[at] -= 1.0
-            p *= g / (b * t)
-            logits.accumulate_grad(p)
-        out._backward = _bw
-    return out
+
+    def backward(g):
+        p = x - lse
+        np.exp(p, out=p)
+        p[at] -= 1.0
+        p *= g / (b * t)
+        return (p,)
+    return T._node(np.asarray(loss), (logits,), "nll_logits", backward)
 
 
 def head_nll_composed(h, head, targets, nll=nll_logits_node):
@@ -234,33 +218,29 @@ def frame(a, window, hop):
     t = a.shape[-1]
     n_frames = (t - window) // hop + 1
     idx = (np.arange(n_frames) * hop)[:, None] + np.arange(window)[None, :]
-    out = T._node(a.data[..., idx], (a,), "frame")
-    if out.requires_grad:
-        def _bw(g):
-            gx = np.zeros(a.shape, dtype=np.float32)
-            np.add.at(gx, (..., idx), g)
-            a.accumulate_grad(gx)
-        out._backward = _bw
-    return out
+
+    def backward(g):
+        gx = np.zeros(a.shape, dtype=np.float32)
+        np.add.at(gx, (..., idx), g)
+        return (gx,)
+    return T._node(a.data[..., idx], (a,), "frame", backward)
 
 
 def fft_mag2(a):
     """Squared magnitude of the one-sided DFT of the last axis (n//2 + 1 bins)."""
     n = a.shape[-1]
     spec = fourier.fft(a.data)
-    out = T._node(spec.real ** 2 + spec.imag ** 2, (a,), "fft_mag2")
-    if out.requires_grad:
-        def _bw(g):
-            # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
-            # interior bin twice (it and its mirror) but DC and Nyquist once,
-            # so those two are doubled here
-            h = g * spec
-            h[..., 0] *= 2.0
-            if n % 2 == 0 and n > 1:
-                h[..., n // 2] *= 2.0
-            a.accumulate_grad(n * fourier.ifft(h, n))
-        out._backward = _bw
-    return out
+
+    def backward(g):
+        # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
+        # interior bin twice (it and its mirror) but DC and Nyquist once,
+        # so those two are doubled here
+        h = g * spec
+        h[..., 0] *= 2.0
+        if n % 2 == 0 and n > 1:
+            h[..., n // 2] *= 2.0
+        return (n * fourier.ifft(h, n),)
+    return T._node(spec.real ** 2 + spec.imag ** 2, (a,), "fft_mag2", backward)
 
 
 def stft_logmag_composed(signal, cfg):
@@ -421,6 +401,12 @@ def no_training(net, splits, record_step=None, after_step=None):
         raise ValueError(f"rewind step {record_step} lies beyond the "
                          "0 training steps taken")
     return net.param_state()
+
+
+def adam(seed=0, **training):
+    """harness.adam_trainer for a TrainingConfig that sets only the given
+    fields."""
+    return harness.adam_trainer(harness.TrainingConfig(**training), seed)
 
 
 def count_train_calls(monkeypatch) -> list:

@@ -302,9 +302,9 @@ def _ops_built(run, monkeypatch) -> set[str]:
     """The op name of every graph node T._node builds while run() runs."""
     ops, node = set(), T._node
 
-    def recording(data, parents, op):
+    def recording(data, parents, op, backward=None):
         ops.add(op)
-        return node(data, parents, op)
+        return node(data, parents, op, backward)
 
     with monkeypatch.context() as m:
         m.setattr(T, "_node", recording)

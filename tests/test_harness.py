@@ -10,7 +10,7 @@ import pytest
 
 from audiotrim import harness, models, nn, pruning
 from audiotrim import tensor as T
-from conftest import count_train_calls, use_loss
+from conftest import adam, count_train_calls, use_loss
 
 
 def tiny_cfg(tmp_path, **over):
@@ -300,7 +300,7 @@ class TestAdamTrainer:
     def test_record_step_zero_is_the_initial_state(self):
         net = self.sing()
         before = net.param_state()
-        state = harness.adam_trainer(epochs=1, seed=0)(net, quick_splits(),
+        state = adam(epochs=1, seed=0)(net, quick_splits(),
                                                        record_step=0)
         for key, arr in before.items():
             assert np.array_equal(state[key], arr)
@@ -311,7 +311,7 @@ class TestAdamTrainer:
         outs = []
         for _ in range(2):
             net = self.sing(seed=1)
-            harness.adam_trainer(epochs=2, seed=7)(net, quick_splits(1))
+            adam(epochs=2, seed=7)(net, quick_splits(1))
             outs.append(net.param_state())
         for key in outs[0]:
             assert np.array_equal(outs[0][key], outs[1][key])
@@ -322,11 +322,11 @@ class TestAdamTrainer:
         splits = quick_splits()
         k = len(splits.train)
         one = self.sing(seed=2)
-        harness.adam_trainer(epochs=1, seed=3)(one, splits)
+        adam(epochs=1, seed=3)(one, splits)
         want = one.param_state()
         got = {}
         for step in (k, k + 1):
-            got[step] = harness.adam_trainer(epochs=2, seed=3)(
+            got[step] = adam(epochs=2, seed=3)(
                 self.sing(seed=2), splits, record_step=step)
         for key, arr in want.items():
             assert np.array_equal(got[k][key], arr), key
@@ -336,14 +336,14 @@ class TestAdamTrainer:
     def test_record_step_beyond_budget_rejected(self):
         net = self.sing()
         with pytest.raises(ValueError, match="beyond"):
-            harness.adam_trainer(epochs=1)(net, quick_splits(),
+            adam(epochs=1)(net, quick_splits(),
                                            record_step=1000)
 
     def test_after_step_keeps_masked_weights_dead(self):
         net = self.sing(seed=3)
         mask = pruning.select_weights(net, 0.5, "global")
         mask.enforce(net)
-        harness.adam_trainer(epochs=1, seed=0)(net, quick_splits(3),
+        adam(epochs=1, seed=0)(net, quick_splits(3),
                                                after_step=mask.enforce)
         for key, m in mask.entries.items():
             lname, pname = key.split(".")
@@ -364,7 +364,7 @@ class TestAdamTrainer:
             return T.mul(T.tsum(p), T.Tensor(0.0))
 
         use_loss(monkeypatch, net, flat_loss)
-        harness.adam_trainer(epochs=50, plateau_patience=2, seed=0)(net, splits)
+        adam(epochs=50, plateau_patience=2, seed=0)(net, splits)
         per_epoch = len(splits.train) + len(splits.valid)
         assert calls["n"] == 5 * per_epoch
 
@@ -374,7 +374,7 @@ class TestAdamTrainer:
         mean_loss = pruning.mean_loss
         monkeypatch.setattr(pruning, "mean_loss",
                             lambda net, items: passes.append(1) or mean_loss(net, items))
-        harness.adam_trainer(epochs=3, seed=0)(self.sing(), quick_splits())
+        adam(epochs=3, seed=0)(self.sing(), quick_splits())
         assert len(passes) == 2
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from audiotrim import harness, models, nn, pruning
 from audiotrim import tensor as T
-from conftest import mask_units, no_training, units_original, use_loss
+from conftest import adam, mask_units, no_training, units_original, use_loss
 
 
 # the wrapped objective of the custom-loss runs below
@@ -463,7 +463,7 @@ class TestImpDriver:
     def test_zero_iterations_keeps_only_baseline(self):
         net = models.build_model(sing_cfg(), seed=0)
         trace = pruning.run_imp(net, make_splits(), pruning.ImpConfig(iterations=0),
-                                trainer=harness.adam_trainer(epochs=1))
+                                trainer=adam(epochs=1))
         assert len(trace.records) == 1
         assert trace.records[0].test_error_multiplier == 1.0
         assert trace.records[0].weights_remaining_frac == 1.0
@@ -586,7 +586,7 @@ class TestImpDriver:
         data = make_splits(n_train=3)
         with pytest.raises(ValueError, match="rewind step 4 lies beyond the 3 "):
             pruning.run_imp(net, data, pruning.ImpConfig(rewind_step=4),
-                            harness.adam_trainer(epochs=1))
+                            adam(epochs=1))
 
     def test_stop_error_multiplier_stops_cleanly(self, monkeypatch):
         net = models.build_model(sing_cfg(), seed=0)
@@ -674,7 +674,7 @@ class TestImpDriver:
         outs = []
         for run in range(2):
             d = tmp_path / f"run{run}"
-            pruning.run_imp(net, data, cfg, trainer=harness.adam_trainer(epochs=1),
+            pruning.run_imp(net, data, cfg, trainer=adam(epochs=1),
                             out_dir=d)
             outs.append((d / "trace.csv").read_bytes())
             names = sorted(p.name for p in d.iterdir())
@@ -688,7 +688,7 @@ class TestImpDriver:
         net = models.build_model(sing_cfg(), seed=6)
         data = make_splits(6)
         cfg = pruning.ImpConfig(mode="trim", iterations=2)
-        pruning.run_imp(net, data, cfg, trainer=harness.adam_trainer(epochs=1),
+        pruning.run_imp(net, data, cfg, trainer=adam(epochs=1),
                         out_dir=tmp_path)
         small = nn.load_checkpoint(tmp_path / "iter_02.ckpt")
         assert small.units_remaining() < net.units_remaining()
@@ -711,7 +711,7 @@ class TestImpDriver:
         cfg = pruning.ImpConfig(mode="trim", iterations=3, criterion="gradient",
                                 selection="global", rewind_step=2)
         trace = pruning.run_imp(net, data, cfg,
-                                trainer=harness.adam_trainer(epochs=10, lr=1e-2))
+                                trainer=adam(epochs=10, lr=1e-2))
         assert trace.aborted is None
         assert all(np.isfinite(r.valid_loss) for r in trace.records)
         assert trace.records[-1].units_remaining_frac < 0.5
@@ -727,7 +727,7 @@ class TestImpDriver:
             for _ in range(3):
                 net = models.build_model(sing_cfg(ch=12), seed=seed)
                 trace = pruning.run_imp(net, make_splits(seed, t=512), cfg,
-                                        trainer=harness.adam_trainer(epochs=8))
+                                        trainer=adam(epochs=8))
                 repeats.append([r.wall_seconds for r in trace.records])
             walls = np.min(repeats, axis=0)
             walls_first.append(walls[1])

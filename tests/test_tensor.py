@@ -307,6 +307,75 @@ class TestBackward:
         directional_gradcheck(build, x0, rng)
 
 
+def _fused_nodes():
+    """Builders of every fused node whose backward captures large buffers,
+    each from inputs that require grad."""
+    rng = np.random.default_rng(8)
+    x = T.Tensor(rng.standard_normal((2, 3, 16)).astype(np.float32),
+                 requires_grad=True)
+    conv = nn.make_conv("c", 3, 4, 2, rng)
+    w, b = conv.params["w"], conv.params["b"]
+    gru = nn.make_gru("g", 16, 5, rng)
+    return {
+        "conv1d": lambda: T.conv1d_dilated_causal(x, w, 2, bias=b),
+        "gated": lambda: T.gated_conv1d(x, w, b, w, b),
+        "gru": lambda: nn.gru_scan(gru, x),
+        "nll": lambda: models.nll_from_logits(
+            x, conv, rng.integers(0, 4, size=(2, 16))),
+        "stft_logmag": lambda: T.stft_logmag(
+            T.reshape(x, (96,)), T.SpectrogramConfig(window_sizes=(32,)))[0],
+    }
+
+
+class TestRouting:
+    """Tensor.backward alone routes what a node's backward returns."""
+
+    @staticmethod
+    def _node_returning(parents, grads, op="test_op"):
+        return T._node(np.float32(1.0), parents, op, lambda g: grads)
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), ()])
+    def test_wrong_gradient_shape_raises_naming_op(self, shape):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        node = self._node_returning((x,), (np.ones(shape, np.float32),))
+        with pytest.raises(T.GraphError, match="test_op"):
+            node.backward()
+
+    def test_wrong_gradient_count_raises_naming_op(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        node = self._node_returning((x, x), (np.ones(2, np.float32),))
+        with pytest.raises(T.GraphError, match="test_op"):
+            node.backward()
+
+    def test_none_and_grad_free_parents_are_skipped(self):
+        a = T.Tensor([1.0, 2.0], requires_grad=True)
+        b = T.Tensor([3.0, 4.0], requires_grad=True)
+        const = T.Tensor([5.0, 6.0])
+        # the constant's gradient has a wrong shape: it is never looked at
+        node = self._node_returning(
+            (a, b, const), (None, np.full(2, 3.0), np.ones(7)))
+        node.backward()
+        assert a.grad is None
+        assert b.grad.dtype == np.float32 and np.array_equal(b.grad, [3.0, 3.0])
+        assert const.grad is None
+
+    def test_repeated_parent_sums_gradients_in_parent_order(self):
+        # in float32, (1e8 - 1e8) + 1 is 1 but (1e8 + 1) - 1e8 is 0
+        x = T.Tensor([1.0], requires_grad=True)
+        grads = [np.float32([v]) for v in (1e8, -1e8, 1.0)]
+        self._node_returning((x, x, x), grads).backward()
+        assert np.array_equal(x.grad, [1.0])
+
+    @pytest.mark.parametrize("name", sorted(_fused_nodes()))
+    def test_no_grad_node_keeps_no_backward(self, name):
+        build = _fused_nodes()[name]
+        node = build()
+        assert node._backward is not None and node._parents
+        with T.no_grad():
+            node = build()
+        assert node._backward is None and node._parents == ()
+
+
 class TestConvNode:
     """The pad-free, bias-fused conv against zero padding plus an add node."""
 
@@ -484,20 +553,30 @@ def _tiny_arch_batch(arch):
 
 
 class TestFlowsStayUnwritten:
-    """accumulate_grad stores a node's first flow without a copy, which is
-    sound only while no backward closure writes into a flow it received
-    or passed on. Every stored flow is made read-only here, so such a
-    write raises."""
+    """Tensor.backward stores a node's first flow without a copy, which is
+    sound only while no backward function writes into a flow it received
+    or returned. Every node's backward is wrapped here so that the flow it
+    receives and every gradient it returns are read-only, so such a write
+    raises."""
 
     @pytest.fixture(autouse=True)
     def readonly_flows(self, monkeypatch):
-        store = T.Tensor.accumulate_grad
+        node = T._node
 
-        def accumulate(self, g):
-            store(self, g)
-            T._FLOWS[id(self)].flags.writeable = False
+        def readonly(backward):
+            def wrapped(g):
+                g.flags.writeable = False
+                grads = backward(g)
+                for grad in grads:
+                    if grad is not None:
+                        grad.flags.writeable = False
+                return grads
+            return wrapped
 
-        monkeypatch.setattr(T.Tensor, "accumulate_grad", accumulate)
+        def recording(data, parents, op, backward=None):
+            return node(data, parents, op, backward and readonly(backward))
+
+        monkeypatch.setattr(T, "_node", recording)
 
     @pytest.mark.parametrize("name", sorted(_flow_cases()))
     def test_op_gradcheck(self, name):
