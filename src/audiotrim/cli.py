@@ -126,9 +126,7 @@ def _cmd_analyze(args) -> int:
     batches, imp = None, pruning.ImpConfig()
     if args.config is not None:
         cfg = _load_config(args.config, None, None)
-        items = harness._build_dataset(cfg)
-        split = harness.split_dataset(items, cfg.seed)
-        batches = harness.build_splits(split, cfg.training.batch_size).valid
+        batches = harness.setup(cfg)[0].valid
         imp = cfg.imp
     elif args.criterion != "magnitude":
         raise UsageError(f"criterion '{args.criterion}' needs data batches; "

@@ -100,18 +100,11 @@ def _activation_raw(net: Network, batches) -> dict[str, np.ndarray]:
     return {name: np.asarray(v, dtype=np.float64) for name, v in sums.items()}
 
 
-def score_normalization(layer: Layer) -> np.ndarray:
-    """|gamma| per channel, credited to the units feeding the batchnorm."""
-    if layer.kind != "batchnorm":
-        raise ValueError(f"layer '{layer.name}' is not a normalization layer")
-    if layer.in_source is None:
-        raise ValueError(f"normalization layer '{layer.name}' has no preceding layer")
-    return np.abs(layer.params["gamma"].data.astype(np.float64))
-
-
 def _normalization_raw(net: Network) -> dict[str, np.ndarray]:
-    return {name: score_normalization(layer)
-            for name, layer in net.layers.items() if layer.kind == "batchnorm"}
+    """|gamma| of each layer without connection weights (a batchnorm),
+    credited to the units feeding it."""
+    return {name: score_magnitude(layer)
+            for name, layer in net.layers.items() if not layer.spec.weights}
 
 
 def target_features(wave: np.ndarray) -> np.ndarray:

@@ -94,16 +94,8 @@ def gen_synthetic_tones(n_items: int, sr: int, duration: float, seed: int,
 # -- dataset splitting and batching ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
+def split_dataset(items: list, seed: int) -> pruning.Splits:
     """80/10/10 partition of items; disjoint, exhaustive, seed-reproducible."""
-    train: tuple
-    valid: tuple
-    test: tuple
-    seed: int
-
-
-def split_dataset(items: list, seed: int) -> DatasetSplit:
     n = len(items)
     if n < 10:
         raise ValueError(f"need at least 10 items for an 80/10/10 split, got {n}")
@@ -112,7 +104,7 @@ def split_dataset(items: list, seed: int) -> DatasetSplit:
     valid = tuple(items[i] for i in order[:n_held])
     test = tuple(items[i] for i in order[n_held:2 * n_held])
     train = tuple(items[i] for i in order[2 * n_held:])
-    return DatasetSplit(train, valid, test, seed)
+    return pruning.Splits(train, valid, test)
 
 
 def collate(items) -> dict:
@@ -126,7 +118,7 @@ def collate(items) -> dict:
     return batch
 
 
-def build_splits(split: DatasetSplit, batch_size: int) -> pruning.Splits:
+def build_splits(split: pruning.Splits, batch_size: int) -> pruning.Splits:
     """Batched training split; single-item validation and test batches so
     every criterion (including information scoring) can consume them."""
     train = [collate(split.train[i:i + batch_size])

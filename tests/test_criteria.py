@@ -25,6 +25,12 @@ def wavenet_cfg():
                               spec_windows=(32,))
 
 
+def ddsp_cfg():
+    return models.ModelConfig(arch="ddsp", sample_rate=4000, gru_units=8,
+                              dense_units=8, n_partials=6, noise_bins=5,
+                              frame_hop=32, spec_windows=(32, 64))
+
+
 def tone_batch(rng, n=4, t=256):
     tt = np.arange(t) / SR
     waves = [rng.uniform(0.2, 0.9) * np.sin(2 * np.pi * rng.uniform(200, 2000) * tt)
@@ -141,27 +147,48 @@ class TestMagnitude:
         assert np.array_equal(cr.score_magnitude(bn), [0.5, 2.0, 0.0])
 
 
+def normalization_scores(n, gamma=None):
+    """Normalization scores of an n-channel batchnorm fed by a linear layer."""
+    net = nn.Network("custom", [
+        nn.make_linear("c", 2, n, np.random.default_rng(0)),
+        nn.make_batchnorm("b", n, in_source="c")])
+    if gamma is not None:
+        net.layers["b"].params["gamma"].data[:] = gamma
+    raw = cr._normalization_raw(net)
+    assert set(raw) == {"b"}
+    return raw["b"]
+
+
 class TestNormalization:
     def test_hand_example(self):
-        bn = nn.make_batchnorm("b", 3, in_source="c")
-        bn.params["gamma"].data[:] = [0.5, -2.0, 0.0]
-        assert np.array_equal(cr.score_normalization(bn), [0.5, 2.0, 0.0])
+        assert np.array_equal(normalization_scores(3, [0.5, -2.0, 0.0]), [0.5, 2.0, 0.0])
 
     def test_fresh_batchnorm_is_uniform(self):
-        bn = nn.make_batchnorm("b", 5, in_source="c")
-        assert np.array_equal(cr.score_normalization(bn), np.ones(5))
+        assert np.array_equal(normalization_scores(5), np.ones(5))
 
     def test_gamma_sign_irrelevant(self):
-        bn = nn.make_batchnorm("b", 4, in_source="c")
-        bn.params["gamma"].data[:] = [1.5, 0.25, 2.0, 0.75]
-        pos = cr.score_normalization(bn)
-        bn.params["gamma"].data *= -1.0
-        assert np.array_equal(cr.score_normalization(bn), pos)
+        gamma = np.array([1.5, 0.25, 2.0, 0.75])
+        assert np.array_equal(normalization_scores(4, -gamma),
+                              normalization_scores(4, gamma))
 
-    def test_rejects_non_batchnorm(self):
-        lin = nn.make_linear("l", 2, 2, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="not a normalization"):
-            cr.score_normalization(lin)
+    def test_scores_exactly_the_batchnorm_layers(self):
+        net = models.build_model(sing_cfg(), seed=0)
+        bns = {n for n, layer in net.layers.items() if layer.kind == "batchnorm"}
+        assert bns and set(cr._normalization_raw(net)) == bns
+        for cfg in (wavenet_cfg(), ddsp_cfg()):
+            assert cr._normalization_raw(models.build_model(cfg, seed=0)) == {}
+
+    def test_scores_are_float64_abs_gamma(self):
+        net = models.build_model(sing_cfg(), seed=0)
+        rng = np.random.default_rng(4)
+        for layer in net.layers.values():
+            if layer.kind == "batchnorm":
+                g = layer.params["gamma"].data
+                g[:] = rng.standard_normal(g.shape).astype(g.dtype)
+        for name, score in cr._normalization_raw(net).items():
+            expect = np.abs(net.layers[name].params["gamma"].data.astype(np.float64))
+            assert score.dtype == np.float64
+            assert np.array_equal(score, expect)
 
     def test_pool_without_batchnorm_rejected(self):
         net = models.build_model(wavenet_cfg(), seed=0)
