@@ -197,7 +197,14 @@ def _wavenet_inputs(batch: dict) -> Tensor:
 
 def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
     """x: (batch, 1, time) waveform; returns the class head's input, the
-    (batch, head channels, time) output of out1's relu."""
+    (batch, head channels, time) output of out1's relu.
+
+    Each block's skip and residual 1x1 convs add into their stream in
+    their own conv node (the conv's add operand), so no graph node keeps a
+    projection's output apart from its stream. skip_i is recorded as the
+    layer's own output W z + b, which is formed again for that only while
+    a tape is active; res_i is recorded as the residual stream it updates.
+    """
     n_blocks = len(net.meta["dilations"])
     r = nn.conv_forward(net.layers["in_conv"], x)
     nn.record("in_conv", r, -2)
@@ -208,11 +215,11 @@ def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
                            gate.params["w"], gate.params["b"], filt.dilation)
         # the gated product is the pair's unit activation
         nn.record(f"filter_{i}", z, -2)
-        s = nn.conv_forward(net.layers[f"skip_{i}"], z)
-        nn.record(f"skip_{i}", s, -2)
-        skip_total = s if skip_total is None else T.add(skip_total, s)
+        skip = net.layers[f"skip_{i}"]
+        nn.record(f"skip_{i}", lambda: nn.conv_forward(skip, z), -2)
+        skip_total = nn.conv_forward(skip, z, add=skip_total)
         if i < n_blocks - 1:
-            r = T.add(r, nn.conv_forward(net.layers[f"res_{i}"], z))
+            r = nn.conv_forward(net.layers[f"res_{i}"], z, add=r)
             nn.record(f"res_{i}", r, -2)
     h = T.relu(skip_total)
     h = T.relu(nn.conv_forward(net.layers["out1"], h))
@@ -442,39 +449,57 @@ def nll_from_logits(h: Tensor, head: nn.Layer, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of targets (batch, time) under the class
     logits of the conv layer head applied to h (batch, channels, time).
 
-    One graph node. The logits come from a grad-free conv1d_dilated_causal
-    call into one private buffer, and the max-shifted log-sum-exp runs in
-    place on it. When a gradient is needed, the forward pass leaves
-    (softmax - onehot) / (batch * time) in that buffer; the backward pass
-    runs only the head's weight, input and bias products on it
-    (tensor.conv1d_grads), scaled by the incoming flow, and never writes
-    into it, so a second backward() sees the same buffer.
+    One graph node, run one batch item at a time: each item's (classes,
+    time) logits come from a grad-free conv1d_dilated_causal call into a
+    buffer of their own, and the max-shifted log-sum-exp runs in place on
+    it. When the node records, the forward pass also turns that buffer
+    into (softmax - onehot) / (batch * time) and forms the item's input,
+    weight and bias gradients from it (tensor.conv1d_grads). The weight
+    gradients add in item order, and the bias gradient sums over items
+    before time, as a batched conv1d_grads would. The node keeps only
+    those gradients, never the logits, and its backward returns them
+    times the incoming flow, so a second backward() adds them again.
     """
     w, bias = head.params["w"], head.params["b"]
     hd, wd, dilation = h.data, w.data, head.dilation
-    x = T.conv1d_dilated_causal(Tensor(hd), Tensor(wd), dilation,
-                                bias=Tensor(bias.data)).data
-    b, c, t = x.shape
+    b, _, t = hd.shape
     if targets.shape != (b, t):
-        raise T.ShapeError(f"targets {targets.shape} do not match logits {x.shape}")
-    at = (np.arange(b)[:, None], targets, np.arange(t)[None, :])
-    picked = x[at]
-    shift = x.max(axis=1, keepdims=True)
-    x -= shift
-    np.exp(x, out=x)
-    total = x.sum(axis=1, keepdims=True)
-    lse = np.log(total) + shift
-    loss = (lse[:, 0, :] - picked).mean()
-    def backward(g):
-        grads = T.conv1d_grads(x, hd, wd, dilation, h.requires_grad,
-                               w.requires_grad, bias.requires_grad)
-        return [None if grad is None else grad * g for grad in grads]
-    out = T._node(np.asarray(loss), (h, w, bias), "nll", backward)
-    if out.requires_grad:
+        raise T.ShapeError(f"targets {targets.shape} do not match logits "
+                           f"{(b, wd.shape[0], t)}")
+    want_x, want_w, want_b = (T.grad_enabled() and p.requires_grad
+                              for p in (h, w, bias))
+    wt, bt, steps = Tensor(wd), Tensor(bias.data), np.arange(t)
+    scale = np.float32(1.0 / (b * t))
+    losses = np.empty((b, t), dtype=np.float32)
+    gx = np.empty(hd.shape, dtype=np.float32) if want_x else None
+    gw = gb = None
+    for i in range(b):
+        x = T.conv1d_dilated_causal(Tensor(hd[i]), wt, dilation, bias=bt).data
+        at = (targets[i], steps)
+        picked = x[at]
+        shift = x.max(axis=0, keepdims=True)
+        x -= shift
+        np.exp(x, out=x)
+        total = x.sum(axis=0, keepdims=True)
+        np.subtract((np.log(total) + shift)[0], picked, out=losses[i])
+        if not (want_x or want_w or want_b):
+            continue
         x /= total
         x[at] -= 1.0
-        x *= np.float32(1.0 / (b * t))
-    return out
+        x *= scale
+        gxi, gwi, _ = T.conv1d_grads(x, hd[i], wd, dilation, want_x, want_w, False)
+        if want_x:
+            gx[i] = gxi
+        if want_w:
+            gw = gwi if gw is None else np.add(gw, gwi, out=gw)
+        if want_b:
+            gb = x if gb is None else np.add(gb, x, out=gb)
+    if gb is not None:
+        gb = gb.sum(axis=1)
+    grads = (gx, gw, gb)
+    def backward(g):
+        return [None if grad is None else grad * g for grad in grads]
+    return T._node(np.asarray(losses.mean()), (h, w, bias), "nll", backward)
 
 
 def log_spectrograms(wave: np.ndarray, cfg: SpectrogramConfig) -> list[np.ndarray]:

@@ -224,11 +224,13 @@ def capture():
         _TAPE = prev
 
 
-def record(name: str, t: Tensor, unit_axis: int):
-    """Log a layer's output on the active tape, if any."""
+def record(name: str, t, unit_axis: int):
+    """Log a layer's output on the active tape, if any. t is the output
+    tensor, or a callable that makes it, called only while a tape is
+    active (for an output the forward pass itself never forms)."""
     if _TAPE is None:
         return
-    arr = t.data
+    arr = (t() if callable(t) else t).data
     ax = unit_axis % arr.ndim
     _TAPE.setdefault(name, []).append(
         np.moveaxis(arr, ax, 0).reshape(arr.shape[ax], -1))
@@ -459,9 +461,9 @@ def linear_forward(layer: Layer, x: Tensor) -> Tensor:
     return T.add(T.matmul(x, T.transpose(layer.params["w"])), layer.params["b"])
 
 
-def conv_forward(layer: Layer, x: Tensor) -> Tensor:
+def conv_forward(layer: Layer, x: Tensor, add: Tensor | None = None) -> Tensor:
     return T.conv1d_dilated_causal(x, layer.params["w"], layer.dilation,
-                                   bias=layer.params["b"])
+                                   bias=layer.params["b"], add=add)
 
 
 def batchnorm_forward(layer: Layer, x: Tensor, training: bool,

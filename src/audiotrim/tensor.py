@@ -58,6 +58,11 @@ class GraphError(RuntimeError):
 _GRAD_ENABLED = True
 
 
+def grad_enabled() -> bool:
+    """False inside no_grad, where no op records a node."""
+    return _GRAD_ENABLED
+
+
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording, for inference and sample generation."""
@@ -265,16 +270,20 @@ def _taps(k: int, dilation: int, t: int) -> list[tuple[int, int]]:
 
 
 def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
-                          bias: Tensor | None = None) -> Tensor:
-    """Causal dilated 1-d convolution, plus an optional per-channel bias.
+                          bias: Tensor | None = None,
+                          add: Tensor | None = None) -> Tensor:
+    """Causal dilated 1-d convolution, plus an optional per-channel bias,
+    added into an optional accumulator.
 
-    x: (C, T) or (B, C, T); w: (O, C, K); bias: (O,). Output keeps length
-    T and y[t] only reads x[<= t]: tap j reads x shifted right by
-    s = (K-1-j)*dilation, applied as y[..., s:] += w[:, :, j] @ x[..., :T-s]
-    with no padded copy of x, and a tap with s >= T reads nothing. The
-    first tap that reaches the signal is written in place (matmul out=,
-    zeroing only y[..., :s]); the others add in tap order. The backward
-    pass is conv1d_grads.
+    x: (C, T) or (B, C, T); w: (O, C, K); bias: (O,); add: the output's
+    shape. Output keeps length T and y[t] only reads x[<= t]: tap j reads
+    x shifted right by s = (K-1-j)*dilation, applied as
+    y[..., s:] += w[:, :, j] @ x[..., :T-s] with no padded copy of x, and
+    a tap with s >= T reads nothing. The first tap that reaches the signal
+    is written in place (matmul out=, zeroing only y[..., :s]); the others
+    add in tap order. With add, the node returns add + y, bit for bit the
+    add op's sum of the two, and no node keeps y itself. The backward pass
+    is conv1d_grads, and the accumulator's gradient is the output's.
     """
     xd, wd = x.data, w.data
     if wd.ndim != 3:
@@ -294,8 +303,13 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
             f"op 'conv1d' bias must be ({n_out},), got {bias.shape}"
         )
     t = xd.shape[-1]
+    shape = xd.shape[:-2] + (n_out, t)
+    if add is not None and add.shape != shape:
+        raise ShapeError(
+            f"op 'conv1d' accumulator must be {shape}, got {add.shape}"
+        )
     taps = _taps(k, dilation, t)
-    acc = np.empty(xd.shape[:-2] + (n_out, t), dtype=np.float32)
+    acc = np.empty(shape, dtype=np.float32)
     if taps:
         j0, s0 = taps[0]
         acc[..., :s0] = 0.0
@@ -304,10 +318,14 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
         acc[..., s:] += np.matmul(wd[:, :, j], xd[..., : t - s])
     if bias is not None:
         acc += bias.data[:, None]
-    parents = (x, w) if bias is None else (x, w, bias)
+    if add is not None:
+        np.add(add.data, acc, out=acc)
+    parents = (x, w) + tuple(p for p in (bias, add) if p is not None)
     def backward(g):
-        return conv1d_grads(g, xd, wd, dilation, x.requires_grad, w.requires_grad,
-                            bias is not None and bias.requires_grad)[:len(parents)]
+        grads = conv1d_grads(g, xd, wd, dilation, x.requires_grad, w.requires_grad,
+                             bias is not None and bias.requires_grad)
+        grads = grads if bias is not None else grads[:2]
+        return grads if add is None else (*grads, g)
     return _node(acc, parents, "conv1d", backward)
 
 

@@ -78,7 +78,12 @@ def sigmoid_masked(x):
 # for the class head and its NLL; head_nll_composed is the head's own conv
 # node followed by the logits-NLL node nll_logits_node, itself checked
 # against the elementary-op chain nll_composed) and
-# tensor.conv1d_dilated_causal's pad-free taps and bias. texp, tlog,
+# tensor.conv1d_dilated_causal's pad-free taps and bias. Two oracles must
+# match src bit for bit: nll_from_logits_batched runs the class head over
+# the whole batch at once where models.nll_from_logits runs it one item at
+# a time, and wavenet_trunk_added adds each skip and residual projection
+# into its stream with an add node where models._wavenet_trunk uses the
+# conv's add operand. texp, tlog,
 # slice_axis and concat are elementary ops only these oracles use. Each
 # oracle node is built as src builds its own: T._node with a backward that
 # returns one gradient (or None) per input, which Tensor.backward routes.
@@ -199,6 +204,63 @@ def nll_logits_node(logits, targets):
         p *= g / (b * t)
         return (p,)
     return T._node(np.asarray(loss), (logits,), "nll_logits", backward)
+
+
+def nll_from_logits_batched(h, head, targets):
+    """The class head and its NLL as one node over the whole batch: one
+    grad-free conv call makes the (batch, classes, time) logits, the
+    log-sum-exp runs in place on them, the node keeps them as
+    (softmax - onehot) / (batch * time), and backward runs
+    tensor.conv1d_grads on that buffer, times the flow."""
+    w, bias = head.params["w"], head.params["b"]
+    hd, wd, dilation = h.data, w.data, head.dilation
+    x = T.conv1d_dilated_causal(T.Tensor(hd), T.Tensor(wd), dilation,
+                                bias=T.Tensor(bias.data)).data
+    b, c, t = x.shape
+    if targets.shape != (b, t):
+        raise T.ShapeError(f"targets {targets.shape} do not match logits {x.shape}")
+    at = (np.arange(b)[:, None], targets, np.arange(t)[None, :])
+    picked = x[at]
+    shift = x.max(axis=1, keepdims=True)
+    x -= shift
+    np.exp(x, out=x)
+    total = x.sum(axis=1, keepdims=True)
+    loss = (np.log(total) + shift)[:, 0, :] - picked
+
+    def backward(g):
+        grads = T.conv1d_grads(x, hd, wd, dilation, h.requires_grad,
+                               w.requires_grad, bias.requires_grad)
+        return [None if grad is None else grad * g for grad in grads]
+    out = T._node(np.asarray(loss.mean()), (h, w, bias), "nll_batched", backward)
+    if out.requires_grad:
+        x /= total
+        x[at] -= 1.0
+        x *= np.float32(1.0 / (b * t))
+    return out
+
+
+def wavenet_trunk_added(net, x):
+    """The WaveNet trunk with each skip and residual 1x1 conv as a node of
+    its own, added into its stream by an add node."""
+    n_blocks = len(net.meta["dilations"])
+    r = nn.conv_forward(net.layers["in_conv"], x)
+    nn.record("in_conv", r, -2)
+    skip_total = None
+    for i in range(n_blocks):
+        filt, gate = net.layers[f"filter_{i}"], net.layers[f"gate_{i}"]
+        z = T.gated_conv1d(r, filt.params["w"], filt.params["b"],
+                           gate.params["w"], gate.params["b"], filt.dilation)
+        nn.record(f"filter_{i}", z, -2)
+        s = nn.conv_forward(net.layers[f"skip_{i}"], z)
+        nn.record(f"skip_{i}", s, -2)
+        skip_total = s if skip_total is None else T.add(skip_total, s)
+        if i < n_blocks - 1:
+            r = T.add(r, nn.conv_forward(net.layers[f"res_{i}"], z))
+            nn.record(f"res_{i}", r, -2)
+    h = T.relu(skip_total)
+    h = T.relu(nn.conv_forward(net.layers["out1"], h))
+    nn.record("out1", h, -2)
+    return h
 
 
 def head_nll_composed(h, head, targets, nll=nll_logits_node):

@@ -174,6 +174,15 @@ def _op_bank():
         return (lambda t: T.conv1d_dilated_causal(t, w, dil),
                 _signed(rng, (2, ci, 10)))
 
+    def conv_add(rng):
+        # the conv's accumulator operand, fed the conv's own input
+        c, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        w = T.Tensor(_signed(rng, (c, c, k)))
+        bias = T.Tensor(_signed(rng, (c,)))
+        dil = int(rng.integers(1, 3))
+        return (lambda t: T.conv1d_dilated_causal(t, w, dil, bias=bias, add=t),
+                _signed(rng, (2, c, 10)))
+
     def gated(rng):
         ci, co, k = (int(rng.integers(1, 4)) for _ in range(3))
         wf, wg = (T.Tensor(0.5 * _signed(rng, (co, ci, k))) for _ in range(2))
@@ -242,7 +251,7 @@ def _op_bank():
 
     return [add, sub, mul, div, matmul, conv, gated, sigmoid, tanh, relu, tabs,
             tsqrt, tsum, tmean, reshape, transpose, stft_logmag, gru_scan, nll,
-            frame_lerp]
+            frame_lerp, conv_add]
 
 
 def _directional_rel_err(builder, rng, eps=8e-3):

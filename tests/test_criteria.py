@@ -8,7 +8,8 @@ from audiotrim import mi as mi_mod
 from audiotrim import models, nn
 from audiotrim import tensor as T
 from audiotrim.tensor import Tensor
-from conftest import batch_x, mask_units, use_loss
+from conftest import (batch_x, mask_units, nll_from_logits_batched, use_loss,
+                      wavenet_trunk_added)
 
 SR = 16000
 
@@ -464,6 +465,21 @@ class TestPoolScores:
         scores = cr.pool_scores(net, "normalization", "none")
         gamma = np.abs(net.layers["bn0"].params["gamma"].data.astype(np.float64))
         assert np.allclose(scores["conv0"], gamma)
+
+    @pytest.mark.parametrize("criterion", ["activation", "information", "gradient"])
+    def test_wavenet_scores_match_added_streams_bit_for_bit(self, criterion,
+                                                            monkeypatch):
+        # the skip streams the trunk records are the projections' own
+        # outputs, as when each one was a node added into the stream
+        net = models.build_model(wavenet_cfg(), seed=3)
+        items = single_items(np.random.default_rng(5), n=10, t=1024)
+        got = cr.pool_scores(net, criterion, "none", batches=items)
+        monkeypatch.setattr(models, "_wavenet_trunk", wavenet_trunk_added)
+        monkeypatch.setattr(models, "nll_from_logits", nll_from_logits_batched)
+        want = cr.pool_scores(net, criterion, "none", batches=items)
+        assert got.keys() == want.keys()
+        for pid, score in got.items():
+            assert np.array_equal(score, want[pid]), pid
 
     def test_activation_scores_on_trimmed_network(self, trained_sing):
         net, items = trained_sing

@@ -237,11 +237,11 @@ class TestCountedMacs:
             macs.append(a.data.size * b.shape[1])  # (..., k) @ (k, n)
             return matmul(a, b)
 
-        def counting_conv(x, w, dilation=1, bias=None):
+        def counting_conv(x, w, dilation=1, bias=None, add=None):
             n_out, _, k = w.shape
             assert (k - 1) * dilation < x.shape[-1]  # every tap reaches the signal
             macs.append(x.data.size * n_out * k)  # (b, c, t) by (o, c, k)
-            return conv(x, w, dilation, bias=bias)
+            return conv(x, w, dilation, bias=bias, add=add)
 
         monkeypatch.setattr(T, "matmul", counting_matmul)
         monkeypatch.setattr(T, "conv1d_dilated_causal", counting_conv)

@@ -12,8 +12,9 @@ from audiotrim import tensor as T
 from audiotrim.models import ModelConfig, MuLawCodec
 from audiotrim.tensor import Tensor
 from conftest import (ddsp_synthesize_dense, directional_gradcheck, gated_composed,
-                      head_nll_composed, mask_units, nll_composed, no_training,
-                      units_original, upsample_dense)
+                      head_nll_composed, mask_units, nll_composed,
+                      nll_from_logits_batched, no_training, units_original,
+                      upsample_dense, wavenet_trunk_added)
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -179,6 +180,41 @@ class TestNll:
             for what, got, want in zip(("h", "w", "b"), out["node"][1:], out[ref][1:]):
                 assert np.allclose(got, want, rtol=1e-6, atol=1e-6), (ref, what)
 
+    @pytest.mark.parametrize("wants", ["hwb", "h", "w", "b", "", "no_grad"])
+    def test_matches_batched_head_bit_for_bit(self, wants):
+        # one item at a time against the whole batch at once, for every
+        # subset of inputs that want a gradient; a second backward doubles
+        rng = np.random.default_rng(5)
+        raw = (3.0 * rng.standard_normal((5, 7, 40))).astype(np.float32)
+        targets = rng.integers(0, 32, size=(5, 40))
+        head = nn.make_conv("out2", 7, 32, 1, rng)
+        out = {}
+        for fn in (models.nll_from_logits, nll_from_logits_batched):
+            h = Tensor(raw, requires_grad="h" in wants)
+            for name, p in head.params.items():
+                p.requires_grad = name in wants
+                p.zero_grad()
+            leaves = (h, head.params["w"], head.params["b"])
+            if wants == "no_grad":
+                with T.no_grad():
+                    loss = fn(h, head, targets)
+                out[fn] = [loss.data]
+                continue
+            loss = fn(h, head, targets)
+            if loss.requires_grad:
+                loss.backward()
+                once = [leaf.grad for leaf in leaves]
+                loss.backward()
+                out[fn] = [loss.data, *once, *(leaf.grad for leaf in leaves)]
+            else:
+                out[fn] = [loss.data, *(leaf.grad for leaf in leaves)]
+        got, want = out[models.nll_from_logits], out[nll_from_logits_batched]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_is_one_node(self):
         h = Tensor(np.zeros((2, 4, 3), dtype=np.float32), requires_grad=True)
         head = identity_head(4)
@@ -276,6 +312,36 @@ class TestWavenet:
             assert g.shape == ref.shape, name
             assert np.abs(g - ref).max() <= 1e-5 * np.abs(ref).max(), name
 
+    @pytest.mark.parametrize("variant", ["dense", "trimmed", "masked"])
+    def test_matches_added_streams_and_batched_head_bit_for_bit(self, variant,
+                                                                monkeypatch):
+        # trimming out1, the residual pool (named after in_conv) and the
+        # skip pool trims the projections that add into each stream
+        net = models.build_model(tiny_wavenet_cfg(), seed=12)
+        plan = {"out1": np.array([1, 4]), "in_conv": np.array([0, 2]),
+                "skip_0": np.array([3])}
+        if variant == "trimmed":
+            net = nn.apply_trim(net, plan)
+        elif variant == "masked":
+            net = mask_units(net, plan | {"filter_1": np.array([0, 5])})
+        batch = {"wave": np.random.default_rng(12).uniform(-0.9, 0.9, (4, 30))
+                 .astype(np.float32)}
+        runs = []
+        for oracle in (False, True):
+            if oracle:
+                monkeypatch.setattr(models, "_wavenet_trunk", wavenet_trunk_added)
+                monkeypatch.setattr(models, "nll_from_logits", nll_from_logits_batched)
+            loss, grads = loss_and_grads(net, batch)
+            with T.no_grad():
+                logits = models.forward_batch(net, batch).data
+            runs.append((loss, grads, logits))
+        (loss, grads, logits), (ref_loss, ref_grads, ref_logits) = runs
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
+        assert np.array_equal(logits, ref_logits)
+
     def test_second_backward_doubles_grads(self):
         net = models.build_model(tiny_wavenet_cfg(), seed=10)
         batch = {"wave": np.random.default_rng(10).uniform(-0.9, 0.9, (2, 30))
@@ -288,17 +354,25 @@ class TestWavenet:
             assert np.array_equal(p.grad, 2 * once[name]), name
 
     def test_train_step_graph_holds_no_logits(self):
-        # the class logits live only inside the head node, and no
-        # activation node keeps a conv pre-activation as its parent
+        # the class logits are neither a node nor kept by the head node's
+        # backward, no activation node keeps a conv pre-activation as its
+        # parent, and the skip and residual projections add into their
+        # streams inside their conv nodes, so no add node keeps them
         cfg = tiny_wavenet_cfg()
         net = models.build_model(cfg, seed=11)
         wave = np.random.default_rng(11).uniform(-0.9, 0.9, (2, 30)).astype(np.float32)
         loss = models.compute_loss(net, {"wave": wave})
         logits_shape = (2, cfg.n_classes, 29)
+        assert loss._op == "nll"
+        kept = [c.cell_contents for c in loss._backward.__closure__]
+        kept += [a for c in kept if isinstance(c, (tuple, list)) for a in c]
+        assert not any(isinstance(a, np.ndarray) and a.shape == logits_shape
+                       for a in kept)
         seen, stack = {id(loss)}, [loss]
         while stack:
             node = stack.pop()
             assert node.shape != logits_shape, node
+            assert node._op != "add", node
             if node._op in ("tanh", "sigmoid", "nll"):
                 assert all(p._op != "conv1d" for p in node._parents), node
             for p in node._parents:

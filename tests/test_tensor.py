@@ -316,8 +316,11 @@ def _fused_nodes():
     conv = nn.make_conv("c", 3, 4, 2, rng)
     w, b = conv.params["w"], conv.params["b"]
     gru = nn.make_gru("g", 16, 5, rng)
+    acc = T.Tensor(rng.standard_normal((2, 4, 16)).astype(np.float32),
+                   requires_grad=True)
     return {
         "conv1d": lambda: T.conv1d_dilated_causal(x, w, 2, bias=b),
+        "conv1d_add": lambda: T.conv1d_dilated_causal(x, w, 2, bias=b, add=acc),
         "gated": lambda: T.gated_conv1d(x, w, b, w, b),
         "gru": lambda: nn.gru_scan(gru, x),
         "nll": lambda: models.nll_from_logits(
@@ -437,6 +440,33 @@ class TestConvNode:
         bare = T.conv1d_dilated_causal(x, w, 2).data
         assert np.array_equal(out.data, bare + np.arange(4, dtype=np.float32)[:, None])
 
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_accumulator_matches_add_node_bit_for_bit(self, with_bias):
+        rng = np.random.default_rng(114)
+        arrays = [rng.standard_normal(s).astype(np.float32)
+                  for s in ((3, 4, 9), (5, 4, 2), (5,), (3, 5, 9), (3, 5, 9))]
+        runs = []
+        for fused in (True, False):
+            x, w, b, acc = (T.Tensor(a, requires_grad=True) for a in arrays[:4])
+            bias = b if with_bias else None
+            if fused:
+                out = T.conv1d_dilated_causal(x, w, 2, bias=bias, add=acc)
+                assert out._op == "conv1d"
+                assert out._parents == (x, w) + ((b,) if with_bias else ()) + (acc,)
+            else:
+                out = T.add(acc, T.conv1d_dilated_causal(x, w, 2, bias=bias))
+            T.tsum(T.mul(out, T.Tensor(arrays[4]))).backward()
+            runs.append([out.data, x.grad, w.grad, acc.grad]
+                        + ([b.grad] if with_bias else []))
+        for name, a, r in zip(("out", "x", "w", "add", "bias"), *runs):
+            assert a.dtype == r.dtype and a.tobytes() == r.tobytes(), name
+
+    def test_accumulator_shape_mismatch(self):
+        x, w = T.Tensor(np.zeros((2, 3, 8))), T.Tensor(np.zeros((4, 3, 2)))
+        for shape in ((2, 4, 7), (4, 8), (1, 4, 8)):
+            with pytest.raises(T.ShapeError, match="accumulator"):
+                T.conv1d_dilated_causal(x, w, add=T.Tensor(np.zeros(shape)))
+
     def test_bias_shape_mismatch(self):
         with pytest.raises(T.ShapeError, match="bias"):
             T.conv1d_dilated_causal(T.Tensor(np.zeros((3, 8))), T.Tensor(np.zeros((4, 3, 2))),
@@ -493,6 +523,7 @@ def _flow_cases():
     wg = const(4, 3, 2)
     head = nn.make_conv("out2", 3, 6, 1, rng)
     targets = rng.integers(0, 6, size=(2, 10))
+    w33, b3 = const(3, 3, 2), const(3)
 
     def scalar(x):
         return T.reshape(T.tmean(x, keepdims=True), (1,))
@@ -511,6 +542,11 @@ def _flow_cases():
             xc, v, 2, bias=T.tsum(v, axis=(1, 2))))), arr(4, 3, 2)),
         "conv1d_unbatched": (lambda x: T.tsum(T.tanh(T.conv1d_dilated_causal(x, w3, 1))),
                              arr(3, 8)),
+        # x is both the input and the accumulator, so its flows add
+        "conv1d_add_input": (lambda x: T.tmean(T.tanh(T.conv1d_dilated_causal(
+            x, w33, 2, bias=b3, add=x))), arr(2, 3, 10)),
+        "conv1d_add_only": (lambda x: T.tmean(T.tanh(T.conv1d_dilated_causal(
+            xc, w, 2, bias=bias, add=x))), arr(2, 4, 10)),
         "gated_input": (lambda x: T.tmean(T.gated_conv1d(x, w, bias, wg, bias, 2)),
                         arr(2, 3, 10)),
         "gated_filter": (lambda v: T.tmean(T.gated_conv1d(xc, v, bias, wg, bias, 2)),
