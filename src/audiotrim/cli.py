@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criteria as cr
-from . import embed, harness, nn, pruning
+from . import embed, harness, models, nn, pruning
 
 
 class UsageError(Exception):
@@ -170,8 +170,8 @@ def _cmd_synth(args) -> int:
             1, sr, max(args.duration, 0.25), args.seed,
             frame_hop=harness._tone_hop(net.arch, config)))
 
-    wave = nn.arch_spec(net.arch).sample(net, int(args.duration * sr),
-                                         args.seed, tones)
+    wave = models.arch_spec(net.arch).sample(net, int(args.duration * sr),
+                                             args.seed, tones)
     harness.write_wav(args.out, wave, sr)
     print(f"wrote {args.out} ({len(wave) / sr:.2f} s at {sr} Hz)")
     return 0

@@ -42,9 +42,9 @@ is invariant under trimming of a fixed layer's output width only.
 
 Invocation rates: the autoregressive model runs every layer once per
 output sample; a frame-based model runs once per frame, so per-sample
-costs amortize by the frame hop its registered record reports (the
+costs amortize by the frame hop its `models.ARCHS` record reports (the
 sample-level autoencoder, like any arch without a frame hop, runs once
-per sample).
+per sample; an arch that has no record raises StructureError).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import nn
+from . import models, nn
 
 FLOPS_PER_MAC = 2
 
@@ -109,7 +109,8 @@ def layer_rw(layer: nn.Layer) -> int:
 
 
 def _samples_per_invocation(net: nn.Network) -> int:
-    return nn.arch_spec(net.arch).frame_hop(net.meta.get("config", {})) or 1
+    hop = models.arch_spec(net.arch).frame_hop
+    return hop(net.meta.get("config", {})) if hop else 1
 
 
 def invocations_per_second(net: nn.Network) -> float:

@@ -14,9 +14,9 @@ import csv
 import dataclasses
 import hashlib
 import json
-import struct
 import time
 import typing
+import wave as wave_io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,49 +140,37 @@ def write_wav(path, wave: np.ndarray, sr: int):
     file reproduces it byte for byte."""
     x = np.clip(np.asarray(wave, dtype=np.float64), -1.0, 1.0)
     pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
-    payload = pcm.tobytes()
-    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload),
-                         b"WAVE", b"fmt ", 16, 1, 1, sr, sr * 2, 2, 16,
-                         b"data", len(payload))
-    Path(path).write_bytes(header + payload)
+    with wave_io.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(sr)
+        fh.writeframes(pcm.tobytes())
 
 
 def read_wav(path, sr_expected: int) -> np.ndarray:
     """Mono PCM16 RIFF reader, normalized by 1/32768."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise WavFormatError(f"{path.name}: not a RIFF/WAVE file")
-    pos = 12
-    fmt = None
-    data = None
-    while pos + 8 <= len(raw):
-        cid, size = struct.unpack_from("<4sI", raw, pos)
-        pos += 8
-        body = raw[pos:pos + size]
-        if len(body) < size:
-            raise WavFormatError(
-                f"{path.name}: chunk {cid.decode(errors='replace')} declares "
-                f"{size} bytes but only {len(body)} remain (truncated)")
-        if cid == b"fmt ":
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif cid == b"data":
-            data = body
-        pos += size + (size & 1)
-    if fmt is None or data is None:
-        raise WavFormatError(f"{path.name}: missing fmt or data chunk")
-    audio_format, channels, sr, _, _, bits = fmt
-    if audio_format != 1 or bits != 16:
+    try:
+        with wave_io.open(str(path), "rb") as fh:
+            channels, width, sr, n_frames = fh.getparams()[:4]
+            frames = fh.readframes(n_frames)
+    except (wave_io.Error, EOFError) as err:
         raise WavFormatError(
-            f"{path.name}: only PCM 16-bit is supported "
-            f"(format {audio_format}, {bits} bits)")
+            f"{path.name}: not a PCM 16-bit WAV file ({err})") from None
+    if width != 2:
+        raise WavFormatError(f"{path.name}: only PCM 16-bit is supported "
+                             f"({8 * width} bits)")
     if channels != 1:
         raise WavFormatError(f"{path.name}: {channels} channels unsupported, "
                              "expected mono")
     if sr != sr_expected:
         raise WavFormatError(f"{path.name}: sample rate {sr} does not match "
                              f"expected {sr_expected}")
-    pcm = np.frombuffer(data, dtype="<i2")
+    # wave hands back what a short data chunk holds without complaint
+    if len(frames) != 2 * n_frames:
+        raise WavFormatError(f"{path.name}: data chunk declares {2 * n_frames} "
+                             f"bytes but only {len(frames)} remain (truncated)")
+    pcm = np.frombuffer(frames, dtype="<i2")
     return (pcm.astype(np.float32) / 32768.0).astype(np.float32)
 
 
@@ -419,7 +407,8 @@ def adam_trainer(training: TrainingConfig, seed: int):
 
 def _tone_hop(arch: str, model: dict) -> int:
     # per-sample models take no frame conditioning: 200-sample tone frames
-    return nn.arch_spec(arch).frame_hop(model) or 200
+    hop = models.arch_spec(arch).frame_hop
+    return hop(model) if hop else 200
 
 
 def _build_dataset(cfg: ExperimentConfig) -> list[dict]:
@@ -454,8 +443,8 @@ def _emit_samples(out: Path, trace: pruning.ImpTrace, splits: pruning.Splits,
     for idx in picks:
         it = trace.records[idx].iteration
         net = nn.load_checkpoint(out / f"iter_{it:02d}.ckpt").eval()
-        wave = nn.arch_spec(net.arch).sample(net, int(0.25 * sr), 0,
-                                             lambda: splits.test[0])
+        wave = models.arch_spec(net.arch).sample(net, int(0.25 * sr), 0,
+                                                 lambda: splits.test[0])
         write_wav(sample_dir / f"iter_{it:02d}.wav", wave, sr)
 
 

@@ -1,8 +1,9 @@
 """Desk-scale generative audio models and their losses.
 
 Three architectures, each built as a Network with full trim wiring and
-described once, by the nn.ArchSpec record registered beside its builder
-and forward (inputs from a batch, loss, sampler, frame hop):
+described once, by its ArchSpec record in the ARCHS table below the
+three families (builder, forward, inputs from a batch, loss, sampler,
+frame hop):
 
 * "wavenet": stacked gated dilated causal convolutions over mu-law
   classes, trained with teacher forcing and sampled autoregressively.
@@ -13,12 +14,14 @@ and forward (inputs from a batch, loss, sampler, frame hop):
 * "ddsp": GRU + dense decoder emitting per-frame controls for a
   differentiable harmonic-plus-filtered-noise synthesiser.
 
-build_model, forward_batch and compute_loss dispatch through that
-record. All waveforms live in [-1, 1] at a fixed sample rate.
+build_model, forward, forward_batch and compute_loss dispatch through
+that record; no other module knows an architecture. All waveforms live
+in [-1, 1] at a fixed sample rate.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -89,21 +92,51 @@ class MuLawCodec:
         return self.expand(f).astype(np.float32)
 
 
-# -- dispatch through the registered records --------------------------------
+# -- dispatch through the ARCHS table ------------------------------------------
+
+
+@dataclass(frozen=True)
+class ArchSpec:
+    """Everything that sets one architecture apart. build(model_config,
+    rng) makes a Network; forward(net, x) runs it; inputs(batch) is
+    forward's argument from a batch dict; loss(net, batch) is the
+    training objective; sample(net, n_samples, seed, conditioning)
+    generates a waveform from the seed or renders the first item of the
+    batch conditioning() builds; frame_hop(config) is the samples per
+    invocation of a frame-rate model, and None marks a per-sample one."""
+    build: Callable
+    forward: Callable
+    inputs: Callable
+    loss: Callable
+    sample: Callable
+    frame_hop: Callable | None = None
+
+
+def arch_spec(name: str) -> ArchSpec:
+    """The ARCHS record of arch `name`."""
+    try:
+        return ARCHS[name]
+    except KeyError:
+        raise nn.StructureError(f"unknown arch '{name}'") from None
 
 
 def build_model(cfg: ModelConfig, seed: int = 0) -> Network:
-    return nn.arch_spec(cfg.arch).build(cfg, np.random.default_rng(seed))
+    return arch_spec(cfg.arch).build(cfg, np.random.default_rng(seed))
+
+
+def forward(net: Network, x):
+    """The arch's forward pass on its input x."""
+    return arch_spec(net.arch).forward(net, x)
 
 
 def forward_batch(net: Network, batch: dict):
     """The arch's forward pass on a batch dict (for scoring passes)."""
-    return net.forward(nn.arch_spec(net.arch).inputs(batch))
+    return forward(net, arch_spec(net.arch).inputs(batch))
 
 
 def compute_loss(net: Network, batch: dict) -> Tensor:
     """Training objective on one batch; batch["wave"] is (batch, time)."""
-    return nn.arch_spec(net.arch).loss(net, batch)
+    return arch_spec(net.arch).loss(net, batch)
 
 
 def _waves(batch: dict) -> np.ndarray:
@@ -251,7 +284,7 @@ def wavenet_generate(net: Network, n_samples: int, seed: int) -> np.ndarray:
     out = np.empty(n_samples, dtype=np.float32)
     with T.no_grad():
         for i in range(n_samples):
-            logits = net.forward(Tensor(buf[None, None, :])).data[0, :, -1]
+            logits = forward(net, Tensor(buf[None, None, :])).data[0, :, -1]
             p = np.exp((logits - logits.max()).astype(np.float64))
             p /= p.sum()
             idx = rng.choice(cfg.n_classes, p=p)
@@ -260,13 +293,6 @@ def wavenet_generate(net: Network, n_samples: int, seed: int) -> np.ndarray:
             buf = np.roll(buf, -1)
             buf[-1] = x
     return out
-
-
-nn.register_arch("wavenet", nn.ArchSpec(
-    build=_build_wavenet, forward=_forward_wavenet, loss=_wavenet_loss,
-    inputs=_wavenet_inputs,
-    sample=lambda net, n_samples, seed, conditioning:
-        wavenet_generate(net, n_samples, seed)))
 
 
 # -- sing autoencoder ------------------------------------------------------------
@@ -309,24 +335,15 @@ def _sing_render(net: Network, batch: dict) -> Tensor:
     return T.reshape(forward_batch(net, batch), _waves(batch).shape)
 
 
-nn.register_arch("sing_ae", nn.ArchSpec(
-    build=_build_sing, forward=_forward_sing,
-    inputs=lambda batch: Tensor(_waves(batch)[:, None, :]),
-    loss=_spectral_loss(_sing_render), sample=_render_first(_sing_render)))
-
-
 # -- harmonic-plus-noise synthesis -------------------------------------------
 
 
+# the noise basis scaled by 1/bands, per (samples, bands, seed)
 _NOISE_BASIS_CACHE: dict = {}
 
 
 def noise_band_basis(n_samples: int, n_bands: int, seed: int) -> np.ndarray:
     """(n_samples, n_bands) bandpassed white noise, each band peak-normalised."""
-    key = (n_samples, n_bands, seed)
-    basis = _NOISE_BASIS_CACHE.get(key)
-    if basis is not None:
-        return basis
     # the noise is drawn at the next power of two, which fixes the basis
     # that existing checkpoints were trained against
     n = 1
@@ -340,7 +357,6 @@ def noise_band_basis(n_samples: int, n_bands: int, seed: int) -> np.ndarray:
     for k in range(n_bands):
         band = fourier.ifft(np.where(band_of == k, spec, 0), n)[:n_samples]
         basis[:, k] = band / (np.abs(band).max() + 1e-9)
-    _NOISE_BASIS_CACHE[key] = basis
     return basis
 
 
@@ -377,9 +393,9 @@ def ddsp_synthesize(controls: dict[str, Tensor], f0_frames: np.ndarray,
     """
     cfg = meta["config"]
     hop, n_bands = cfg["frame_hop"], cfg["noise_bins"]
-    key = ("scaled", np.shape(f0_frames)[1] * hop, n_bands, cfg["noise_seed"])
+    key = (np.shape(f0_frames)[1] * hop, n_bands, cfg["noise_seed"])
     if key not in _NOISE_BASIS_CACHE:
-        _NOISE_BASIS_CACHE[key] = noise_band_basis(*key[1:]) * np.float32(1.0 / n_bands)
+        _NOISE_BASIS_CACHE[key] = noise_band_basis(*key) * np.float32(1.0 / n_bands)
     if bank is None:
         bank = sine_bank(f0_frames, cfg)
     harmonic = T.frame_lerp(controls["harm"], hop, bank)
@@ -435,11 +451,25 @@ def _forward_ddsp(net: Network, feats: Tensor) -> dict[str, Tensor]:
     return {"amp": amp, "harm": harm, "noise": noise}
 
 
-nn.register_arch("ddsp", nn.ArchSpec(
-    build=_build_ddsp, forward=_forward_ddsp,
-    inputs=lambda batch: Tensor(ddsp_features(batch["f0"], batch["loud"])),
-    loss=_spectral_loss(ddsp_render), sample=_render_first(ddsp_render),
-    frame_hop=lambda config: config["frame_hop"]))
+# -- the architectures, by name -------------------------------------------------
+
+
+ARCHS: dict[str, ArchSpec] = {
+    "wavenet": ArchSpec(
+        build=_build_wavenet, forward=_forward_wavenet, inputs=_wavenet_inputs,
+        loss=_wavenet_loss,
+        sample=lambda net, n_samples, seed, conditioning:
+            wavenet_generate(net, n_samples, seed)),
+    "sing_ae": ArchSpec(
+        build=_build_sing, forward=_forward_sing,
+        inputs=lambda batch: Tensor(_waves(batch)[:, None, :]),
+        loss=_spectral_loss(_sing_render), sample=_render_first(_sing_render)),
+    "ddsp": ArchSpec(
+        build=_build_ddsp, forward=_forward_ddsp,
+        inputs=lambda batch: Tensor(ddsp_features(batch["f0"], batch["loud"])),
+        loss=_spectral_loss(ddsp_render), sample=_render_first(ddsp_render),
+        frame_hop=lambda config: config["frame_hop"]),
+}
 
 
 # -- losses -------------------------------------------------------------------

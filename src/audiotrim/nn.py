@@ -12,10 +12,6 @@ masking) is not a network mode; the tests keep it as trimming's oracle,
 and a trimmed forward pass must match the masked one to float
 precision. Checkpoints serialise the full structure (not just weights)
 so a trimmed network round-trips byte for byte.
-
-Each arch name maps to one registered ArchSpec record (builder, forward,
-batch inputs, loss, sampler, frame hop); `models` registers the audio
-families.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import contextlib
 import json
 import math
 import zlib
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,47 +160,6 @@ class Pool:
     members: tuple[str, ...]
     kept: np.ndarray  # original unit ids still present, in current order
     orig: int
-
-
-# -- architecture registry ---------------------------------------------
-
-
-def _missing(what: str):
-    def fail(owner, *args, **kwargs):
-        # owner is the net or the model config; inputs(batch) gets neither
-        arch = f" for arch '{owner.arch}'" if hasattr(owner, "arch") else ""
-        raise StructureError(f"no {what} registered{arch} "
-                             "(unknown arch, or its record has none)")
-    return fail
-
-
-@dataclass(frozen=True)
-class ArchSpec:
-    """Everything that sets one architecture apart. build(model_config,
-    rng) makes a Network; inputs(batch) is forward(net, x)'s argument
-    from a batch dict; loss(net, batch) is the training objective;
-    sample(net, n_samples, seed, conditioning) generates a waveform from
-    the seed or renders the first item of the batch conditioning()
-    builds; frame_hop(config) is the samples per invocation of a
-    frame-rate model, None for a per-sample one. Unregistered archs get
-    every default."""
-    build: Callable = _missing("builder")
-    forward: Callable = _missing("forward")
-    inputs: Callable = _missing("inputs")
-    loss: Callable = _missing("loss")
-    sample: Callable = _missing("sampler")
-    frame_hop: Callable = lambda config: None
-
-
-_ARCHS: dict[str, ArchSpec] = {}
-
-
-def register_arch(name: str, spec: ArchSpec):
-    _ARCHS[name] = spec
-
-
-def arch_spec(name: str) -> ArchSpec:
-    return _ARCHS.get(name, ArchSpec())
 
 
 _TAPE: dict | None = None
@@ -355,9 +309,6 @@ class Network:
         self.training = False
         return self
 
-    def forward(self, *args, **kwargs):
-        return arch_spec(self.arch).forward(self, *args, **kwargs)
-
     def clone(self) -> "Network":
         layers = []
         for layer in self.layers.values():
@@ -466,8 +417,11 @@ def conv_forward(layer: Layer, x: Tensor, add: Tensor | None = None) -> Tensor:
                                    bias=layer.params["b"], add=add)
 
 
-def batchnorm_forward(layer: Layer, x: Tensor, training: bool,
-                      momentum: float = 0.1) -> Tensor:
+# the weight of each training batch's moments in the running stats
+BN_MOMENTUM = 0.1
+
+
+def batchnorm_forward(layer: Layer, x: Tensor, training: bool) -> Tensor:
     if x.ndim != 3:
         raise T.ShapeError(f"batchnorm expects (batch, channels, time), got {x.shape}")
     gamma = T.reshape(layer.params["gamma"], (1, -1, 1))
@@ -478,10 +432,10 @@ def batchnorm_forward(layer: Layer, x: Tensor, training: bool,
         v = T.tmean(T.mul(d, d), axis=(0, 2), keepdims=True)
         # running stats track the batch (biased) moments
         rm, rv = layer.buffers["running_mean"], layer.buffers["running_var"]
-        rm *= 1.0 - momentum
-        rm += momentum * m.data.reshape(-1)
-        rv *= 1.0 - momentum
-        rv += momentum * v.data.reshape(-1)
+        rm *= 1.0 - BN_MOMENTUM
+        rm += BN_MOMENTUM * m.data.reshape(-1)
+        rv *= 1.0 - BN_MOMENTUM
+        rv += BN_MOMENTUM * v.data.reshape(-1)
         xn = T.div(d, T.tsqrt(T.add(v, Tensor(layer.eps))))
     else:
         rm = Tensor(layer.buffers["running_mean"].reshape(1, -1, 1))

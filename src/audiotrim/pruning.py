@@ -489,8 +489,8 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer, *,
     step, and returns the parameter state after ``record_step`` steps
     (0 = before the first) when ``record_step`` is not None, raising
     ValueError if training takes fewer steps; ``harness.adam_trainer``
-    is the one implementation. Losses come from the net's registered
-    arch (``models.compute_loss``).
+    is the one implementation. Losses come from the net's arch
+    record (``models.compute_loss``).
     Emits per-iteration checkpoints and the trace CSV under ``out_dir``
     when given. A non-finite validation loss aborts with the trace so far;
     exceeding ``stop_error_multiplier`` or hitting the min_units /

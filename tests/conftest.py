@@ -1,9 +1,10 @@
 """Shared oracles: finite-difference gradients, a naive DFT, the masked
 sigmoid, the composed reference versions of the fused ops, the dense
 upsampling render (the synthesis heads' oracle), unit masking (trimming's
-oracle), the test-only "sequential" arch, a trainer that takes no step, an
-Adam trainer from keyword fields, a counter of Adam train calls, and
-per-test losses registered as throwaway archs."""
+oracle), the test-only "sequential" arch and the stubs that fill a test
+arch's unused fields, a trainer that takes no step, an Adam trainer from
+keyword fields, a counter of Adam train calls, and per-test losses added
+to models.ARCHS as throwaway archs."""
 
 import dataclasses
 
@@ -432,8 +433,7 @@ def sequential_forward(net, x):
         elif layer.kind == "conv1d":
             x = nn.conv_forward(layer, x)
         elif layer.kind == "batchnorm":
-            x = nn.batchnorm_forward(layer, x, net.training,
-                                     net.meta.get("bn_momentum", 0.1))
+            x = nn.batchnorm_forward(layer, x, net.training)
         elif layer.kind == "gru":
             x = nn.gru_scan(layer, x)
         act = acts.get(name)
@@ -447,8 +447,16 @@ def batch_x(batch):
     return T.Tensor(np.asarray(batch["x"], dtype=np.float32))
 
 
-nn.register_arch("sequential", nn.ArchSpec(forward=sequential_forward,
-                                           inputs=batch_x))
+def unused(field):
+    """A stub for an ArchSpec field that a test arch never calls."""
+    def fail(*args, **kwargs):
+        raise AssertionError(f"a test arch's {field} was called")
+    return fail
+
+
+models.ARCHS["sequential"] = models.ArchSpec(
+    build=unused("build"), forward=sequential_forward, inputs=batch_x,
+    loss=unused("loss"), sample=unused("sample"))
 
 
 # -- runs without training, and per-test losses ---------------------------------
@@ -492,12 +500,12 @@ def count_train_calls(monkeypatch) -> list:
 def use_loss(monkeypatch, net, loss):
     """net, moved to a copy of its arch's record whose loss is ``loss``.
 
-    The copy is registered under a name of its own for one test only. A
-    loss that wraps the arch's own must call that record's ``loss``:
+    The copy is in models.ARCHS under a name of its own for one test only.
+    A loss that wraps the arch's own must call that record's ``loss``:
     models.compute_loss would look up the wrapper again.
     """
     name = f"{net.arch}+loss"
-    monkeypatch.setitem(nn._ARCHS, name,
-                        dataclasses.replace(nn.arch_spec(net.arch), loss=loss))
+    monkeypatch.setitem(models.ARCHS, name,
+                        dataclasses.replace(models.arch_spec(net.arch), loss=loss))
     net.arch = name
     return net

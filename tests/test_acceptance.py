@@ -18,6 +18,7 @@ for passing tests too (pytest shows captured output of failures anyway).
 
 import statistics
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ def test_trimming_equals_masking_on_random_networks():
         training = i % 8 == 0
         for m in (trimmed, masked):
             m.train() if training else m.eval()
-        yt = trimmed.forward(T.Tensor(x)).data
-        ym = masked.forward(T.Tensor(x)).data
+        yt = models.forward(trimmed, T.Tensor(x)).data
+        ym = models.forward(masked, T.Tensor(x)).data
         assert yt.shape == ym.shape
         gap = float(np.abs(yt - ym).max())
         assert gap <= 1e-6, f"pair {i}: trim vs mask gap {gap:.3g} > 1e-6"
@@ -283,28 +284,40 @@ def _directional_rel_err(builder, rng, eps=8e-3):
             ana, v = d, cand
         if abs(ana) >= floor:
             break
-    assert abs(ana) >= 0.1, "no usable probe direction (degenerate gradient)"
+    else:
+        # no random direction cleared the floor: g / |g| has the steepest
+        # derivative there is, |g|
+        ana = float(np.linalg.norm(g))
+        assert ana >= 0.1, "no usable probe direction (degenerate gradient)"
+        v = g / ana
 
     num = (f(x0 + eps * v) - f(x0 - eps * v)) / (2 * eps)
     return abs(num - ana) / max(abs(num), abs(ana))
 
 
+def _grad_seeds(name):
+    """A primitive's own graph seeds, keyed by its name, so adding or
+    moving a primitive in _op_bank leaves every other one's cases as
+    they are."""
+    return [zlib.crc32(f"{name}/{j}".encode()) for j in range(5)]
+
+
 def test_gradients_match_finite_differences_on_every_primitive():
     t0 = time.perf_counter()
     bank = _op_bank()
-    worst = 0.0
-    for i in range(100):
-        rng = np.random.default_rng(2000 + i)
-        rel = _directional_rel_err(bank[i % len(bank)], rng)
-        assert rel < 1e-3, (
-            f"graph {i} ({bank[i % len(bank)].__name__}): "
-            f"relative gradient error {rel:.3g} >= 1e-3")
-        worst = max(worst, rel)
+    worst, n_graphs = 0.0, 0
+    for builder in bank:
+        for seed in _grad_seeds(builder.__name__):
+            rel = _directional_rel_err(builder, np.random.default_rng(seed))
+            assert rel < 1e-3, (
+                f"{builder.__name__} seed {seed}: "
+                f"relative gradient error {rel:.3g} >= 1e-3")
+            worst, n_graphs = max(worst, rel), n_graphs + 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _line("02 gradients",
-          f"100 graphs over {len(bank)} primitives; worst relative error "
-          f"{worst:.2e} (tolerance 1e-3), {elapsed:.1f}s")
+          f"{n_graphs} graphs over {len(bank)} primitives; worst relative "
+          f"error {worst:.2e} (tolerance 1e-3), {elapsed:.1f}s")
 
 
 def _ops_built(run, monkeypatch) -> set[str]:
@@ -377,7 +390,7 @@ def test_mi_estimator_recovers_gaussian_ground_truth():
 
 def test_fifteen_rounds_of_thirty_percent_masking(monkeypatch):
     rng = np.random.default_rng(0)
-    net = nn.Network("custom", [nn.make_linear("fc", 200, 100, rng)],
+    net = nn.Network("sequential", [nn.make_linear("fc", 200, 100, rng)],
                      meta={"config": {"sample_rate": 8000}})
     w = net.layers["fc"].params["w"]
     data = pruning.Splits(train=[{}], valid=[{}], test=[{}])

@@ -8,8 +8,8 @@ from audiotrim import mi as mi_mod
 from audiotrim import models, nn
 from audiotrim import tensor as T
 from audiotrim.tensor import Tensor
-from conftest import (batch_x, mask_units, nll_from_logits_batched, use_loss,
-                      wavenet_trunk_added)
+from conftest import (batch_x, mask_units, nll_from_logits_batched, unused,
+                      use_loss, wavenet_trunk_added)
 
 SR = 16000
 
@@ -50,7 +50,9 @@ def _probe_forward(net, x):
     return x
 
 
-nn.register_arch("probe", nn.ArchSpec(forward=_probe_forward, inputs=batch_x))
+models.ARCHS["probe"] = models.ArchSpec(
+    build=unused("build"), forward=_probe_forward, inputs=batch_x,
+    loss=unused("loss"), sample=unused("sample"))
 
 
 def probe_net(n_units):
@@ -199,7 +201,7 @@ class TestNormalization:
 
 class TestGradient:
     def test_single_linear_hand_chain(self, monkeypatch):
-        net = nn.Network("custom", [nn.make_linear("lin", 2, 2,
+        net = nn.Network("sequential", [nn.make_linear("lin", 2, 2,
                                                    np.random.default_rng(0))])
         use_loss(monkeypatch, net, _sum_loss(["lin"]))
         batch = {"x": [[1.0, 2.0]]}
@@ -208,7 +210,7 @@ class TestGradient:
 
     def test_dead_downstream_scores_zero(self, monkeypatch):
         rng = np.random.default_rng(4)
-        net = nn.Network("custom", [
+        net = nn.Network("sequential", [
             nn.make_linear("lin1", 2, 3, rng),
             nn.make_linear("lin2", 3, 2, rng, in_source="lin1"),
         ])

@@ -86,7 +86,7 @@ def random_chain(rng):
         else:
             layers.append(nn.make_gru(name, width, n_out, rng, in_source=prev_name))
         prev_name, width = name, n_out
-    return nn.Network("custom", layers)
+    return nn.Network("sequential", layers)
 
 
 def tiny_arch_net(rng):
@@ -226,7 +226,7 @@ class TestCountedMacs:
         # 2000 samples, far beyond the 8-sample receptive field
         batch = harness.collate(harness.gen_synthetic_tones(
             2, cfg.sample_rate, 0.25, seed=2, frame_hop=cfg.frame_hop))
-        x = nn.arch_spec(arch).inputs(batch)
+        x = models.arch_spec(arch).inputs(batch)
         # (batch, frames, features) for ddsp, (batch, 1, time) for the convs
         positions = x.shape[0] * (x.shape[1] if arch == "ddsp" else x.shape[2])
         macs = []
@@ -271,7 +271,7 @@ class TestRwMemory:
         assert embed.layer_rw(nn.make_batchnorm("b", 5, in_source=None)) == 30
 
     def test_zero_layer_network(self):
-        net = nn.Network("custom", [])
+        net = nn.Network("sequential", [])
         assert embed.rw_memory(net) == 0.0
 
     def test_autoregressive_accesses_per_sample(self):
@@ -279,6 +279,13 @@ class TestRwMemory:
         net = random_chain(rng)
         per_inv = sum(embed.layer_rw(l) for l in net.layers.values())
         assert embed.rw_memory(net) == pytest.approx(per_inv)
+
+    def test_unknown_arch_has_no_invocation_rate(self):
+        # an arch with no models.ARCHS record is not billed per sample
+        rng = np.random.default_rng(0)
+        net = nn.Network("mystery", [nn.make_linear("a", 2, 2, rng)])
+        with pytest.raises(nn.StructureError, match="unknown arch 'mystery'"):
+            embed.rw_memory(net)
 
 
 class TestDisk:

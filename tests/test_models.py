@@ -240,7 +240,7 @@ class TestWavenet:
     def test_forward_shape(self):
         net = models.build_model(tiny_wavenet_cfg(), seed=0)
         x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 20)).astype(np.float32)
-        out = net.forward(Tensor(x))
+        out = models.forward(net, Tensor(x))
         assert out.shape == (2, 16, 20)
 
     def test_receptive_field_matches_probe(self):
@@ -254,7 +254,8 @@ class TestWavenet:
         p = 3
         b[0, 0, p] += 0.5
         with T.no_grad():
-            diff = np.abs(net.forward(Tensor(a)).data - net.forward(Tensor(b)).data)
+            diff = np.abs(models.forward(net, Tensor(a)).data
+                          - models.forward(net, Tensor(b)).data)
         changed = np.flatnonzero(diff.sum(axis=(0, 1)) > 1e-7)
         assert changed.min() >= p
         assert changed.max() <= p + rf - 1
@@ -277,8 +278,8 @@ class TestWavenet:
         wave = np.random.default_rng(5).uniform(-1, 1, (2, 25)).astype(np.float32)
         x = wave[:, None, :-1]
         with T.no_grad():
-            yt = trimmed.forward(Tensor(x)).data
-            ym = masked.forward(Tensor(x)).data
+            yt = models.forward(trimmed, Tensor(x)).data
+            ym = models.forward(masked, Tensor(x)).data
         assert yt.shape == ym.shape == (2, 16, 24)
         assert np.abs(yt - ym).max() <= 1e-6
         # the loss and the gradients of every surviving entry agree too
@@ -410,7 +411,7 @@ class TestSing:
     def test_forward_bounded_and_shaped(self):
         net = models.build_model(tiny_sing_cfg(), seed=0)
         x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 64)).astype(np.float32)
-        out = net.forward(Tensor(x))
+        out = models.forward(net, Tensor(x))
         assert out.shape == (2, 1, 64)
         assert np.abs(out.data).max() <= 1.0
 
@@ -427,7 +428,8 @@ class TestSing:
         masked.eval()
         x = np.random.default_rng(11).uniform(-1, 1, (2, 1, 48)).astype(np.float32)
         with T.no_grad():
-            diff = np.abs(trimmed.forward(Tensor(x)).data - masked.forward(Tensor(x)).data)
+            diff = np.abs(models.forward(trimmed, Tensor(x)).data
+                          - models.forward(masked, Tensor(x)).data)
         assert diff.max() <= 1e-6
 
     def test_spectral_loss_zero_on_identical(self):
@@ -454,7 +456,7 @@ class TestDdsp:
         net = models.build_model(cfg, seed=0)
         batch = ddsp_batch(cfg)
         feats = Tensor(models.ddsp_features(batch["f0"], batch["loud"]))
-        ctrl = net.forward(feats)
+        ctrl = models.forward(net, feats)
         assert ctrl["amp"].shape == (2, 6, 1)
         assert ctrl["harm"].shape == (2, 6, cfg.n_partials)
         assert ctrl["noise"].shape == (2, 6, cfg.noise_bins)
@@ -525,11 +527,27 @@ class TestDdsp:
             ym = models.ddsp_render(masked, batch).data
         assert np.abs(yt - ym).max() <= 1e-6
 
-    def test_noise_basis_is_cached_and_bounded(self):
-        a = models.noise_band_basis(100, 4, seed=0)
-        b = models.noise_band_basis(100, 4, seed=0)
-        assert a is b
-        assert np.abs(a).max() <= 1.0 + 1e-6
+    def test_noise_basis_is_cached_and_bounded(self, monkeypatch):
+        # the render builds the basis once per shape and keeps one entry
+        built = []
+        basis = models.noise_band_basis
+
+        def counted(*key):
+            built.append(key)
+            return basis(*key)
+        monkeypatch.setattr(models, "noise_band_basis", counted)
+        monkeypatch.setattr(models, "_NOISE_BASIS_CACHE", {})
+        meta = {"config": {"frame_hop": 5, "noise_bins": 4, "noise_seed": 0,
+                           "sample_rate": 8000, "n_partials": 3}}
+        for frames in (20, 20, 12, 20, 12):
+            rng = np.random.default_rng(frames)
+            controls = {k: Tensor(rng.uniform(0, 1, (1, frames, n)))
+                        for k, n in (("amp", 1), ("harm", 3), ("noise", 4))}
+            with T.no_grad():
+                models.ddsp_synthesize(controls, np.full((1, frames), 200.0), meta)
+        assert built == [(100, 4, 0), (60, 4, 0)]
+        assert list(models._NOISE_BASIS_CACHE) == built
+        assert np.abs(basis(100, 4, seed=0)).max() <= 1.0 + 1e-6
 
 
 class TestSynthesisHeads:
@@ -737,8 +755,8 @@ class TestBuildAndCheckpoint:
         else:
             x = np.random.default_rng(9).uniform(-1, 1, (1, 1, 40)).astype(np.float32)
             with T.no_grad():
-                a = net.forward(Tensor(x)).data
-                b = loaded.forward(Tensor(x)).data
+                a = models.forward(net, Tensor(x)).data
+                b = models.forward(loaded, Tensor(x)).data
         assert np.array_equal(a, b)
 
 
@@ -770,13 +788,13 @@ def _toy_loss(net, batch):
 def _toy_sample(net, n_samples, seed, conditioning):
     noise = np.random.default_rng(seed).uniform(-1, 1, (1, n_samples, 1))
     with T.no_grad():
-        return np.tanh(net.forward(Tensor(noise)).data.reshape(-1))
+        return np.tanh(models.forward(net, Tensor(noise)).data.reshape(-1))
 
 
-nn.register_arch("toy", nn.ArchSpec(
+models.ARCHS["toy"] = models.ArchSpec(
     build=_build_toy, forward=_forward_toy, loss=_toy_loss, sample=_toy_sample,
     inputs=lambda batch: Tensor(np.asarray(batch["wave"], dtype=np.float32)[:, :, None]),
-    frame_hop=lambda config: TOY_HOP))
+    frame_hop=lambda config: TOY_HOP)
 
 
 class TestRegisteredArch:
@@ -809,7 +827,7 @@ class TestRegisteredArch:
         assert trace.aborted is None and len(trace.records) == 2
         small = nn.load_checkpoint(tmp_path / "iter_01.ckpt")
         assert small.units_remaining() < net.units_remaining()
-        sample = nn.arch_spec(small.arch).sample
+        sample = models.arch_spec(small.arch).sample
         wave = sample(small, 16, 0, lambda: None)
         assert wave.shape == (16,) and np.all(np.abs(wave) <= 1)
         assert np.array_equal(wave, sample(small, 16, 0, lambda: None))
@@ -826,10 +844,7 @@ class TestRegisteredArch:
         assert len(harness.read_wav(waves[0], 8000)) == 2000
 
     def test_unregistered_arch_names_what_is_missing(self):
-        with pytest.raises(ValueError, match="unknown arch"):
+        with pytest.raises(nn.StructureError, match="unknown arch 'mystery'"):
             models.build_model(ModelConfig(arch="mystery"))
-        net = nn.Network("sequential", [])
-        with pytest.raises(ValueError, match="no loss"):
-            models.compute_loss(net, {"x": np.zeros((1, 2))})
-        with pytest.raises(ValueError, match="no inputs"):
+        with pytest.raises(nn.StructureError, match="unknown arch 'mystery'"):
             models.forward_batch(nn.Network("mystery", []), {"x": np.zeros((1, 2))})

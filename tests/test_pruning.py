@@ -18,7 +18,7 @@ from conftest import adam, mask_units, no_training, units_original, use_loss
 
 
 # the wrapped objective of the custom-loss runs below
-SING_LOSS = nn.arch_spec("sing_ae").loss
+SING_LOSS = models.arch_spec("sing_ae").loss
 
 
 def round_half_up(x):
@@ -343,8 +343,8 @@ class TestRewind:
         shadow = mask_units(shadow, plan).eval()
         x = T.Tensor(tone_batch(np.random.default_rng(9), 2)["wave"][:, None, :])
         with T.no_grad():
-            a = trimmed.eval().forward(x).data
-            b = shadow.forward(x).data
+            a = models.forward(trimmed.eval(), x).data
+            b = models.forward(shadow, x).data
         assert np.max(np.abs(a - b)) < 1e-6
 
     def test_trim_rewind_restores_surviving_values_exactly(self):
@@ -552,8 +552,8 @@ class TestImpDriver:
             shadow.load_param_state(state0)
             shadow = mask_units(shadow, removed)
             with T.no_grad():
-                a = cur.eval().forward(x).data
-                b = shadow.eval().forward(x).data
+                a = models.forward(cur.eval(), x).data
+                b = models.forward(shadow.eval(), x).data
             seen.append(np.max(np.abs(a - b)))
         assert not (tmp_path / "iter_05.ckpt").exists()
         assert max(seen) < 1e-6
@@ -624,7 +624,7 @@ class TestImpDriver:
 
     def test_mask_stops_cleanly_at_min_weights_floor(self, monkeypatch):
         rng = np.random.default_rng(0)
-        net = nn.Network("custom", [nn.make_linear("a", 3, 2, rng)],
+        net = nn.Network("sequential", [nn.make_linear("a", 3, 2, rng)],
                          meta={"config": {"sample_rate": 8000}})
         data = make_splits()
         cfg = pruning.ImpConfig(mode="mask", iterations=50)
@@ -693,7 +693,8 @@ class TestImpDriver:
         small = nn.load_checkpoint(tmp_path / "iter_02.ckpt")
         assert small.units_remaining() < net.units_remaining()
         with T.no_grad():
-            out = small.eval().forward(T.Tensor(data.test[0]["wave"][:, None, :]))
+            out = models.forward(small.eval(),
+                                 T.Tensor(data.test[0]["wave"][:, None, :]))
         assert np.all(np.isfinite(out.data))
 
     def test_units_per_pool_accounts_for_trace(self):

@@ -14,14 +14,17 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_importing_one_module_registers_every_arch():
-    # the package __init__ imports models for its registrations, so a
-    # caller that imports only nn still finds the three architectures
-    code = "from audiotrim import nn; print(sorted(nn._ARCHS))"
+def test_nn_knows_no_architecture():
+    # architectures live in models alone: importing nn in a fresh process
+    # must not import models, and nn must offer no way to look one up
+    code = ("import sys; from audiotrim import nn; "
+            "print('audiotrim.models' in sys.modules); "
+            "print(sorted(n for n in vars(nn) if 'arch' in n.lower())); "
+            "print(hasattr(nn.Network, 'forward'))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "['ddsp', 'sing_ae', 'wavenet']"
+    assert out.splitlines() == ["False", "[]", "False"]
 
 
 def test_every_public_definition_is_used_by_the_program():
@@ -52,8 +55,6 @@ _UNSET_DEFAULTS_KEPT = {
     "mi.estimate_mi(seed)",
     # covers input-side trimming of a GRU
     "nn.make_gru(in_source)",
-    # covers the running-stat update
-    "nn.batchnorm_forward(momentum)",
 }
 
 
