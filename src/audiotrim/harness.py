@@ -4,13 +4,16 @@ the Adam training loop, and end-to-end run orchestration.
 A run directory after run_experiment holds: config.json (canonical form),
 trace.csv, per-iteration checkpoints, embed_reports.csv (one row per
 iteration x platform), pareto.csv, reconstructed audio under samples/,
-and a MANIFEST listing every artifact with the config hash. Identical
-(config, seed) pairs reproduce every byte except the MANIFEST timestamp.
+and a MANIFEST listing every artifact with the config hash, numpy's
+version, its BLAS and the BLAS thread count. Identical (config, seed)
+pairs reproduce every byte except the MANIFEST timestamp, given the same
+numpy build and thread count.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -469,9 +472,41 @@ def _emit_pareto(out: Path, trace: pruning.ImpTrace):
                 for err, cost in embed.pareto_front(points)))
 
 
+def _blas_threads() -> str:
+    """The thread count numpy's OpenBLAS runs with, asked of the loaded
+    library itself, or "unknown" where it cannot be found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return "unknown"
+    # numpy's own copy (under numpy/ or the wheel's numpy.libs/) first; a
+    # path that no longer loads (a library replaced mid-run) is passed over
+    ours = str(Path(np.__file__).parent)
+    for path in sorted(paths, key=lambda p: (not p.startswith(ours), p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return str(get())
+    return "unknown"
+
+
 def _write_manifest(out: Path, cfg: ExperimentConfig, status: str):
+    # WaveNet bytes depend on the numpy build and the BLAS thread count,
+    # so both are stamped beside the config hash, never hashed into it
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     lines = [f"status: {status}",
              f"config_hash: {config_hash(cfg)}",
+             f"numpy: {np.__version__}",
+             f"blas: {blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip(),
+             f"blas_threads: {_blas_threads()}",
              f"written_at: {time.strftime('%Y-%m-%dT%H:%M:%S')}",
              "artifacts:"]
     for p in sorted(out.rglob("*")):

@@ -541,10 +541,40 @@ def log_spectrograms(wave: np.ndarray, cfg: SpectrogramConfig) -> list[np.ndarra
 
 def multiscale_spectral_loss(pred: Tensor, target: list[np.ndarray],
                              cfg: SpectrogramConfig) -> Tensor:
-    """Sum over window sizes of mean |log-power difference| between pred
-    and the target's log_spectrograms."""
-    total = None
-    for p, q in zip(T.stft_logmag(pred, cfg), target):
-        term = T.tmean(T.tabs(T.sub(p, Tensor(q))))
-        total = term if total is None else T.add(total, term)
-    return total
+    """Sum over window sizes, in window order, of the mean |log-power
+    difference| between pred (batch, time) and the target's
+    log_spectrograms.
+
+    One graph node, run over the whole batch one window size at a time
+    (tensor.spectra), in buffers rewritten in place: the log power turns
+    into the difference and then its absolute value. When the node
+    records, the forward pass also forms the window's signal gradient,
+    sign / N / power * spectrum through tensor.spectrum_grad, and adds it
+    to the earlier windows' in window order. The node keeps only that
+    (batch, time) gradient, never a spectrum, and its backward returns it
+    times the incoming flow, so a second backward() adds it again.
+    """
+    record = T.grad_enabled() and pred.requires_grad
+    length = pred.shape[-1]
+    total = grad = None
+    for (window, hop, spec, power), q in zip(T.spectra(pred.data, cfg), target):
+        d = np.log(power)
+        T._check_finite(d, "spectral_loss")
+        if q.shape != d.shape:
+            raise T.ShapeError(f"target spectrogram {q.shape} does not match "
+                               f"{d.shape} at window {window}")
+        d -= q
+        sign = np.sign(d) if record else None
+        np.abs(d, out=d)
+        term = d.mean(axis=tuple(range(d.ndim)))
+        total = term if total is None else total + term
+        if not record:
+            continue
+        # the flow a mean and an abs node would pass back, over the power
+        sign *= np.float32(1.0) / np.float32(d.size)
+        sign /= power
+        spec *= sign
+        g = T.spectrum_grad(spec, window, hop, length)
+        grad = g if grad is None else np.add(grad, g, out=grad)
+    return T._node(np.asarray(total), (pred,), "spectral_loss",
+                   lambda g: (grad * g,))

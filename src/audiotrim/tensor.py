@@ -462,10 +462,6 @@ def relu(a: Tensor) -> Tensor:
                   lambda x, y: (x > 0).astype(np.float32), "relu")
 
 
-def tabs(a: Tensor) -> Tensor:
-    return _unary(a, np.abs, lambda x, y: np.sign(x), "abs")
-
-
 def tsqrt(a: Tensor) -> Tensor:
     return _unary(a, np.sqrt, lambda x, y: 0.5 / y, "sqrt")
 
@@ -558,23 +554,43 @@ def _overlap_add(g: np.ndarray, length: int, hop: int) -> np.ndarray:
     return out[..., :length]
 
 
-def _logmag_scale(a: Tensor, window: int, hop: int, floor: np.float32) -> Tensor:
-    """log(|rfft(hann * frame)|^2 + floor) of one window size, as one node."""
-    taper = hann_window(window)
-    frames = np.lib.stride_tricks.sliding_window_view(a.data, window, axis=-1)
-    spec = fourier.fft(frames[..., ::hop, :] * taper)
-    denom = spec.real ** 2 + spec.imag ** 2 + floor
-    def backward(g):
-        # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
-        # interior bin twice (it and its mirror) but DC and Nyquist once,
-        # so those two are doubled here
-        h = (g / denom) * spec
-        h[..., 0] *= 2.0
-        if window % 2 == 0:
-            h[..., window // 2] *= 2.0
-        gt = window * fourier.ifft(h, window)
-        return (_overlap_add(gt * taper, a.shape[-1], hop),)
-    return _node(np.log(denom), (a,), "stft_logmag", backward)
+def spectra(x: np.ndarray, cfg: SpectrogramConfig):
+    """For each configured window size in turn, (window, hop, spectrum,
+    power) of x's Hann-tapered frames that start every hop samples: the
+    spectrum is their rfft, (..., frames, bins), and the power is
+    |spectrum|^2 + floor_epsilon. Raises ShapeError before any window if
+    x is shorter than one of them."""
+    t = x.shape[-1]
+    for w in cfg.window_sizes:
+        if t < w:
+            raise ShapeError(
+                f"signal length {t} is shorter than analysis window {w}"
+            )
+    floor = np.float32(cfg.floor_epsilon)
+    for w in cfg.window_sizes:
+        hop = cfg.hop(w)
+        frames = np.lib.stride_tricks.sliding_window_view(x, w, axis=-1)
+        spec = fourier.fft(frames[..., ::hop, :] * hann_window(w))
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        power += floor
+        yield w, hop, spec, power
+
+
+def spectrum_grad(h: np.ndarray, window: int, hop: int, length: int) -> np.ndarray:
+    """The gradient on a length-`length` signal, given h = dL/d|X|^2 * X
+    for the spectrum X of its frames of `window` samples every `hop`
+    (as spectra makes them): one irfft, the taper, then overlap-add.
+    Overwrites h."""
+    # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
+    # interior bin twice (it and its mirror) but DC and Nyquist once,
+    # so those two are doubled here
+    h[..., 0] *= 2.0
+    h[..., window // 2] *= 2.0
+    gt = fourier.ifft(h, window)
+    gt *= np.float32(window)
+    gt *= hann_window(window)
+    return _overlap_add(gt, length, hop)
 
 
 def stft_logmag(signal: Tensor, cfg: SpectrogramConfig) -> list[Tensor]:
@@ -582,16 +598,15 @@ def stft_logmag(signal: Tensor, cfg: SpectrogramConfig) -> list[Tensor]:
 
     Returns one tensor of shape (..., frames, bins) per window, where each
     entry is log(|stft|^2 + floor_epsilon) of Hann-tapered frames. Each
-    window size is one graph node: framing, taper, rfft, power and log run
-    in numpy, and the backward pass goes straight from the log's gradient
-    to the signal (one irfft, the taper, then overlap-add), so no framed
-    copy of the signal is kept in the graph.
+    window size is one graph node: spectra runs framing, taper, rfft and
+    power in numpy, and the backward pass goes straight from the log's
+    gradient to the signal (spectrum_grad), so no framed copy of the
+    signal is kept in the graph.
     """
-    t = signal.shape[-1]
-    for w in cfg.window_sizes:
-        if t < w:
-            raise ShapeError(
-                f"signal length {t} is shorter than analysis window {w}"
-            )
-    floor = np.float32(cfg.floor_epsilon)
-    return [_logmag_scale(signal, w, cfg.hop(w), floor) for w in cfg.window_sizes]
+    length = signal.shape[-1]
+
+    def node(window, hop, spec, power):
+        def backward(g):
+            return (spectrum_grad((g / power) * spec, window, hop, length),)
+        return _node(np.log(power), (signal,), "stft_logmag", backward)
+    return [node(*parts) for parts in spectra(signal.data, cfg)]

@@ -79,13 +79,15 @@ def sigmoid_masked(x):
 # for the class head and its NLL; head_nll_composed is the head's own conv
 # node followed by the logits-NLL node nll_logits_node, itself checked
 # against the elementary-op chain nll_composed) and
-# tensor.conv1d_dilated_causal's pad-free taps and bias. Two oracles must
+# tensor.conv1d_dilated_causal's pad-free taps and bias. Three oracles must
 # match src bit for bit: nll_from_logits_batched runs the class head over
 # the whole batch at once where models.nll_from_logits runs it one item at
-# a time, and wavenet_trunk_added adds each skip and residual projection
-# into its stream with an add node where models._wavenet_trunk uses the
-# conv's add operand. texp, tlog,
-# slice_axis and concat are elementary ops only these oracles use. Each
+# a time, wavenet_trunk_added adds each skip and residual projection into
+# its stream with an add node where models._wavenet_trunk uses the conv's
+# add operand, and spectral_loss_composed builds
+# models.multiscale_spectral_loss from stft_logmag's nodes and sub, abs,
+# mean and add nodes. texp, tlog, tabs, slice_axis and concat are
+# elementary ops only these oracles use. Each
 # oracle node is built as src builds its own: T._node with a backward that
 # returns one gradient (or None) per input, which Tensor.backward routes.
 
@@ -304,6 +306,20 @@ def fft_mag2(a):
             h[..., n // 2] *= 2.0
         return (n * fourier.ifft(h, n),)
     return T._node(spec.real ** 2 + spec.imag ** 2, (a,), "fft_mag2", backward)
+
+
+def tabs(a):
+    return T._unary(a, np.abs, lambda x, y: np.sign(x), "abs")
+
+
+def spectral_loss_composed(pred, target, cfg):
+    """Sum over windows of tmean(tabs(sub(stft_logmag, target))), one
+    node per op, the terms added in window order."""
+    total = None
+    for p, q in zip(T.stft_logmag(pred, cfg), target):
+        term = T.tmean(tabs(T.sub(p, T.Tensor(q))))
+        total = term if total is None else T.add(total, term)
+    return total
 
 
 def stft_logmag_composed(signal, cfg):

@@ -201,9 +201,6 @@ def _op_bank():
     def relu(rng):
         return lambda t: T.relu(t), _signed(rng, (4, 4))
 
-    def tabs(rng):
-        return lambda t: T.tabs(t), _signed(rng, (4, 4))
-
     def tsqrt(rng):
         up = T.Tensor(np.float32(0.3))
         return lambda t: T.tsqrt(T.add(T.mul(t, t), up)), _signed(rng, (3, 4))
@@ -224,6 +221,17 @@ def _op_bank():
         # a floor of 1 keeps the log's curvature within float32 differencing
         cfg = T.SpectrogramConfig(window_sizes=(32,), floor_epsilon=1.0)
         return lambda t: T.stft_logmag(t, cfg)[0], _signed(rng, (2, 80))
+
+    def spectral_loss(rng):
+        # the target lies +-[0.5, 1.5] from the signal's own log power, so
+        # no probe crosses the kink of |.|; a mean over many bins is too
+        # flat for the probe's noise floor
+        cfg = T.SpectrogramConfig(window_sizes=(32, 64), floor_epsilon=1.0)
+        x0 = _signed(rng, (2, 80))
+        target = [q + _signed(rng, q.shape) for q in models.log_spectrograms(x0, cfg)]
+        up = T.Tensor(np.float32(64.0))
+        return (lambda t: T.mul(models.multiscale_spectral_loss(t, target, cfg), up),
+                x0)
 
     def gru_scan(rng):
         layer = nn.make_gru("g", 3, 4, rng)
@@ -250,13 +258,16 @@ def _op_bank():
                                     T.frame_lerp(t, hop, shared)))
         return op, _signed(rng, (b, f, k))
 
-    return [add, sub, mul, div, matmul, conv, gated, sigmoid, tanh, relu, tabs,
-            tsqrt, tsum, tmean, reshape, transpose, stft_logmag, gru_scan, nll,
-            frame_lerp, conv_add]
+    return [add, sub, mul, div, matmul, conv, gated, sigmoid, tanh, relu,
+            tsqrt, tsum, tmean, reshape, transpose, stft_logmag, spectral_loss,
+            gru_scan, nll, frame_lerp, conv_add]
 
 
-def _directional_rel_err(builder, rng, eps=8e-3):
-    op, x0 = builder(rng)
+def _probe(entry, rng):
+    """(f, c, x0, v, d): the loss f(x) = sum(c * op(x)) of the entry's
+    primitive as a function of a float array, the weights c, the point
+    x0, a unit direction v and backward()'s derivative d of f along v."""
+    op, x0 = entry(rng)
     with T.no_grad():
         probe = op(T.Tensor(x0))
     c = rng.standard_normal(probe.shape).astype(np.float32)
@@ -290,7 +301,11 @@ def _directional_rel_err(builder, rng, eps=8e-3):
         ana = float(np.linalg.norm(g))
         assert ana >= 0.1, "no usable probe direction (degenerate gradient)"
         v = g / ana
+    return f, c, x0, v, ana
 
+
+def _directional_rel_err(entry, rng, eps=8e-3):
+    f, _, x0, v, ana = _probe(entry, rng)
     num = (f(x0 + eps * v) - f(x0 - eps * v)) / (2 * eps)
     return abs(num - ana) / max(abs(num), abs(ana))
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiotrim import embed, harness, models, nn
+from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
 
 
@@ -211,6 +211,50 @@ TINY_MODELS = {
 }
 
 
+def counted_macs(monkeypatch, net, batch) -> int:
+    """The multiply-accumulates one no_grad forward_batch runs through
+    tensor.matmul and the causal conv."""
+    macs = []
+    matmul, conv = T.matmul, T.conv1d_dilated_causal
+
+    def counting_matmul(a, b):
+        assert b.ndim == 2
+        macs.append(a.data.size * b.shape[1])  # (..., k) @ (k, n)
+        return matmul(a, b)
+
+    def counting_conv(x, w, dilation=1, bias=None, add=None):
+        n_out, _, k = w.shape
+        assert (k - 1) * dilation < x.shape[-1]  # every tap reaches the signal
+        macs.append(x.data.size * n_out * k)  # (b, c, t) by (o, c, k)
+        return conv(x, w, dilation, bias=bias, add=add)
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "matmul", counting_matmul)
+        m.setattr(T, "conv1d_dilated_causal", counting_conv)
+        with T.no_grad():
+            models.forward_batch(net, batch)
+    assert macs
+    return sum(macs)
+
+
+def closed_form_flops(net, batch) -> int:
+    """The closed form's matrix term over one forward_batch: each layer's
+    embed.layer_flops less its elementwise ops, times the positions the
+    net is invoked at."""
+    x = models.arch_spec(net.arch).inputs(batch)
+    # (batch, frames, features) for ddsp, (batch, 1, time) for the convs
+    positions = x.shape[0] * (x.shape[1] if net.arch == "ddsp" else x.shape[2])
+    matrix = sum(embed.layer_flops(layer) - ELEMENTWISE_OPS[layer.kind] * layer.n_units
+                 for layer in net.layers.values())
+    return matrix * positions
+
+
+def tone_batch(cfg, seed=2):
+    # 2000 samples at 8 kHz, far beyond the tiny nets' receptive fields
+    return harness.collate(harness.gen_synthetic_tones(
+        2, cfg.sample_rate, 0.25, seed=seed, frame_hop=cfg.frame_hop))
+
+
 class TestCountedMacs:
     """The closed form's matrix term against the multiply-accumulates one
     forward pass runs through tensor.matmul and the causal conv."""
@@ -223,33 +267,37 @@ class TestCountedMacs:
         if trim:
             net = nn.apply_trim(net, {pid: [0] for pid, p in net.pools.items()
                                       if len(p.kept) > 1})
-        # 2000 samples, far beyond the 8-sample receptive field
-        batch = harness.collate(harness.gen_synthetic_tones(
-            2, cfg.sample_rate, 0.25, seed=2, frame_hop=cfg.frame_hop))
-        x = models.arch_spec(arch).inputs(batch)
-        # (batch, frames, features) for ddsp, (batch, 1, time) for the convs
-        positions = x.shape[0] * (x.shape[1] if arch == "ddsp" else x.shape[2])
-        macs = []
-        matmul, conv = T.matmul, T.conv1d_dilated_causal
+        batch = tone_batch(cfg)
+        assert (embed.FLOPS_PER_MAC * counted_macs(monkeypatch, net, batch)
+                == closed_form_flops(net, batch))
 
-        def counting_matmul(a, b):
-            assert b.ndim == 2
-            macs.append(a.data.size * b.shape[1])  # (..., k) @ (k, n)
-            return matmul(a, b)
+    @pytest.mark.parametrize("arch", ["ddsp", "sing_ae"])
+    def test_masked_arm_runs_dense_macs_and_trimmed_arm_its_closed_form(
+            self, tmp_path, monkeypatch, arch):
+        # the paper's argument against masking, in exact counts and no clock
+        cfg = harness.ExperimentConfig(
+            model=TINY_MODELS[arch],
+            dataset=harness.DatasetConfig(sr=8000, n_items=12, duration=0.25),
+            training=harness.TrainingConfig(epochs=1, batch_size=8),
+            imp=pruning.ImpConfig(iterations=2, criterion="magnitude"),
+            output_dir=str(tmp_path), seed=3)
+        harness.run_paired(cfg)
+        batch = tone_batch(cfg.model)
+        dense = nn.load_checkpoint(tmp_path / "mask" / "iter_00.ckpt").eval()
+        dense_macs = counted_macs(monkeypatch, dense, batch)
+        trimmed = []
+        for it in range(3):
+            masked = nn.load_checkpoint(tmp_path / "mask" / f"iter_{it:02d}.ckpt").eval()
+            assert counted_macs(monkeypatch, masked, batch) == dense_macs
+            net = nn.load_checkpoint(tmp_path / "trim" / f"iter_{it:02d}.ckpt").eval()
+            macs = counted_macs(monkeypatch, net, batch)
+            assert embed.FLOPS_PER_MAC * macs == closed_form_flops(net, batch)
+            trimmed.append(macs)
+        assert trimmed[0] == dense_macs and trimmed[-1] < dense_macs
 
-        def counting_conv(x, w, dilation=1, bias=None, add=None):
-            n_out, _, k = w.shape
-            assert (k - 1) * dilation < x.shape[-1]  # every tap reaches the signal
-            macs.append(x.data.size * n_out * k)  # (b, c, t) by (o, c, k)
-            return conv(x, w, dilation, bias=bias, add=add)
-
-        monkeypatch.setattr(T, "matmul", counting_matmul)
-        monkeypatch.setattr(T, "conv1d_dilated_causal", counting_conv)
-        with T.no_grad():
-            models.forward_batch(net, batch)
-        matrix = sum(embed.layer_flops(layer) - ELEMENTWISE_OPS[layer.kind] * layer.n_units
-                     for layer in net.layers.values())
-        assert macs and embed.FLOPS_PER_MAC * sum(macs) == matrix * positions
+        def nonzero(n):
+            return sum(np.count_nonzero(p.data) for p in n.parameters())
+        assert nonzero(masked) < nonzero(dense)  # the mask arm did mask
 
 
 class TestRwMemory:

@@ -1,9 +1,15 @@
 """Dataset generation, WAV round trips, config plumbing, Adam training,
 and whole-experiment orchestration."""
 
+import ctypes
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +17,9 @@ import pytest
 from audiotrim import harness, models, nn, pruning
 from audiotrim import tensor as T
 from conftest import adam, count_train_calls, use_loss
+
+_OPENBLAS = "openblas" in np.show_config(
+    mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
 
 
 def tiny_cfg(tmp_path, **over):
@@ -409,6 +418,47 @@ class TestRunExperiment:
             want = models.forward_batch(net, splits.test[0]).data[0].reshape(-1)
         harness.write_wav(tmp_path / "want.wav", want, 16000)
         assert wavs[-1].read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+    def test_manifest_stamps_numpy_and_blas_outside_the_hash(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        harness.run_experiment(cfg)
+        fields = dict(line.split(": ", 1) for line in
+                      (tmp_path / "run" / "MANIFEST.txt").read_text().splitlines()
+                      if ": " in line and not line.startswith(" "))
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert fields["numpy"] == np.__version__
+        assert fields["blas"].split()[0] == blas["name"]
+        if _OPENBLAS:
+            assert fields["blas_threads"].isdigit()
+        else:
+            assert fields["blas_threads"] == "unknown"
+        assert fields["config_hash"] == harness.config_hash(cfg)
+        # the hash of a fixed config is the one it had before the stamps
+        assert harness.config_hash(tiny_cfg(Path("/fixed"))) == (
+            "bcd19711768c01bebb2b145c24bdb24131f8e9b70e61748c063bc366c3493ee7")
+
+    def test_unloadable_blas_stamps_unknown_and_the_run_finishes(
+            self, tmp_path, monkeypatch):
+        # a mapped library replaced mid-run no longer loads: CDLL raises
+        def unloadable(path):
+            raise OSError(f"{path}: cannot open shared object file")
+        monkeypatch.setattr(harness, "ctypes", SimpleNamespace(
+            CDLL=unloadable, c_int=ctypes.c_int))
+        harness.run_experiment(tiny_cfg(tmp_path))
+        lines = (tmp_path / "run" / "MANIFEST.txt").read_text().splitlines()
+        assert lines[0].startswith("status: complete")
+        assert "blas_threads: unknown" in lines
+
+    @pytest.mark.skipif(not _OPENBLAS, reason="numpy is not built on OpenBLAS")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_thread_stamp_follows_the_environment(self, threads):
+        code = "from audiotrim import harness; print(harness._blas_threads())"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        # OpenBLAS caps its thread count at the CPUs the process may use
+        assert out.strip() == str(min(threads, len(os.sched_getaffinity(0))))
 
     def test_identical_config_reproduces_all_csv_bytes(self, tmp_path):
         cfg = tiny_cfg(tmp_path)

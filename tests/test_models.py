@@ -13,8 +13,9 @@ from audiotrim.models import ModelConfig, MuLawCodec
 from audiotrim.tensor import Tensor
 from conftest import (ddsp_synthesize_dense, directional_gradcheck, gated_composed,
                       head_nll_composed, mask_units, nll_composed,
-                      nll_from_logits_batched, no_training, units_original,
-                      upsample_dense, wavenet_trunk_added)
+                      nll_from_logits_batched, no_training,
+                      spectral_loss_composed, units_original, upsample_dense,
+                      wavenet_trunk_added)
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -448,6 +449,75 @@ class TestSing:
         spec = cfg.spectrogram()
         target = models.log_spectrograms(b, spec)
         assert float(models.multiscale_spectral_loss(Tensor(a), target, spec).data) > 0.1
+
+
+class TestSpectralLossNode:
+    """multiscale_spectral_loss is one node; spectral_loss_composed, the
+    stft_logmag nodes followed by sub, abs, mean and add nodes, must match
+    it bit for bit in the loss and in every parameter gradient."""
+
+    @staticmethod
+    def _net(cfg, variant):
+        net = models.build_model(cfg, seed=1)
+        plan = {pid: [0] for pid, p in net.pools.items() if len(p.kept) > 1}
+        if variant == "trimmed":
+            net = nn.apply_trim(net, plan)
+        elif variant == "masked":
+            net = mask_units(net, plan)
+        return net.train()
+
+    @staticmethod
+    def _run(net, batch):
+        """The loss and every gradient after one backward() and after a
+        second one, then the loss under no_grad."""
+        loss = models.compute_loss(net, batch)
+        loss.backward()
+        once = [p.grad for p in net.parameters()]
+        loss.backward()
+        twice = [p.grad for p in net.parameters()]
+        with T.no_grad():
+            plain = models.compute_loss(net, batch)
+        return [np.asarray(loss.data), *once, *twice, np.asarray(plain.data)]
+
+    @pytest.mark.parametrize("batch_size", [16, 3, 1])
+    @pytest.mark.parametrize("variant", ["dense", "trimmed", "masked"])
+    @pytest.mark.parametrize("cfg_fn", [tiny_ddsp_cfg, tiny_sing_cfg])
+    def test_matches_composed_chain_bit_for_bit(self, cfg_fn, variant, batch_size,
+                                                monkeypatch):
+        cfg = cfg_fn(spec_windows=(32, 64, 128))
+        batch = ddsp_batch(cfg, batch=batch_size, frames=8)
+        got = self._run(self._net(cfg, variant), batch)
+        monkeypatch.setattr(models, "multiscale_spectral_loss", spectral_loss_composed)
+        want = self._run(self._net(cfg, variant), batch)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_is_one_node_keeping_no_spectrum(self):
+        cfg = tiny_ddsp_cfg(spec_windows=(32, 64, 128))
+        wave = np.random.default_rng(14).uniform(-1, 1, (3, 256)).astype(np.float32)
+        target = models.log_spectrograms(wave[::-1], cfg.spectrogram())
+        x = Tensor(wave, requires_grad=True)
+        loss = models.multiscale_spectral_loss(x, target, cfg.spectrogram())
+        assert loss._op == "spectral_loss" and loss._parents == (x,)
+        cells = [c.cell_contents for c in loss._backward.__closure__]
+        assert [c.shape for c in cells if isinstance(c, np.ndarray)] == [(3, 256)]
+
+    def test_target_shape_mismatch(self):
+        spec = tiny_ddsp_cfg().spectrogram()
+        wave = np.zeros((2, 128), dtype=np.float32)
+        target = models.log_spectrograms(wave[:1], spec)
+        with pytest.raises(T.ShapeError, match="window 32"):
+            models.multiscale_spectral_loss(Tensor(wave), target, spec)
+
+    def test_non_finite_log_power_names_the_node(self):
+        spec = tiny_ddsp_cfg().spectrogram()
+        wave = np.zeros((1, 128), dtype=np.float32)
+        target = models.log_spectrograms(wave, spec)
+        wave[0, 40] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(T.NumericError,
+                                                      match="spectral_loss"):
+            models.multiscale_spectral_loss(Tensor(wave), target, spec)
 
 
 class TestDdsp:

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from audiotrim import harness
 from conftest import count_train_calls
 
@@ -70,3 +72,23 @@ def test_fault_count_reports_each_call_and_medians():
     summary = lines[-1]["median"]
     assert summary["calls"] == 2 and summary["minflt"] >= 0
     assert summary["peak_rss_mb"] > 0
+
+
+@pytest.mark.parametrize("apart", [False, True])
+def test_bench_fold_warns_when_checkouts_sit_apart(tmp_path, monkeypatch, capsys,
+                                                   apart):
+    script = _load("bench_fold")
+    runs = []
+    monkeypatch.setattr(script, "run_pairs", lambda *args: runs.append(args))
+    parent = tmp_path / ("elsewhere" if apart else "side") / "parent"
+    change = tmp_path / "side" / "change"
+    log = tmp_path / "runs.jsonl"
+    log.write_text("")
+    script.main([str(log), "--out", str(tmp_path / "bench.json"),
+                 "--parent", str(parent), "--change", str(change),
+                 "--workload", "ddsp_info_trim", "--seeds", "1"])
+    err = capsys.readouterr().err
+    assert len(runs) == 1
+    assert ("different directories" in err) == apart
+    if apart:
+        assert str(parent) in err and "setup_s" in err

@@ -11,7 +11,7 @@ from audiotrim import harness, models, nn
 from audiotrim import tensor as T
 from conftest import (adjoint_dot_check, concat, conv1d_padded,
                       directional_gradcheck, fft_mag2, frame, gated_composed,
-                      sigmoid_masked, slice_axis, texp, tlog)
+                      sigmoid_masked, slice_axis, tabs, texp, tlog)
 
 RNG = np.random.default_rng(1234)
 
@@ -264,7 +264,7 @@ class TestBackward:
         rng = np.random.default_rng(12)
         x0 = rng.standard_normal((3, 4)).astype(np.float32)
         x0 = np.where(np.abs(x0) < 0.2, 0.5, x0).astype(np.float32)
-        directional_gradcheck(lambda x: T.tsum(T.tabs(x)), x0, rng, eps=1e-3)
+        directional_gradcheck(lambda x: T.tsum(tabs(x)), x0, rng, eps=1e-3)
 
     def test_gradcheck_relu_away_from_kink(self):
         rng = np.random.default_rng(13)
@@ -327,6 +327,9 @@ def _fused_nodes():
             x, conv, rng.integers(0, 4, size=(2, 16))),
         "stft_logmag": lambda: T.stft_logmag(
             T.reshape(x, (96,)), T.SpectrogramConfig(window_sizes=(32,)))[0],
+        "spectral_loss": lambda: models.multiscale_spectral_loss(
+            T.reshape(x, (2, 48)), [np.zeros((2, 3, 17), dtype=np.float32)],
+            T.SpectrogramConfig(window_sizes=(32,))),
     }
 
 
@@ -524,6 +527,8 @@ def _flow_cases():
     head = nn.make_conv("out2", 3, 6, 1, rng)
     targets = rng.integers(0, 6, size=(2, 10))
     w33, b3 = const(3, 3, 2), const(3)
+    loss_target = models.log_spectrograms(
+        0.3 * np.random.default_rng(100).standard_normal((2, 128)), spec)
 
     def scalar(x):
         return T.reshape(T.tmean(x, keepdims=True), (1,))
@@ -555,7 +560,7 @@ def _flow_cases():
         "frame_lerp_basis": (lambda x: T.tsum(T.sigmoid(T.frame_lerp(x, 4, basis))),
                              arr(2, 3, 3)),
         "frame_lerp_plain": (lambda x: T.tsum(T.mul(T.frame_lerp(x, 4), mix)), arr(2, 3, 1)),
-        "unary": (lambda x: T.tsum(T.tsqrt(T.add(T.tabs(T.tanh(T.sigmoid(x))),
+        "unary": (lambda x: T.tsum(T.tsqrt(T.add(tabs(T.tanh(T.sigmoid(x))),
                                                  T.Tensor(1.0)))), arr(3, 4)),
         "relu": (lambda x: T.tsum(T.mul(T.relu(x), x)), np.where(
             np.abs(arr(3, 4)) < 0.2, 0.5, arr(3, 4)).astype(np.float32)),
@@ -569,6 +574,8 @@ def _flow_cases():
             scalar(fft_mag2(frame(x, 8, 4))),
             scalar(tlog(T.add(texp(slice_axis(x, 0, 2, 6)), T.Tensor(1.0)))),
             scalar(conv1d_padded(T.reshape(x, (1, 1, 16)), kern, 2))])), 0.3 * arr(16)),
+        "spectral_loss": (lambda x: models.multiscale_spectral_loss(x, loss_target, spec),
+                          0.3 * arr(2, 128)),
     }
 
 
