@@ -232,32 +232,102 @@ def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
     """x: (batch, 1, time) waveform; returns the class head's input, the
     (batch, head channels, time) output of out1's relu.
 
-    Each block's skip and residual 1x1 convs add into their stream in
-    their own conv node (the conv's add operand), so no graph node keeps a
-    projection's output apart from its stream. skip_i is recorded as the
-    layer's own output W z + b, which is formed again for that only while
-    a tape is active; res_i is recorded as the residual stream it updates.
+    One graph node. Its forward pass runs every conv through a grad-free
+    conv1d_dilated_causal call: in_conv; per block the filter and gate
+    stacked along the output axis, whose halves tanh and sigmoid
+    overwrite, giving the gated product z = t * s; the skip and residual
+    1x1 convs of z, each added in place into its stream; then out1. Both
+    relus run in place. skip_i is recorded as its own output W z + b,
+    before it joins the stream; res_i as the residual stream it updates.
+
+    When the node records, it keeps per block only the gated input r and
+    the halves t and s, then relu(skip stream) h1 and the output h (a relu
+    passes flow where its output is positive). Backward walks the blocks
+    in reverse with conv1d_grads and forms each z = t * s again. It keeps
+    the expression order of one node per conv, gated unit, add and relu,
+    so every gradient has the bits that graph gives.
     """
-    n_blocks = len(net.meta["dilations"])
-    r = nn.conv_forward(net.layers["in_conv"], x)
-    nn.record("in_conv", r, -2)
-    skip_total = None
-    for i in range(n_blocks):
-        filt, gate = net.layers[f"filter_{i}"], net.layers[f"gate_{i}"]
-        z = T.gated_conv1d(r, filt.params["w"], filt.params["b"],
-                           gate.params["w"], gate.params["b"], filt.dilation)
-        # the gated product is the pair's unit activation
-        nn.record(f"filter_{i}", z, -2)
-        skip = net.layers[f"skip_{i}"]
-        nn.record(f"skip_{i}", lambda: nn.conv_forward(skip, z), -2)
-        skip_total = nn.conv_forward(skip, z, add=skip_total)
-        if i < n_blocks - 1:
-            r = nn.conv_forward(net.layers[f"res_{i}"], z, add=r)
-            nn.record(f"res_{i}", r, -2)
-    h = T.relu(skip_total)
-    h = T.relu(nn.conv_forward(net.layers["out1"], h))
-    nn.record("out1", h, -2)
-    return h
+    layers = net.layers
+    blocks = [(layers[f"filter_{i}"], layers[f"gate_{i}"], layers[f"skip_{i}"],
+               layers.get(f"res_{i}")) for i in range(len(net.meta["dilations"]))]
+    convs = ([layers["in_conv"]] + [c for blk in blocks for c in blk if c is not None]
+             + [layers["out1"]])
+    params = tuple(c.params[k] for c in convs for k in ("w", "b"))
+    record = T.grad_enabled() and any(p.requires_grad for p in (x,) + params)
+    weights = {c.name: c.params["w"].data for c in convs}
+    saved = []
+    with T.no_grad():
+        r = nn.conv_forward(layers["in_conv"], x).data
+        nn.record("in_conv", Tensor(r), -2)
+        stream = None
+        for filt, gate, skip, res in blocks:
+            n = filt.n_units
+            w = np.concatenate([filt.params["w"].data, gate.params["w"].data])
+            b = np.concatenate([filt.params["b"].data, gate.params["b"].data])
+            ts = T.conv1d_dilated_causal(Tensor(r), Tensor(w), filt.dilation,
+                                         bias=Tensor(b)).data
+            t, s = ts[..., :n, :], ts[..., n:, :]
+            np.tanh(t, out=t)
+            s[...] = T.sigmoid_array(s)
+            if record:
+                saved.append((r, ts, w))
+            # the gated product is the pair's unit activation
+            z = Tensor(t * s)
+            nn.record(filt.name, z, -2)
+            y = nn.conv_forward(skip, z).data
+            nn.record(skip.name, Tensor(y), -2)
+            stream = y if stream is None else np.add(stream, y, out=y)
+            if res is not None:
+                y = nn.conv_forward(res, z).data
+                r = np.add(r, y, out=y)
+                nn.record(res.name, Tensor(r), -2)
+        h1 = np.maximum(stream, 0.0, out=stream)
+        h = nn.conv_forward(layers["out1"], Tensor(h1)).data
+        np.maximum(h, 0.0, out=h)
+    nn.record("out1", Tensor(h), -2)
+
+    def backward(g):
+        grads = {}
+
+        def conv_back(layer, flow, xd, want_x=True):
+            w, b = layer.params["w"], layer.params["b"]
+            gx, grads[w], grads[b] = T.conv1d_grads(
+                flow, xd, weights[layer.name], layer.dilation, want_x,
+                w.requires_grad, b.requires_grad)
+            return gx
+
+        flow_skip = conv_back(layers["out1"], g * (h > 0).astype(np.float32), h1)
+        flow_skip *= (h1 > 0).astype(np.float32)
+        flow_r = None
+        for (filt, gate, skip, res), (r, ts, w) in zip(blocks[::-1], saved[::-1]):
+            n = filt.n_units
+            t, s = ts[..., :n, :], ts[..., n:, :]
+            z = t * s
+            gz = conv_back(skip, flow_skip, z)
+            if res is not None:
+                np.add(gz, conv_back(res, flow_r, z), out=gz)
+            # the gated unit's flow dz*s*(1-t^2) and dz*t*s*(1-s), formed
+            # in the expression order of its mul, tanh and sigmoid nodes,
+            # with z's buffer as scratch
+            d = np.empty(ts.shape, dtype=np.float32)
+            np.multiply(t, t, out=z)
+            np.subtract(1.0, z, out=z)
+            np.multiply(gz * s, z, out=d[..., :n, :])
+            np.subtract(1.0, s, out=z)
+            np.multiply(s, z, out=z)
+            np.multiply(gz, t, out=gz)
+            np.multiply(gz, z, out=d[..., n:, :])
+            del z, gz
+            wf, bf, wg, bg = (c.params[k] for c in (filt, gate) for k in ("w", "b"))
+            gr, gw, gb = T.conv1d_grads(d, r, w, filt.dilation, True,
+                                        wf.requires_grad or wg.requires_grad,
+                                        bf.requires_grad or bg.requires_grad)
+            for p, q, full in ((wf, wg, gw), (bf, bg, gb)):
+                grads[p], grads[q] = (None, None) if full is None else (full[:n], full[n:])
+            flow_r = gr if res is None else np.add(flow_r, gr, out=gr)
+        gx = conv_back(layers["in_conv"], flow_r, x.data, x.requires_grad)
+        return (gx,) + tuple(grads[p] for p in params)
+    return T._node(h, (x,) + params, "trunk", backward)
 
 
 def _forward_wavenet(net: Network, x: Tensor) -> Tensor:

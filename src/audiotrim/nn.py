@@ -178,16 +178,17 @@ def capture():
         _TAPE = prev
 
 
-def record(name: str, t, unit_axis: int):
-    """Log a layer's output on the active tape, if any. t is the output
-    tensor, or a callable that makes it, called only while a tape is
-    active (for an output the forward pass itself never forms)."""
+def record(name: str, t: Tensor, unit_axis: int):
+    """Log a copy of a layer's output tensor t on the active tape, if any,
+    so a forward pass may go on to write into t's array. The copy keeps
+    the memory order of the (units, steps) view, so reductions over it
+    sum in the same order as over the view."""
     if _TAPE is None:
         return
-    arr = (t() if callable(t) else t).data
+    arr = t.data
     ax = unit_axis % arr.ndim
     _TAPE.setdefault(name, []).append(
-        np.moveaxis(arr, ax, 0).reshape(arr.shape[ax], -1))
+        np.moveaxis(arr, ax, 0).reshape(arr.shape[ax], -1).copy(order="K"))
 
 
 class Network:
@@ -412,9 +413,9 @@ def linear_forward(layer: Layer, x: Tensor) -> Tensor:
     return T.add(T.matmul(x, T.transpose(layer.params["w"])), layer.params["b"])
 
 
-def conv_forward(layer: Layer, x: Tensor, add: Tensor | None = None) -> Tensor:
+def conv_forward(layer: Layer, x: Tensor) -> Tensor:
     return T.conv1d_dilated_causal(x, layer.params["w"], layer.dilation,
-                                   bias=layer.params["b"], add=add)
+                                   bias=layer.params["b"])
 
 
 # the weight of each training batch's moments in the running stats

@@ -105,7 +105,10 @@ class Tensor:
         flow is dropped as soon as its own backward has pushed it to its
         inputs, so a pass holds the flows of one frontier, not the graph's.
         Each call contributes exactly one gradient pass, so calling twice
-        without zero_grad doubles the leaves' grads.
+        without zero_grad doubles the leaves' grads. That is why a fused
+        node (the WaveNet trunk, the class head, the spectral loss) keeps
+        the arrays it saved until the graph itself is dropped, not only
+        until its first backward.
 
         Routing happens here and nowhere else: a node's backward returns
         one gradient or None per parent, in parent order; None and parents
@@ -270,20 +273,16 @@ def _taps(k: int, dilation: int, t: int) -> list[tuple[int, int]]:
 
 
 def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
-                          bias: Tensor | None = None,
-                          add: Tensor | None = None) -> Tensor:
-    """Causal dilated 1-d convolution, plus an optional per-channel bias,
-    added into an optional accumulator.
+                          bias: Tensor | None = None) -> Tensor:
+    """Causal dilated 1-d convolution, plus an optional per-channel bias.
 
-    x: (C, T) or (B, C, T); w: (O, C, K); bias: (O,); add: the output's
-    shape. Output keeps length T and y[t] only reads x[<= t]: tap j reads
-    x shifted right by s = (K-1-j)*dilation, applied as
-    y[..., s:] += w[:, :, j] @ x[..., :T-s] with no padded copy of x, and
-    a tap with s >= T reads nothing. The first tap that reaches the signal
-    is written in place (matmul out=, zeroing only y[..., :s]); the others
-    add in tap order. With add, the node returns add + y, bit for bit the
-    add op's sum of the two, and no node keeps y itself. The backward pass
-    is conv1d_grads, and the accumulator's gradient is the output's.
+    x: (C, T) or (B, C, T); w: (O, C, K); bias: (O,). Output keeps length
+    T and y[t] only reads x[<= t]: tap j reads x shifted right by
+    s = (K-1-j)*dilation, applied as y[..., s:] += w[:, :, j] @ x[..., :T-s]
+    with no padded copy of x, and a tap with s >= T reads nothing. The
+    first tap that reaches the signal is written in place (matmul out=,
+    zeroing only y[..., :s]); the others add in tap order. The backward
+    pass is conv1d_grads.
     """
     xd, wd = x.data, w.data
     if wd.ndim != 3:
@@ -303,13 +302,8 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
             f"op 'conv1d' bias must be ({n_out},), got {bias.shape}"
         )
     t = xd.shape[-1]
-    shape = xd.shape[:-2] + (n_out, t)
-    if add is not None and add.shape != shape:
-        raise ShapeError(
-            f"op 'conv1d' accumulator must be {shape}, got {add.shape}"
-        )
     taps = _taps(k, dilation, t)
-    acc = np.empty(shape, dtype=np.float32)
+    acc = np.empty(xd.shape[:-2] + (n_out, t), dtype=np.float32)
     if taps:
         j0, s0 = taps[0]
         acc[..., :s0] = 0.0
@@ -318,14 +312,11 @@ def conv1d_dilated_causal(x: Tensor, w: Tensor, dilation: int = 1,
         acc[..., s:] += np.matmul(wd[:, :, j], xd[..., : t - s])
     if bias is not None:
         acc += bias.data[:, None]
-    if add is not None:
-        np.add(add.data, acc, out=acc)
-    parents = (x, w) + tuple(p for p in (bias, add) if p is not None)
+    parents = (x, w) if bias is None else (x, w, bias)
     def backward(g):
         grads = conv1d_grads(g, xd, wd, dilation, x.requires_grad, w.requires_grad,
                              bias is not None and bias.requires_grad)
-        grads = grads if bias is not None else grads[:2]
-        return grads if add is None else (*grads, g)
+        return grads if bias is not None else grads[:2]
     return _node(acc, parents, "conv1d", backward)
 
 
@@ -359,46 +350,6 @@ def conv1d_grads(g: np.ndarray, xd: np.ndarray, wd: np.ndarray, dilation: int,
     if want_bias:
         gb = (g.sum(axis=0) if g.ndim == 3 else g).sum(axis=1)
     return gx, gw, gb
-
-
-def gated_conv1d(x: Tensor, wf: Tensor, bf: Tensor, wg: Tensor, bg: Tensor,
-                 dilation: int = 1) -> Tensor:
-    """WaveNet's gated unit tanh(conv(x, wf) + bf) * sigmoid(conv(x, wg) + bg)
-    as one node.
-
-    The filter and gate weights are stacked along the output axis, so one
-    grad-free conv1d_dilated_causal call (one matmul per tap) makes both
-    pre-activations. tanh and sigmoid overwrite their halves of that
-    buffer, and the node keeps only those two halves, t and s. Backward
-    writes dz*s*(1-t^2) and dz*t*s*(1-s) into one stacked buffer, runs
-    conv1d_grads once and splits the weight and bias gradients back to
-    the filter and the gate.
-    """
-    if wg.shape != wf.shape or bg.shape != bf.shape:
-        raise ShapeError(
-            f"op 'gated' filter {wf.shape}, {bf.shape} and gate "
-            f"{wg.shape}, {bg.shape} differ"
-        )
-    n = wf.shape[0]
-    w = np.concatenate([wf.data, wg.data])
-    ts = conv1d_dilated_causal(Tensor(x.data), Tensor(w), dilation,
-                               bias=Tensor(np.concatenate([bf.data, bg.data]))).data
-    t, s = ts[..., :n, :], ts[..., n:, :]
-    np.tanh(t, out=t)
-    s[...] = sigmoid_array(s)
-    xd = x.data
-    def backward(g):
-        # the expression order of the mul, tanh and sigmoid nodes' backward
-        d = np.empty(ts.shape, dtype=np.float32)
-        np.multiply(g * s, 1.0 - t * t, out=d[..., :n, :])
-        np.multiply(g * t, s * (1.0 - s), out=d[..., n:, :])
-        gx, gw, gb = conv1d_grads(d, xd, w, dilation, x.requires_grad,
-                                  wf.requires_grad or wg.requires_grad,
-                                  bf.requires_grad or bg.requires_grad)
-        (gwf, gwg), (gbf, gbg) = [(None, None) if a is None else (a[:n], a[n:])
-                                  for a in (gw, gb)]
-        return gx, gwf, gbf, gwg, gbg
-    return _node(t * s, (x, wf, bf, wg, bg), "gated", backward)
 
 
 def frame_lerp(x: Tensor, hop: int, basis: np.ndarray | None = None) -> Tensor:

@@ -1,10 +1,11 @@
 """Shared oracles: finite-difference gradients, a naive DFT, the masked
 sigmoid, the composed reference versions of the fused ops, the dense
 upsampling render (the synthesis heads' oracle), unit masking (trimming's
-oracle), the test-only "sequential" arch and the stubs that fill a test
-arch's unused fields, a trainer that takes no step, an Adam trainer from
-keyword fields, a counter of Adam train calls, and per-test losses added
-to models.ARCHS as throwaway archs."""
+oracle), a WaveNet whose relus are clear of zero at a given input, the
+test-only "sequential" arch and the stubs that fill a test arch's unused
+fields, a trainer that takes no step, an Adam trainer from keyword
+fields, a counter of Adam train calls, and per-test losses added to
+models.ARCHS as throwaway archs."""
 
 import dataclasses
 
@@ -74,20 +75,20 @@ def sigmoid_masked(x):
 #
 # These are the oracles for the fused nodes that replaced them in src:
 # tensor.stft_logmag (one node per window), nn.gru_scan (one node per
-# sequence), tensor.gated_conv1d (one node per gated unit; gated_composed is
-# two conv nodes, tanh, sigmoid and mul), models.nll_from_logits (one node
-# for the class head and its NLL; head_nll_composed is the head's own conv
-# node followed by the logits-NLL node nll_logits_node, itself checked
-# against the elementary-op chain nll_composed) and
-# tensor.conv1d_dilated_causal's pad-free taps and bias. Three oracles must
-# match src bit for bit: nll_from_logits_batched runs the class head over
-# the whole batch at once where models.nll_from_logits runs it one item at
-# a time, wavenet_trunk_added adds each skip and residual projection into
-# its stream with an add node where models._wavenet_trunk uses the conv's
-# add operand, and spectral_loss_composed builds
-# models.multiscale_spectral_loss from stft_logmag's nodes and sub, abs,
-# mean and add nodes. texp, tlog, tabs, slice_axis and concat are
-# elementary ops only these oracles use. Each
+# sequence), models.nll_from_logits (one node for the class head and its
+# NLL; head_nll_composed is the head's own conv node followed by the
+# logits-NLL node nll_logits_node, itself checked against the
+# elementary-op chain nll_composed) and tensor.conv1d_dilated_causal's
+# pad-free taps and bias. Three oracles must match src bit for bit:
+# nll_from_logits_batched runs the class head over the whole batch at once
+# where models.nll_from_logits runs it one item at a time;
+# wavenet_trunk_added builds models._wavenet_trunk's one node from a conv
+# node per layer, a gated_conv1d node per gated unit (gated_composed, two
+# conv nodes, tanh, sigmoid and mul, is that node's own oracle), an add
+# node per skip and residual projection and two relu nodes; and
+# spectral_loss_composed builds models.multiscale_spectral_loss from
+# stft_logmag's nodes and sub, abs, mean and add nodes. texp, tlog, tabs,
+# slice_axis and concat are elementary ops only these oracles use. Each
 # oracle node is built as src builds its own: T._node with a backward that
 # returns one gradient (or None) per input, which Tensor.backward routes.
 
@@ -242,17 +243,59 @@ def nll_from_logits_batched(h, head, targets):
     return out
 
 
-def wavenet_trunk_added(net, x):
-    """The WaveNet trunk with each skip and residual 1x1 conv as a node of
-    its own, added into its stream by an add node."""
+def gated_conv1d(x, wf, bf, wg, bg, dilation=1):
+    """WaveNet's gated unit tanh(conv(x, wf) + bf) * sigmoid(conv(x, wg) + bg)
+    as one node.
+
+    The filter and gate weights are stacked along the output axis, so one
+    grad-free conv1d_dilated_causal call (one matmul per tap) makes both
+    pre-activations. tanh and sigmoid overwrite their halves of that
+    buffer, and the node keeps only those two halves, t and s. Backward
+    writes dz*s*(1-t^2) and dz*t*s*(1-s) into one stacked buffer, runs
+    conv1d_grads once and splits the weight and bias gradients back to
+    the filter and the gate.
+    """
+    if wg.shape != wf.shape or bg.shape != bf.shape:
+        raise T.ShapeError(
+            f"op 'gated' filter {wf.shape}, {bf.shape} and gate "
+            f"{wg.shape}, {bg.shape} differ"
+        )
+    n = wf.shape[0]
+    w = np.concatenate([wf.data, wg.data])
+    ts = T.conv1d_dilated_causal(T.Tensor(x.data), T.Tensor(w), dilation,
+                                 bias=T.Tensor(np.concatenate([bf.data, bg.data]))).data
+    t, s = ts[..., :n, :], ts[..., n:, :]
+    np.tanh(t, out=t)
+    s[...] = T.sigmoid_array(s)
+    xd = x.data
+
+    def backward(g):
+        # the expression order of the mul, tanh and sigmoid nodes' backward
+        d = np.empty(ts.shape, dtype=np.float32)
+        np.multiply(g * s, 1.0 - t * t, out=d[..., :n, :])
+        np.multiply(g * t, s * (1.0 - s), out=d[..., n:, :])
+        gx, gw, gb = T.conv1d_grads(d, xd, w, dilation, x.requires_grad,
+                                    wf.requires_grad or wg.requires_grad,
+                                    bf.requires_grad or bg.requires_grad)
+        (gwf, gwg), (gbf, gbg) = [(None, None) if a is None else (a[:n], a[n:])
+                                  for a in (gw, gb)]
+        return gx, gwf, gbf, gwg, gbg
+    return T._node(t * s, (x, wf, bf, wg, bg), "gated", backward)
+
+
+def wavenet_trunk_added(net, x, gated=gated_conv1d):
+    """The WaveNet trunk as a graph of one node per op: a conv node per
+    layer, a gated node per block (gated_conv1d, or another with its
+    signature), an add node per skip and residual projection added into
+    its stream, and a relu node each for the skip sum and out1."""
     n_blocks = len(net.meta["dilations"])
     r = nn.conv_forward(net.layers["in_conv"], x)
     nn.record("in_conv", r, -2)
     skip_total = None
     for i in range(n_blocks):
         filt, gate = net.layers[f"filter_{i}"], net.layers[f"gate_{i}"]
-        z = T.gated_conv1d(r, filt.params["w"], filt.params["b"],
-                           gate.params["w"], gate.params["b"], filt.dilation)
+        z = gated(r, filt.params["w"], filt.params["b"],
+                  gate.params["w"], gate.params["b"], filt.dilation)
         nn.record(f"filter_{i}", z, -2)
         s = nn.conv_forward(net.layers[f"skip_{i}"], z)
         nn.record(f"skip_{i}", s, -2)
@@ -264,6 +307,37 @@ def wavenet_trunk_added(net, x):
     h = T.relu(nn.conv_forward(net.layers["out1"], h))
     nn.record("out1", h, -2)
     return h
+
+
+def relu_clear_trunk(rng, x0):
+    """A trimmed two-block WaveNet to probe models._wavenet_trunk through
+    at the input x0, (batch, 1, time). Its last skip bias and its out1
+    bias are set from the values at x0, so that there each relu input
+    channel lies at least 0.25 above zero throughout (the first channel
+    always, the others with odds 3 in 4) or below it throughout: no small
+    step from x0 crosses a kink, and flow passes."""
+    cfg = models.ModelConfig(arch="wavenet", sample_rate=4000, n_stacks=1,
+                             blocks_per_stack=2, residual_channels=3,
+                             gate_channels=3, skip_channels=3,
+                             head_channels=4, n_classes=4)
+    net = nn.apply_trim(models.build_model(cfg, seed=int(rng.integers(1 << 16))),
+                        {"filter_0": np.array([1]), "out1": np.array([0])})
+
+    def clear(bias, pre):
+        # pre: (channels, positions), the relu's input less this bias
+        alive = rng.random(len(bias)) < 0.75
+        alive[0] = True
+        bias[:] = np.where(alive, 0.25 - pre.min(axis=1), -0.25 - pre.max(axis=1))
+        return np.maximum(pre + bias[:, None], 0.0)
+
+    # the biases start at zero
+    with T.no_grad(), nn.capture() as tape:
+        models._wavenet_trunk(net, T.Tensor(x0))
+    h1 = clear(net.layers["skip_1"].params["b"].data,
+               tape["skip_0"][0] + tape["skip_1"][0])
+    out1 = net.layers["out1"].params
+    clear(out1["b"].data, out1["w"].data[:, :, 0] @ h1)
+    return net
 
 
 def head_nll_composed(h, head, targets, nll=nll_logits_node):

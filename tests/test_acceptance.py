@@ -26,7 +26,7 @@ import pytest
 from audiotrim import embed, harness, mi, models, nn, pruning
 from audiotrim import tensor as T
 
-from conftest import mask_units, no_training, use_loss
+from conftest import gated_conv1d, mask_units, no_training, relu_clear_trunk, use_loss
 from test_embed import random_chain, sim_net_ops, tiny_arch_net
 from test_models import ddsp_batch, tiny_ddsp_cfg, tiny_sing_cfg, tiny_wavenet_cfg
 
@@ -175,21 +175,12 @@ def _op_bank():
         return (lambda t: T.conv1d_dilated_causal(t, w, dil),
                 _signed(rng, (2, ci, 10)))
 
-    def conv_add(rng):
-        # the conv's accumulator operand, fed the conv's own input
-        c, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        w = T.Tensor(_signed(rng, (c, c, k)))
-        bias = T.Tensor(_signed(rng, (c,)))
-        dil = int(rng.integers(1, 3))
-        return (lambda t: T.conv1d_dilated_causal(t, w, dil, bias=bias, add=t),
-                _signed(rng, (2, c, 10)))
-
     def gated(rng):
         ci, co, k = (int(rng.integers(1, 4)) for _ in range(3))
         wf, wg = (T.Tensor(0.5 * _signed(rng, (co, ci, k))) for _ in range(2))
         bf, bg = (T.Tensor(0.5 * _signed(rng, (co,))) for _ in range(2))
         dil = int(rng.integers(1, 3))
-        return (lambda t: T.gated_conv1d(t, wf, bf, wg, bg, dil),
+        return (lambda t: gated_conv1d(t, wf, bf, wg, bg, dil),
                 _signed(rng, (2, ci, 10)))
 
     def sigmoid(rng):
@@ -258,19 +249,31 @@ def _op_bank():
                                     T.frame_lerp(t, hop, shared)))
         return op, _signed(rng, (b, f, k))
 
+    def trunk(rng):
+        # a trimmed two-block WaveNet trunk, probed through its input, with
+        # every relu input clear of zero there
+        x0 = _signed(rng, (2, 1, 10))
+        net = relu_clear_trunk(rng, x0)
+        return lambda t: models._wavenet_trunk(net, t), x0
+
     return [add, sub, mul, div, matmul, conv, gated, sigmoid, tanh, relu,
             tsqrt, tsum, tmean, reshape, transpose, stft_logmag, spectral_loss,
-            gru_scan, nll, frame_lerp, conv_add]
+            gru_scan, nll, frame_lerp, trunk]
 
 
 def _probe(entry, rng):
     """(f, c, x0, v, d): the loss f(x) = sum(c * op(x)) of the entry's
     primitive as a function of a float array, the weights c, the point
-    x0, a unit direction v and backward()'s derivative d of f along v."""
+    x0, a unit direction v and backward()'s derivative d of f along v.
+
+    A scalar output is weighted by the sign of its normal draw: one small
+    draw would otherwise shrink the whole gradient below the probe floor."""
     op, x0 = entry(rng)
     with T.no_grad():
         probe = op(T.Tensor(x0))
     c = rng.standard_normal(probe.shape).astype(np.float32)
+    if c.size == 1:
+        c = np.sign(c)
 
     def loss(t):
         return T.tsum(T.mul(op(t), T.Tensor(c)))

@@ -222,11 +222,11 @@ def counted_macs(monkeypatch, net, batch) -> int:
         macs.append(a.data.size * b.shape[1])  # (..., k) @ (k, n)
         return matmul(a, b)
 
-    def counting_conv(x, w, dilation=1, bias=None, add=None):
+    def counting_conv(x, w, dilation=1, bias=None):
         n_out, _, k = w.shape
         assert (k - 1) * dilation < x.shape[-1]  # every tap reaches the signal
         macs.append(x.data.size * n_out * k)  # (b, c, t) by (o, c, k)
-        return conv(x, w, dilation, bias=bias, add=add)
+        return conv(x, w, dilation, bias=bias)
 
     with monkeypatch.context() as m:
         m.setattr(T, "matmul", counting_matmul)

@@ -460,6 +460,38 @@ class TestRunExperiment:
         # OpenBLAS caps its thread count at the CPUs the process may use
         assert out.strip() == str(min(threads, len(os.sched_getaffinity(0))))
 
+    @pytest.mark.skipif(not _OPENBLAS, reason="numpy is not built on OpenBLAS")
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="fewer than 2 CPUs")
+    def test_each_blas_thread_count_reproduces_its_own_wavenet_bytes(self, tmp_path):
+        # WaveNet bytes may depend on the BLAS thread count; on one build,
+        # each count gives the same bytes again and stamps itself
+        cfg = tiny_cfg(tmp_path, model=models.ModelConfig(
+            arch="wavenet", sample_rate=8000, n_stacks=1, blocks_per_stack=3,
+            residual_channels=4, gate_channels=6, skip_channels=5,
+            head_channels=7, n_classes=16),
+            dataset=harness.DatasetConfig(n_items=10, sr=8000, duration=0.25),
+            imp=pruning.ImpConfig(iterations=1, criterion="gradient", rewind_step=1))
+        code = ("import sys; from audiotrim import harness; "
+                "harness.run_experiment(harness.load_config(sys.argv[1]))")
+        for threads in (1, 2):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+            runs = []
+            for k in range(2):
+                out = tmp_path / f"threads{threads}_run{k}"
+                path = tmp_path / f"threads{threads}_run{k}.json"
+                path.write_text(json.dumps(harness.config_to_dict(
+                    replace(cfg, output_dir=str(out)))))
+                subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                               check=True, capture_output=True, timeout=300)
+                fields = dict(line.split(": ", 1) for line in
+                              (out / "MANIFEST.txt").read_text().splitlines()
+                              if ": " in line and not line.startswith(" "))
+                assert fields["blas_threads"] == str(threads)
+                runs.append({p.name: p.read_bytes() for p in
+                             [out / "trace.csv", *sorted(out.glob("*.ckpt"))]})
+            assert len(runs[0]) == 3 and runs[0] == runs[1], threads
+
     def test_identical_config_reproduces_all_csv_bytes(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         blobs = []

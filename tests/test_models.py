@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import weakref
@@ -91,6 +92,31 @@ def identity_head(c):
     head.params["w"].data = np.eye(c, dtype=np.float32)[:, :, None]
     head.params["b"].data = np.zeros(c, dtype=np.float32)
     return head
+
+
+def _graph_buffers(root):
+    """The buffer behind every array a graph keeps: node data, and what
+    each node's backward closes over, through tuples, lists, dicts and
+    nested closures. Views count as the array they view."""
+    found, seen, todo = {}, set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, Tensor):
+            todo += [obj.data, obj._backward, *obj._parents]
+        elif isinstance(obj, (tuple, list)):
+            todo += obj
+        elif isinstance(obj, dict):
+            todo += obj.values()
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo += [c.cell_contents for c in obj.__closure__]
+    return list(found.values())
 
 
 def loss_and_grads(net, batch):
@@ -305,7 +331,8 @@ class TestWavenet:
         batch = {"wave": np.random.default_rng(9).uniform(-0.9, 0.9, (3, 30))
                  .astype(np.float32)}
         fused = loss_and_grads(net, batch)
-        monkeypatch.setattr(T, "gated_conv1d", gated_composed)
+        monkeypatch.setattr(models, "_wavenet_trunk",
+                            lambda net, x: wavenet_trunk_added(net, x, gated_composed))
         monkeypatch.setattr(models, "nll_from_logits", head_nll_composed)
         composed = loss_and_grads(net, batch)
         assert fused[0] == pytest.approx(composed[0], rel=1e-5)
@@ -314,11 +341,14 @@ class TestWavenet:
             assert g.shape == ref.shape, name
             assert np.abs(g - ref).max() <= 1e-5 * np.abs(ref).max(), name
 
+    @pytest.mark.parametrize("batch_size", [8, 3, 1])
     @pytest.mark.parametrize("variant", ["dense", "trimmed", "masked"])
     def test_matches_added_streams_and_batched_head_bit_for_bit(self, variant,
+                                                                batch_size,
                                                                 monkeypatch):
-        # trimming out1, the residual pool (named after in_conv) and the
-        # skip pool trims the projections that add into each stream
+        # the trunk node against one node per conv, gated unit, add and
+        # relu; trimming out1, the residual pool (named after in_conv) and
+        # the skip pool trims the projections that add into each stream
         net = models.build_model(tiny_wavenet_cfg(), seed=12)
         plan = {"out1": np.array([1, 4]), "in_conv": np.array([0, 2]),
                 "skip_0": np.array([3])}
@@ -326,22 +356,28 @@ class TestWavenet:
             net = nn.apply_trim(net, plan)
         elif variant == "masked":
             net = mask_units(net, plan | {"filter_1": np.array([0, 5])})
-        batch = {"wave": np.random.default_rng(12).uniform(-0.9, 0.9, (4, 30))
+        batch = {"wave": np.random.default_rng(12).uniform(-0.9, 0.9, (batch_size, 30))
                  .astype(np.float32)}
         runs = []
         for oracle in (False, True):
             if oracle:
                 monkeypatch.setattr(models, "_wavenet_trunk", wavenet_trunk_added)
                 monkeypatch.setattr(models, "nll_from_logits", nll_from_logits_batched)
-            loss, grads = loss_and_grads(net, batch)
+            net.zero_grad()
+            loss = models.compute_loss(net, batch)
+            passes = []
+            for _ in range(2):
+                loss.backward()
+                passes.append({name: p.grad.copy() for name, p in net.named_parameters()})
             with T.no_grad():
                 logits = models.forward_batch(net, batch).data
-            runs.append((loss, grads, logits))
-        (loss, grads, logits), (ref_loss, ref_grads, ref_logits) = runs
+            runs.append((float(loss.data), passes, logits))
+        (loss, passes, logits), (ref_loss, ref_passes, ref_logits) = runs
         assert loss == ref_loss
-        assert grads.keys() == ref_grads.keys()
-        for name, g in grads.items():
-            assert np.array_equal(g, ref_grads[name]), name
+        for grads, ref_grads in zip(passes, ref_passes):
+            assert grads.keys() == ref_grads.keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, ref_grads[name]), name
         assert np.array_equal(logits, ref_logits)
 
     def test_second_backward_doubles_grads(self):
@@ -356,32 +392,23 @@ class TestWavenet:
             assert np.array_equal(p.grad, 2 * once[name]), name
 
     def test_train_step_graph_holds_no_logits(self):
-        # the class logits are neither a node nor kept by the head node's
-        # backward, no activation node keeps a conv pre-activation as its
-        # parent, and the skip and residual projections add into their
-        # streams inside their conv nodes, so no add node keeps them
+        # after the forward pass the graph keeps, of the (batch, channels,
+        # time) arrays, per block the gated input r and the stacked tanh and
+        # sigmoid halves, then relu(skip stream), the trunk's output and the
+        # head's input gradient: no logits, no gated product, no skip sum
+        # and no pre-relu output
         cfg = tiny_wavenet_cfg()
         net = models.build_model(cfg, seed=11)
-        wave = np.random.default_rng(11).uniform(-0.9, 0.9, (2, 30)).astype(np.float32)
+        b, t, n_blocks = 2, 29, cfg.blocks_per_stack
+        wave = np.random.default_rng(11).uniform(-0.9, 0.9, (b, t + 1)).astype(np.float32)
         loss = models.compute_loss(net, {"wave": wave})
-        logits_shape = (2, cfg.n_classes, 29)
-        assert loss._op == "nll"
-        kept = [c.cell_contents for c in loss._backward.__closure__]
-        kept += [a for c in kept if isinstance(c, (tuple, list)) for a in c]
-        assert not any(isinstance(a, np.ndarray) and a.shape == logits_shape
-                       for a in kept)
-        seen, stack = {id(loss)}, [loss]
-        while stack:
-            node = stack.pop()
-            assert node.shape != logits_shape, node
-            assert node._op != "add", node
-            if node._op in ("tanh", "sigmoid", "nll"):
-                assert all(p._op != "conv1d" for p in node._parents), node
-            for p in node._parents:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append(p)
-        assert len(seen) > 1
+        assert loss._op == "nll" and loss._parents[0]._op == "trunk"
+        assert all(p._op == "leaf" for p in loss._parents[0]._parents)
+        kept = collections.Counter(a.shape[1] for a in _graph_buffers(loss)
+                                   if a.ndim == 3 and (a.shape[0], a.shape[2]) == (b, t))
+        assert kept == {cfg.residual_channels: n_blocks,
+                        2 * cfg.gate_channels: n_blocks,
+                        cfg.skip_channels: 1, cfg.head_channels: 2}
 
     def test_loss_decreases_on_tiny_overfit(self):
         cfg = tiny_wavenet_cfg()

@@ -92,3 +92,14 @@ def test_bench_fold_warns_when_checkouts_sit_apart(tmp_path, monkeypatch, capsys
     assert ("different directories" in err) == apart
     if apart:
         assert str(parent) in err and "setup_s" in err
+
+
+@pytest.mark.parametrize("workload", ["ddsp_info_trim", "wavenet_paired"])
+def test_step_memory_reports_one_train_step(workload):
+    script = _load("step_memory")
+    sizes = script.workloads.TINY[workload]
+    row = script.measure(workload, 0, sizes)
+    assert row["batch"][0] == sizes["batch_size"]
+    assert row["graph_nodes"] > 1
+    assert 0 < row["graph_bytes"] <= row["forward_peak_bytes"]
+    assert row["backward_peak_bytes"] > 0

@@ -11,7 +11,8 @@ from audiotrim import harness, models, nn
 from audiotrim import tensor as T
 from conftest import (adjoint_dot_check, concat, conv1d_padded,
                       directional_gradcheck, fft_mag2, frame, gated_composed,
-                      sigmoid_masked, slice_axis, tabs, texp, tlog)
+                      gated_conv1d, relu_clear_trunk, sigmoid_masked,
+                      slice_axis, tabs, texp, tlog)
 
 RNG = np.random.default_rng(1234)
 
@@ -121,8 +122,8 @@ class TestSigmoidArray:
 
 
 class TestGatedNode:
-    """The gated unit as one node against two conv nodes, tanh, sigmoid
-    and mul."""
+    """The trunk oracle's gated unit as one node against two conv nodes,
+    tanh, sigmoid and mul."""
 
     @staticmethod
     def _run(gated, x0, params, dilation, y):
@@ -142,7 +143,7 @@ class TestGatedNode:
         for p in params:  # a masked unit: zeroed filter and gate rows
             p[2] = 0.0
         y = rng.standard_normal(lead + (5, t)).astype(np.float32)
-        got = self._run(T.gated_conv1d, x0, params, dilation, y)
+        got = self._run(gated_conv1d, x0, params, dilation, y)
         ref = self._run(gated_composed, x0, params, dilation, y)
         for name, a, r in zip(("out", "x", "wf", "bf", "wg", "bg"), got, ref):
             assert a.shape == r.shape, name
@@ -161,15 +162,15 @@ class TestGatedNode:
             return conv(x, w, *args, **kwargs)
 
         monkeypatch.setattr(T, "conv1d_dilated_causal", counting)
-        out = T.gated_conv1d(x, *leaves, 2)
+        out = gated_conv1d(x, *leaves, 2)
         assert out._op == "gated" and out._parents == (x, *leaves)
         assert calls == [(8, 3, 2)]
 
     def test_filter_gate_mismatch(self):
         z = T.Tensor(np.zeros((4, 3, 2), dtype=np.float32))
         with pytest.raises(T.ShapeError, match="gated"):
-            T.gated_conv1d(T.Tensor(np.zeros((1, 3, 5))), z, T.Tensor(np.zeros(4)),
-                           T.Tensor(np.zeros((5, 3, 2))), T.Tensor(np.zeros(5)))
+            gated_conv1d(T.Tensor(np.zeros((1, 3, 5))), z, T.Tensor(np.zeros(4)),
+                         T.Tensor(np.zeros((5, 3, 2))), T.Tensor(np.zeros(5)))
 
 
 class TestShapeAndNumericFaults:
@@ -316,12 +317,12 @@ def _fused_nodes():
     conv = nn.make_conv("c", 3, 4, 2, rng)
     w, b = conv.params["w"], conv.params["b"]
     gru = nn.make_gru("g", 16, 5, rng)
-    acc = T.Tensor(rng.standard_normal((2, 4, 16)).astype(np.float32),
-                   requires_grad=True)
+    wave = T.Tensor(rng.standard_normal((2, 1, 16)).astype(np.float32),
+                    requires_grad=True)
+    trunk = relu_clear_trunk(rng, wave.data)
     return {
         "conv1d": lambda: T.conv1d_dilated_causal(x, w, 2, bias=b),
-        "conv1d_add": lambda: T.conv1d_dilated_causal(x, w, 2, bias=b, add=acc),
-        "gated": lambda: T.gated_conv1d(x, w, b, w, b),
+        "gated": lambda: gated_conv1d(x, w, b, w, b),
         "gru": lambda: nn.gru_scan(gru, x),
         "nll": lambda: models.nll_from_logits(
             x, conv, rng.integers(0, 4, size=(2, 16))),
@@ -330,6 +331,7 @@ def _fused_nodes():
         "spectral_loss": lambda: models.multiscale_spectral_loss(
             T.reshape(x, (2, 48)), [np.zeros((2, 3, 17), dtype=np.float32)],
             T.SpectrogramConfig(window_sizes=(32,))),
+        "trunk": lambda: models._wavenet_trunk(trunk, wave),
     }
 
 
@@ -443,33 +445,6 @@ class TestConvNode:
         bare = T.conv1d_dilated_causal(x, w, 2).data
         assert np.array_equal(out.data, bare + np.arange(4, dtype=np.float32)[:, None])
 
-    @pytest.mark.parametrize("with_bias", [True, False])
-    def test_accumulator_matches_add_node_bit_for_bit(self, with_bias):
-        rng = np.random.default_rng(114)
-        arrays = [rng.standard_normal(s).astype(np.float32)
-                  for s in ((3, 4, 9), (5, 4, 2), (5,), (3, 5, 9), (3, 5, 9))]
-        runs = []
-        for fused in (True, False):
-            x, w, b, acc = (T.Tensor(a, requires_grad=True) for a in arrays[:4])
-            bias = b if with_bias else None
-            if fused:
-                out = T.conv1d_dilated_causal(x, w, 2, bias=bias, add=acc)
-                assert out._op == "conv1d"
-                assert out._parents == (x, w) + ((b,) if with_bias else ()) + (acc,)
-            else:
-                out = T.add(acc, T.conv1d_dilated_causal(x, w, 2, bias=bias))
-            T.tsum(T.mul(out, T.Tensor(arrays[4]))).backward()
-            runs.append([out.data, x.grad, w.grad, acc.grad]
-                        + ([b.grad] if with_bias else []))
-        for name, a, r in zip(("out", "x", "w", "add", "bias"), *runs):
-            assert a.dtype == r.dtype and a.tobytes() == r.tobytes(), name
-
-    def test_accumulator_shape_mismatch(self):
-        x, w = T.Tensor(np.zeros((2, 3, 8))), T.Tensor(np.zeros((4, 3, 2)))
-        for shape in ((2, 4, 7), (4, 8), (1, 4, 8)):
-            with pytest.raises(T.ShapeError, match="accumulator"):
-                T.conv1d_dilated_causal(x, w, add=T.Tensor(np.zeros(shape)))
-
     def test_bias_shape_mismatch(self):
         with pytest.raises(T.ShapeError, match="bias"):
             T.conv1d_dilated_causal(T.Tensor(np.zeros((3, 8))), T.Tensor(np.zeros((4, 3, 2))),
@@ -526,7 +501,10 @@ def _flow_cases():
     wg = const(4, 3, 2)
     head = nn.make_conv("out2", 3, 6, 1, rng)
     targets = rng.integers(0, 6, size=(2, 10))
-    w33, b3 = const(3, 3, 2), const(3)
+    trunk_rng = np.random.default_rng(101)
+    trunk_x0 = trunk_rng.standard_normal((2, 1, 10)).astype(np.float32)
+    trunk = relu_clear_trunk(trunk_rng, trunk_x0)
+    trunk_mix = T.Tensor(trunk_rng.standard_normal((2, 3, 10)).astype(np.float32))
     loss_target = models.log_spectrograms(
         0.3 * np.random.default_rng(100).standard_normal((2, 128)), spec)
 
@@ -547,15 +525,12 @@ def _flow_cases():
             xc, v, 2, bias=T.tsum(v, axis=(1, 2))))), arr(4, 3, 2)),
         "conv1d_unbatched": (lambda x: T.tsum(T.tanh(T.conv1d_dilated_causal(x, w3, 1))),
                              arr(3, 8)),
-        # x is both the input and the accumulator, so its flows add
-        "conv1d_add_input": (lambda x: T.tmean(T.tanh(T.conv1d_dilated_causal(
-            x, w33, 2, bias=b3, add=x))), arr(2, 3, 10)),
-        "conv1d_add_only": (lambda x: T.tmean(T.tanh(T.conv1d_dilated_causal(
-            xc, w, 2, bias=bias, add=x))), arr(2, 4, 10)),
-        "gated_input": (lambda x: T.tmean(T.gated_conv1d(x, w, bias, wg, bias, 2)),
+        "gated_input": (lambda x: T.tmean(gated_conv1d(x, w, bias, wg, bias, 2)),
                         arr(2, 3, 10)),
-        "gated_filter": (lambda v: T.tmean(T.gated_conv1d(xc, v, bias, wg, bias, 2)),
+        "gated_filter": (lambda v: T.tmean(gated_conv1d(xc, v, bias, wg, bias, 2)),
                          arr(4, 3, 2)),
+        "trunk": (lambda x: T.tsum(T.mul(models._wavenet_trunk(trunk, x), trunk_mix)),
+                  trunk_x0),
         "nll_head": (lambda x: models.nll_from_logits(x, head, targets), arr(2, 3, 10)),
         "frame_lerp_basis": (lambda x: T.tsum(T.sigmoid(T.frame_lerp(x, 4, basis))),
                              arr(2, 3, 3)),
