@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 on usage problems (bad flags, a missing or
-malformed config file), 2 on runtime failures.
+malformed config or platforms file), 2 on runtime failures.
 """
 
 from __future__ import annotations
@@ -145,8 +145,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_embed_check(args) -> int:
+    try:
+        profiles = embed.load_platforms(args.platforms)
+    except ValueError as exc:  # a platforms file that is not a profile list
+        raise UsageError(str(exc)) from None
     net = nn.load_checkpoint(args.model)
-    profiles = embed.load_platforms(args.platforms)
     print(embed.summarize(embed.analyze(net, profiles)))
     return 0
 

@@ -113,8 +113,8 @@ def target_features(wave: np.ndarray) -> np.ndarray:
     Keeps the bins with the largest variance across frames: audio energy
     concentrates in few bins, so an even subset would mostly sample noise.
     """
-    (spec,) = models.log_spectrograms(np.asarray(wave).reshape(-1),
-                                      SpectrogramConfig(window_sizes=(_FEATURE_WINDOW,)))
+    (spec,) = T.stft_logmag(np.asarray(wave).reshape(-1),
+                            SpectrogramConfig(window_sizes=(_FEATURE_WINDOW,)))
     arr = spec.astype(np.float64)
     if arr.shape[1] > _FEATURE_BINS:
         sel = np.sort(np.argsort(arr.var(axis=0))[-_FEATURE_BINS:])

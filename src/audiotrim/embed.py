@@ -50,6 +50,7 @@ per sample; an arch that has no record raises StructureError).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +59,7 @@ import numpy as np
 from . import models, nn
 
 FLOPS_PER_MAC = 2
+_BUDGETS = ("cpu_hz", "flops_per_sec", "drive_bytes", "ram_bytes")
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class PlatformProfile:
     ram_bytes: float
 
     def __post_init__(self):
-        for field in ("cpu_hz", "flops_per_sec", "drive_bytes", "ram_bytes"):
+        for field in _BUDGETS:
             if not getattr(self, field) > 0:
                 raise ValueError(f"platform '{self.name}': {field} must be positive")
 
@@ -159,33 +161,37 @@ def feasibility(flops_per_audio_second: float, disk_bytes: int,
                        realtime, embeddable, error_multiplier)
 
 
-def analyze(net: nn.Network, profiles: list[PlatformProfile],
-            error_multiplier: float = float("nan")) -> list[EmbedReport]:
-    flops = count_flops(net)
-    disk = disk_size(net)
-    rw = rw_memory(net)
-    ws = working_set_bytes(net)
-    return [feasibility(flops, disk, rw, ws, p, error_multiplier)
-            for p in profiles]
+def analyze(net: nn.Network, profiles: list[PlatformProfile]) -> list[EmbedReport]:
+    costs = count_flops(net), disk_size(net), rw_memory(net), working_set_bytes(net)
+    return [feasibility(*costs, p) for p in profiles]
 
 
 DEFAULT_PLATFORMS = Path(__file__).parent / "data" / "platforms.json"
 
 
 def load_platforms(path=None) -> list[PlatformProfile]:
-    """Read platform profiles from JSON; ships with four default rows."""
+    """Read platform profiles from JSON, a list of entries or an object
+    whose "platforms" holds one; ships with four default rows. Malformed
+    input raises ValueError naming the file and the entry."""
     path = Path(path) if path is not None else DEFAULT_PLATFORMS
-    doc = json.loads(path.read_text())
-    rows = doc["platforms"] if isinstance(doc, dict) else doc
-    out = []
-    for row in rows:
-        extra = set(row) - {"name", "cpu_hz", "flops_per_sec", "drive_bytes", "ram_bytes"}
-        if extra:
-            raise ValueError(f"platform entry has unknown keys {sorted(extra)}")
-        out.append(PlatformProfile(**row))
-    if not out:
-        raise ValueError(f"no platforms defined in {path}")
-    return out
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as err:
+        raise ValueError(f"{path}: not valid JSON ({err})") from None
+    rows = doc.get("platforms") if isinstance(doc, dict) else doc
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"{path}: expected a non-empty list of platforms, "
+                         "or an object holding one under 'platforms'")
+    for i, row in enumerate(rows):
+        # type() rather than isinstance: a JSON boolean is no budget
+        if not (isinstance(row, dict) and row.keys() == {"name", *_BUDGETS}
+                and isinstance(row["name"], str)
+                and all(type(row[k]) in (int, float) and 0 < row[k] < math.inf
+                        for k in _BUDGETS)):
+            raise ValueError(f"{path}: platform entry {i} must hold a string name "
+                             f"and finite positive {', '.join(_BUDGETS)}, and no "
+                             f"unknown keys; got {row!r}")
+    return [PlatformProfile(**row) for row in rows]
 
 
 def pareto_front(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

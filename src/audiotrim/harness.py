@@ -7,7 +7,8 @@ iteration x platform), pareto.csv, reconstructed audio under samples/,
 and a MANIFEST listing every artifact with the config hash, numpy's
 version, its BLAS and the BLAS thread count. Identical (config, seed)
 pairs reproduce every byte except the MANIFEST timestamp, given the same
-numpy build and thread count.
+numpy build and thread count. This module alone writes a run directory,
+from the records and nets the IMP loop hands it through a callback.
 """
 
 from __future__ import annotations
@@ -187,18 +188,34 @@ def load_wav_dir(path, sr_expected: int) -> list[dict]:
     files = sorted(path.glob("*.wav"))
     if not files:
         raise WavFormatError(f"no .wav files under {path}")
-    cond = {}
     sidecar = path / "conditioning.json"
-    if sidecar.exists():
-        cond = json.loads(sidecar.read_text())
-    items = []
-    for f in files:
-        item = {"wave": read_wav(f, sr_expected)}
-        if f.name in cond:
-            item["f0"] = np.asarray(cond[f.name]["f0"], dtype=np.float32)
-            item["loud"] = np.asarray(cond[f.name]["loud"], dtype=np.float32)
-        items.append(item)
-    return items
+    cond = _read_conditioning(sidecar) if sidecar.exists() else {}
+    return [{"wave": read_wav(f, sr_expected), **cond.get(f.name, {})}
+            for f in files]
+
+
+def _read_conditioning(sidecar: Path) -> dict[str, dict]:
+    """File name -> {"f0", "loud"} frames from a sidecar; a malformed one
+    raises WavFormatError naming the file and the entry."""
+    try:
+        doc = json.loads(sidecar.read_text())
+    except ValueError as err:
+        raise WavFormatError(f"{sidecar}: not valid JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise WavFormatError(f"{sidecar}: must hold an object keyed by file name")
+    f32_max = float(np.finfo(np.float32).max)
+    for name, entry in doc.items():
+        # type() rather than isinstance: a JSON boolean is no frame value
+        if not (isinstance(entry, dict) and entry.keys() == {"f0", "loud"}
+                and all(isinstance(v, list) and all(
+                    type(x) in (int, float) and abs(x) <= f32_max for x in v)
+                    for v in entry.values())
+                and len(entry["f0"]) == len(entry["loud"])):
+            raise WavFormatError(f"{sidecar}: entry '{name}' must hold f0 and "
+                                 "loud alone, as equally long lists of numbers "
+                                 "finite in float32")
+    return {name: {k: np.asarray(entry[k], dtype=np.float32) for k in ("f0", "loud")}
+            for name, entry in doc.items()}
 
 
 def save_dataset(items: list[dict], path, sr: int):
@@ -438,6 +455,19 @@ def write_csv(path, header: list, rows):
         writer.writerows(rows)
 
 
+TRACE_COLUMNS = ("iteration", "weights_remaining_frac", "units_remaining_frac",
+                 "valid_loss", "test_error_multiplier", "flops_per_second_audio",
+                 "disk_bytes", "rw_accesses")
+
+
+def _emit_trace(out: Path, trace: pruning.ImpTrace):
+    # counts as integers, measurements to 10 significant digits
+    write_csv(out / "trace.csv", TRACE_COLUMNS,
+              ([v if isinstance(v, int) else f"{v:.10g}"
+                for v in (getattr(r, c) for c in TRACE_COLUMNS)]
+               for r in trace.records))
+
+
 def _emit_samples(out: Path, trace: pruning.ImpTrace, splits: pruning.Splits,
                   sr: int):
     picks = sorted({0, len(trace.records) // 2, len(trace.records) - 1})
@@ -453,14 +483,11 @@ def _emit_samples(out: Path, trace: pruning.ImpTrace, splits: pruning.Splits,
 
 def _emit_embed_reports(out: Path, trace: pruning.ImpTrace,
                         profiles: list[embed.PlatformProfile]):
-    rows = []
-    for rec in trace.records:
-        net = nn.load_checkpoint(out / f"iter_{rec.iteration:02d}.ckpt")
-        for rep in embed.analyze(net, profiles,
-                                 error_multiplier=rec.test_error_multiplier):
-            rows.append([rec.iteration] + embed.report_row(rep))
     write_csv(out / "embed_reports.csv", ["iteration"] + embed.REPORT_COLUMNS,
-               rows)
+              ([r.iteration] + embed.report_row(embed.feasibility(
+                  r.flops_per_second_audio, r.disk_bytes, r.rw_accesses,
+                  r.working_set_bytes, p, r.test_error_multiplier))
+               for r in trace.records for p in profiles))
 
 
 def _emit_pareto(out: Path, trace: pruning.ImpTrace):
@@ -528,13 +555,15 @@ def _write_config(cfg: ExperimentConfig) -> Path:
 
 
 def _run_arm(cfg: ExperimentConfig, prune) -> pruning.ImpTrace:
-    """One run directory: config.json, then ``prune(out)``'s trace and the
-    reports drawn from it, then the MANIFEST (marked incomplete, and the
-    error re-raised, when any step fails)."""
+    """One run directory: config.json, each record's checkpoint as
+    ``prune(on_record)`` makes it, the reports drawn from the trace it
+    returns, then the MANIFEST (marked incomplete, and the error
+    re-raised, when any step fails)."""
     out = _write_config(cfg)
     try:
-        trace, splits = prune(out)
-        profiles = embed.load_platforms(cfg.platforms)
+        trace, splits, profiles = prune(lambda record, net: nn.save_checkpoint(
+            net, out / f"iter_{record.iteration:02d}.ckpt"))
+        _emit_trace(out, trace)
         _emit_embed_reports(out, trace, profiles)
         _emit_pareto(out, trace)
         if cfg.emit_samples:
@@ -553,9 +582,11 @@ def _run_arm(cfg: ExperimentConfig, prune) -> pruning.ImpTrace:
 
 def run_experiment(cfg: ExperimentConfig) -> pruning.ImpTrace:
     """Dense baseline + IMP per the config; artifacts land in output_dir."""
-    def prune(out):
+    def prune(on_record):
+        profiles = embed.load_platforms(cfg.platforms)
         splits, net, trainer = setup(cfg)
-        return pruning.run_imp(net, splits, cfg.imp, trainer, out_dir=out), splits
+        return (pruning.run_imp(net, splits, cfg.imp, trainer, on_record=on_record),
+                splits, profiles)
     return _run_arm(cfg, prune)
 
 
@@ -566,21 +597,22 @@ def run_arms(cfg: ExperimentConfig, arms: dict) -> dict:
     ``rewind_step`` say, and each arm prunes its own clone of it under
     output_dir/<name>. Each arm directory holds, byte for byte, what
     run_experiment writes for cfg with the arm's ImpConfig and directory,
-    apart from the MANIFEST timestamp. If the dense phase fails, every arm
-    directory gets its config.json and an incomplete MANIFEST.
+    apart from the MANIFEST timestamp. A bad platforms file or a failed
+    dense phase leaves each arm its config.json and an incomplete MANIFEST.
     """
     out = Path(cfg.output_dir)
     subs = {name: dataclasses.replace(cfg, imp=imp, output_dir=str(out / name))
             for name, imp in arms.items()}
     try:
+        profiles = embed.load_platforms(cfg.platforms)
         splits, net, trainer = setup(cfg)
         dense = pruning.train_dense(net, splits, list(arms.values()), trainer)
     except Exception as exc:
         for sub in subs.values():
             _write_manifest(_write_config(sub), sub, _incomplete(exc))
         raise
-    return {name: _run_arm(sub, lambda o, imp=sub.imp: (pruning.prune_from(
-                dense, splits, imp, trainer, out_dir=o), splits))
+    return {name: _run_arm(sub, lambda on_record, imp=sub.imp: (pruning.prune_from(
+                dense, splits, imp, trainer, on_record=on_record), splits, profiles))
             for name, sub in subs.items()}
 
 

@@ -162,8 +162,8 @@ def _spectral_loss(render):
     the batch's own log-spectrograms are a per-batch constant."""
     def loss(net: Network, batch: dict) -> Tensor:
         spec = ModelConfig(**net.meta["config"]).spectrogram()
-        target = _batch_constant(batch, ("log_spectrograms", spec),
-                                 lambda: log_spectrograms(_waves(batch), spec))
+        target = _batch_constant(batch, ("stft_logmag", spec),
+                                 lambda: T.stft_logmag(_waves(batch), spec))
         return multiscale_spectral_loss(render(net, batch), target, spec)
     return loss
 
@@ -602,18 +602,11 @@ def nll_from_logits(h: Tensor, head: nn.Layer, targets: np.ndarray) -> Tensor:
     return T._node(np.asarray(losses.mean()), (h, w, bias), "nll", backward)
 
 
-def log_spectrograms(wave: np.ndarray, cfg: SpectrogramConfig) -> list[np.ndarray]:
-    """stft_logmag of a target waveform, as plain arrays (no graph)."""
-    with T.no_grad():
-        specs = T.stft_logmag(Tensor(np.asarray(wave, dtype=np.float32)), cfg)
-    return [s.data for s in specs]
-
-
 def multiscale_spectral_loss(pred: Tensor, target: list[np.ndarray],
                              cfg: SpectrogramConfig) -> Tensor:
     """Sum over window sizes, in window order, of the mean |log-power
     difference| between pred (batch, time) and the target's
-    log_spectrograms.
+    tensor.stft_logmag.
 
     One graph node, run over the whole batch one window size at a time
     (tensor.spectra), in buffers rewritten in place: the log power turns

@@ -20,25 +20,20 @@ snapshot is stored once and restricted on demand in trim mode.
 
 The IMP loop runs in two phases: ``train_dense`` trains the dense net once,
 and ``prune_from`` runs one arm's rounds on a clone of it, so arms that
-differ only in how they prune share one dense training.
+differ only in how they prune share one dense training. The loop writes
+no file; ``on_record`` hands each record and its net to the caller.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import criteria as cr
 from . import embed, mi, models, nn
 from . import tensor as T
-
-TRACE_COLUMNS = ("iteration", "weights_remaining_frac", "units_remaining_frac",
-                 "valid_loss", "test_error_multiplier", "flops_per_second_audio",
-                 "disk_bytes", "rw_accesses")
 
 
 def _round_half_up(x: float) -> int:
@@ -297,6 +292,8 @@ class ImpRecord:
     rw_accesses: float
     wall_seconds: float
     units_per_pool: dict = field(compare=False)
+    # last and defaulted: the benchmark's tests build records by position
+    working_set_bytes: int = 0
 
 
 @dataclass
@@ -310,22 +307,6 @@ class ImpTrace:
 
     def units_curve(self) -> np.ndarray:
         return np.array([r.units_remaining_frac for r in self.records])
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for r in self.records:
-                writer.writerow([
-                    r.iteration,
-                    f"{r.weights_remaining_frac:.10g}",
-                    f"{r.units_remaining_frac:.10g}",
-                    f"{r.valid_loss:.10g}",
-                    f"{r.test_error_multiplier:.10g}",
-                    f"{r.flops_per_second_audio:.10g}",
-                    r.disk_bytes,
-                    f"{r.rw_accesses:.10g}",
-                ])
 
 
 def mean_loss(net, items) -> float:
@@ -379,7 +360,7 @@ def _measure(net: nn.Network, data: Splits, mask: WeightMask | None,
         units_remaining_frac=sum(units.values()) / total_units,
         valid_loss=valid_loss, flops_per_second_audio=embed.count_flops(net),
         disk_bytes=embed.disk_size(net), rw_accesses=embed.rw_memory(net),
-        units_per_pool=units)
+        working_set_bytes=embed.working_set_bytes(net), units_per_pool=units)
 
 
 def train_dense(net: nn.Network, data: Splits, cfgs, trainer) -> DenseStart:
@@ -406,7 +387,7 @@ def train_dense(net: nn.Network, data: Splits, cfgs, trainer) -> DenseStart:
 
 
 def prune_from(dense: DenseStart, data: Splits, cfg: ImpConfig, trainer, *,
-               out_dir=None) -> ImpTrace:
+               on_record=lambda record, net: None) -> ImpTrace:
     """The prune phase of one IMP arm: score, prune, rewind and retrain a
     clone of the dense net for cfg.iterations rounds, as ``run_imp``
     describes; ``dense`` itself is left as it is."""
@@ -414,15 +395,11 @@ def prune_from(dense: DenseStart, data: Splits, cfg: ImpConfig, trainer, *,
         raise ValueError(f"arm rewinds to step {cfg.rewind_step}, the dense "
                          f"start recorded step {dense.rewind_step}")
     cur = dense.net.clone()
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     mask = full_mask(cur) if cfg.mode == "mask" else None
     total_units = cur.units_remaining()
     records = [dense.record]
     trace = ImpTrace(records)
-    if out_dir is not None:
-        nn.save_checkpoint(cur, out_dir / "iter_00.ckpt")
+    on_record(dense.record, cur)
     if not np.isfinite(dense.record.valid_loss) or not np.isfinite(dense.test_loss):
         trace.aborted = "non-finite loss after baseline training"
     else:
@@ -462,8 +439,7 @@ def prune_from(dense: DenseStart, data: Splits, cfg: ImpConfig, trainer, *,
             multiplier = test_loss / dense.test_loss
             records.append(ImpRecord(iteration=it, test_error_multiplier=multiplier,
                                      wall_seconds=wall, **fields))
-            if out_dir is not None:
-                nn.save_checkpoint(cur, out_dir / f"iter_{it:02d}.ckpt")
+            on_record(records[-1], cur)
             if not np.isfinite(valid_loss) or not np.isfinite(test_loss):
                 trace.aborted = f"non-finite loss at iteration {it}"
                 break
@@ -472,14 +448,11 @@ def prune_from(dense: DenseStart, data: Splits, cfg: ImpConfig, trainer, *,
                 trace.stopped = (f"error multiplier {multiplier:.4g} exceeded "
                                  f"{cfg.stop_error_multiplier:.4g} at iteration {it}")
                 break
-
-    if out_dir is not None:
-        trace.to_csv(out_dir / "trace.csv")
     return trace
 
 
 def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer, *,
-            out_dir=None) -> ImpTrace:
+            on_record=lambda record, net: None) -> ImpTrace:
     """Train, score, prune, rewind, retrain for cfg.iterations rounds:
     the dense phase (``train_dense``), then the prune phase
     (``prune_from``).
@@ -491,11 +464,12 @@ def run_imp(net: nn.Network, data: Splits, cfg: ImpConfig, trainer, *,
     ValueError if training takes fewer steps; ``harness.adam_trainer``
     is the one implementation. Losses come from the net's arch
     record (``models.compute_loss``).
-    Emits per-iteration checkpoints and the trace CSV under ``out_dir``
-    when given. A non-finite validation loss aborts with the trace so far;
-    exceeding ``stop_error_multiplier`` or hitting the min_units /
-    min_weights floor everywhere stops cleanly. A validation split too
-    short for information scoring fails before training.
+    The loop writes no file: ``on_record(record, net)`` sees each record
+    and the net it measured, iteration 0 first, as soon as it is made. A
+    non-finite validation loss aborts with the trace so far; exceeding
+    ``stop_error_multiplier`` or hitting the min_units / min_weights floor
+    everywhere stops cleanly. A validation split too short for
+    information scoring fails before training.
     """
     return prune_from(train_dense(net, data, [cfg], trainer), data, cfg,
-                      trainer, out_dir=out_dir)
+                      trainer, on_record=on_record)

@@ -544,20 +544,10 @@ def spectrum_grad(h: np.ndarray, window: int, hop: int, length: int) -> np.ndarr
     return _overlap_add(gt, length, hop)
 
 
-def stft_logmag(signal: Tensor, cfg: SpectrogramConfig) -> list[Tensor]:
-    """Log power spectrogram per configured window size.
-
-    Returns one tensor of shape (..., frames, bins) per window, where each
-    entry is log(|stft|^2 + floor_epsilon) of Hann-tapered frames. Each
-    window size is one graph node: spectra runs framing, taper, rfft and
-    power in numpy, and the backward pass goes straight from the log's
-    gradient to the signal (spectrum_grad), so no framed copy of the
-    signal is kept in the graph.
-    """
-    length = signal.shape[-1]
-
-    def node(window, hop, spec, power):
-        def backward(g):
-            return (spectrum_grad((g / power) * spec, window, hop, length),)
-        return _node(np.log(power), (signal,), "stft_logmag", backward)
-    return [node(*parts) for parts in spectra(signal.data, cfg)]
+def stft_logmag(x: np.ndarray, cfg: SpectrogramConfig) -> list[np.ndarray]:
+    """log(|stft|^2 + floor_epsilon) of x's Hann-tapered frames in float32,
+    one (..., frames, bins) array per window size (spectra); no graph."""
+    logs = [np.log(power) for *_, power in spectra(np.asarray(x, dtype=np.float32), cfg)]
+    for logp in logs:
+        _check_finite(logp, "stft_logmag")
+    return logs

@@ -74,7 +74,8 @@ def sigmoid_masked(x):
 # -- composed reference ops ---------------------------------------------------
 #
 # These are the oracles for the fused nodes that replaced them in src:
-# tensor.stft_logmag (one node per window), nn.gru_scan (one node per
+# stft_logmag_node (one node per window, the graph form of the grad-free
+# tensor.stft_logmag; stft_logmag_composed is its oracle), nn.gru_scan (one node per
 # sequence), models.nll_from_logits (one node for the class head and its
 # NLL; head_nll_composed is the head's own conv node followed by the
 # logits-NLL node nll_logits_node, itself checked against the
@@ -87,7 +88,7 @@ def sigmoid_masked(x):
 # conv nodes, tanh, sigmoid and mul, is that node's own oracle), an add
 # node per skip and residual projection and two relu nodes; and
 # spectral_loss_composed builds models.multiscale_spectral_loss from
-# stft_logmag's nodes and sub, abs, mean and add nodes. texp, tlog, tabs,
+# stft_logmag_node's nodes and sub, abs, mean and add nodes. texp, tlog, tabs,
 # slice_axis and concat are elementary ops only these oracles use. Each
 # oracle node is built as src builds its own: T._node with a backward that
 # returns one gradient (or None) per input, which Tensor.backward routes.
@@ -386,11 +387,24 @@ def tabs(a):
     return T._unary(a, np.abs, lambda x, y: np.sign(x), "abs")
 
 
+def stft_logmag_node(signal, cfg):
+    """tensor.stft_logmag of a tensor, one graph node per window size:
+    T.spectra runs framing, taper, rfft and power, and the backward pass
+    goes straight from the log's gradient to the signal (T.spectrum_grad)."""
+    length = signal.shape[-1]
+
+    def node(window, hop, spec, power):
+        def backward(g):
+            return (T.spectrum_grad((g / power) * spec, window, hop, length),)
+        return T._node(np.log(power), (signal,), "stft_logmag", backward)
+    return [node(*parts) for parts in T.spectra(signal.data, cfg)]
+
+
 def spectral_loss_composed(pred, target, cfg):
-    """Sum over windows of tmean(tabs(sub(stft_logmag, target))), one
+    """Sum over windows of tmean(tabs(sub(stft_logmag_node, target))), one
     node per op, the terms added in window order."""
     total = None
-    for p, q in zip(T.stft_logmag(pred, cfg), target):
+    for p, q in zip(stft_logmag_node(pred, cfg), target):
         term = T.tmean(tabs(T.sub(p, T.Tensor(q))))
         total = term if total is None else T.add(total, term)
     return total

@@ -26,7 +26,8 @@ import pytest
 from audiotrim import embed, harness, mi, models, nn, pruning
 from audiotrim import tensor as T
 
-from conftest import gated_conv1d, mask_units, no_training, relu_clear_trunk, use_loss
+from conftest import (gated_conv1d, mask_units, no_training, relu_clear_trunk,
+                      stft_logmag_node, use_loss)
 from test_embed import random_chain, sim_net_ops, tiny_arch_net
 from test_models import ddsp_batch, tiny_ddsp_cfg, tiny_sing_cfg, tiny_wavenet_cfg
 
@@ -211,7 +212,7 @@ def _op_bank():
     def stft_logmag(rng):
         # a floor of 1 keeps the log's curvature within float32 differencing
         cfg = T.SpectrogramConfig(window_sizes=(32,), floor_epsilon=1.0)
-        return lambda t: T.stft_logmag(t, cfg)[0], _signed(rng, (2, 80))
+        return lambda t: stft_logmag_node(t, cfg)[0], _signed(rng, (2, 80))
 
     def spectral_loss(rng):
         # the target lies +-[0.5, 1.5] from the signal's own log power, so
@@ -219,7 +220,7 @@ def _op_bank():
         # flat for the probe's noise floor
         cfg = T.SpectrogramConfig(window_sizes=(32, 64), floor_epsilon=1.0)
         x0 = _signed(rng, (2, 80))
-        target = [q + _signed(rng, q.shape) for q in models.log_spectrograms(x0, cfg)]
+        target = [q + _signed(rng, q.shape) for q in T.stft_logmag(x0, cfg)]
         up = T.Tensor(np.float32(64.0))
         return (lambda t: T.mul(models.multiscale_spectral_loss(t, target, cfg), up),
                 x0)

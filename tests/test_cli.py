@@ -246,6 +246,19 @@ class TestEmbedCheck:
         for name in ("ATMega1280", "ATMega2560", "RPi 1B", "RPi 2B"):
             assert name in out
 
+    @pytest.mark.parametrize("content", [
+        '{"platforms": [{"name": "a", "cpu_hz": 1}]}', '{"platforms": [',
+    ], ids=["missing-field", "unparsed"])
+    def test_malformed_platforms_file_is_usage_error(self, workspace, tmp_path,
+                                                     capsys, content):
+        path = tmp_path / "platforms.json"
+        path.write_text(content)
+        rc = cli.main(["embed-check", "--model",
+                       str(workspace / "run" / "iter_00.ckpt"),
+                       "--platforms", str(path)])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+
 
 class TestSynth:
     def test_renders_loadable_wav(self, workspace, tmp_path):

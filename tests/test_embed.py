@@ -3,6 +3,7 @@ memory-access accounting, disk measurement, feasibility verdicts, and
 Pareto front extraction."""
 
 import csv
+import dataclasses
 import math
 import os
 
@@ -422,6 +423,44 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="unknown keys"):
             embed.load_platforms(path)
 
+    @pytest.mark.parametrize("entries", [
+        '[1]',
+        '[{"name": "a", "cpu_hz": 1, "flops_per_sec": 1, "drive_bytes": 1}]',
+        '[{"name": "a", "cpu_hz": "fast", "flops_per_sec": 1, "drive_bytes": 1, '
+        '"ram_bytes": 1}]',
+        '[{"name": "a", "cpu_hz": 1, "flops_per_sec": 1, "drive_bytes": 1, '
+        '"ram_bytes": true}]',
+        '[{"name": "a", "cpu_hz": 1, "flops_per_sec": Infinity, "drive_bytes": 1, '
+        '"ram_bytes": 1}]',
+        '[{"name": "a", "cpu_hz": 1, "flops_per_sec": 1, "drive_bytes": NaN, '
+        '"ram_bytes": 1}]',
+        '[{"name": 3, "cpu_hz": 1, "flops_per_sec": 1, "drive_bytes": 1, '
+        '"ram_bytes": 1}]',
+        '[{"name": "a", "cpu_hz": 0, "flops_per_sec": 1, "drive_bytes": 1, '
+        '"ram_bytes": 1}]',
+    ], ids=["entry-not-object", "missing-field", "string-number", "boolean",
+            "infinity", "nan", "name-not-string", "non-positive"])
+    def test_malformed_profile_entry_names_file_and_entry(self, tmp_path, entries):
+        path = tmp_path / "p.json"
+        path.write_text(f'{{"platforms": {entries}}}')
+        with pytest.raises(ValueError, match="platform entry 0 must hold") as err:
+            embed.load_platforms(path)
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("text", [
+        '{"nope": []}', '{"platforms": {}}', '{"platforms": []}', '5',
+        '{"platforms": [',
+    ], ids=["no-platforms-key", "platforms-not-list", "empty", "top-level-number",
+            "unparsed"])
+    def test_malformed_profile_file_names_file(self, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            embed.load_platforms(path)
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_analyze_emits_one_report_per_platform(self):
         net = tiny_arch_net(np.random.default_rng(8))
         reports = embed.analyze(net, embed.load_platforms())
@@ -432,7 +471,8 @@ class TestFeasibility:
     def test_report_csv_roundtrip(self, tmp_path):
         # the cells embed_reports.csv holds after its iteration column
         net = tiny_arch_net(np.random.default_rng(9))
-        reports = embed.analyze(net, embed.load_platforms(), error_multiplier=1.25)
+        reports = [dataclasses.replace(r, error_multiplier=1.25)
+                   for r in embed.analyze(net, embed.load_platforms())]
         path = tmp_path / "r.csv"
         harness.write_csv(path, embed.REPORT_COLUMNS,
                           [embed.report_row(r) for r in reports])

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from audiotrim import harness, models, nn, pruning
+from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
 from conftest import adam, count_train_calls, use_loss
 
@@ -196,6 +196,42 @@ class TestWavIO:
             assert np.array_equal(got["f0"], orig["f0"])
             assert np.array_equal(got["loud"], orig["loud"])
             assert np.max(np.abs(got["wave"] - orig["wave"])) <= 1.0 / 32768
+
+    @pytest.mark.parametrize("text", [
+        '{"f0": [100.0]}',
+        '3',
+        '{"f0": [100.0], "loud": [0.5], "hop": 200}',
+        '{"f0": 100.0, "loud": [0.5]}',
+        '{"f0": [true], "loud": [0.5]}',
+        '{"f0": [100.0], "loud": [NaN]}',
+        '{"f0": [Infinity], "loud": [0.5]}',
+        '{"f0": [1e39], "loud": [0.5]}',
+        '{"f0": ["100"], "loud": [0.5]}',
+        '{"f0": [100.0, 110.0], "loud": [0.5]}',
+    ], ids=["missing-loud", "entry-not-object", "unknown-key", "not-a-list",
+            "boolean", "nan", "infinity", "beyond-float32", "string-number",
+            "unequal-lengths"])
+    def test_malformed_conditioning_entry_names_file_and_entry(self, tmp_path, text):
+        harness.save_dataset(harness.gen_synthetic_tones(1, 16000, 0.25, seed=2),
+                             tmp_path, 16000)
+        sidecar = tmp_path / "conditioning.json"
+        sidecar.write_text(f'{{"tone_0000.wav": {text}}}')
+        with pytest.raises(harness.WavFormatError,
+                           match="entry 'tone_0000.wav' must hold") as err:
+            harness.load_wav_dir(tmp_path, 16000)
+        assert str(err.value).startswith(f"{sidecar}: ")
+
+    @pytest.mark.parametrize("text", ['[{"f0": [100.0], "loud": [0.5]}]',
+                                      '{"tone_0000.wav": {"f0": [100.0]'],
+                             ids=["top-level-list", "unparsed"])
+    def test_malformed_conditioning_file_names_file(self, tmp_path, text):
+        harness.save_dataset(harness.gen_synthetic_tones(1, 16000, 0.25, seed=2),
+                             tmp_path, 16000)
+        sidecar = tmp_path / "conditioning.json"
+        sidecar.write_text(text)
+        with pytest.raises(harness.WavFormatError) as err:
+            harness.load_wav_dir(tmp_path, 16000)
+        assert str(err.value).startswith(f"{sidecar}: ")
 
 
 class TestConfig:
@@ -492,6 +528,53 @@ class TestRunExperiment:
                              [out / "trace.csv", *sorted(out.glob("*.ckpt"))]})
             assert len(runs[0]) == 3 and runs[0] == runs[1], threads
 
+    def test_trace_csv_columns_and_determinism(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, imp=pruning.ImpConfig(iterations=2, rewind_step=1))
+        outs = []
+        for _ in range(2):
+            trace = harness.run_experiment(cfg)
+            outs.append((tmp_path / "run" / "trace.csv").read_bytes())
+        assert outs[0] == outs[1]
+        lines = outs[0].decode().split("\r\n")
+        assert lines[0] == ",".join(harness.TRACE_COLUMNS)
+        assert lines[1:] == [
+            f"{r.iteration},{r.weights_remaining_frac:.10g},"
+            f"{r.units_remaining_frac:.10g},{r.valid_loss:.10g},"
+            f"{r.test_error_multiplier:.10g},{r.flops_per_second_audio:.10g},"
+            f"{r.disk_bytes},{r.rw_accesses:.10g}" for r in trace.records] + [""]
+
+    @pytest.mark.parametrize("model", [
+        models.ModelConfig(arch="ddsp", sample_rate=8000, gru_units=4,
+                           dense_units=4, n_partials=3, noise_bins=3,
+                           frame_hop=100, spec_windows=(32, 64)),
+        models.ModelConfig(arch="sing_ae", sample_rate=8000, conv_channels=6,
+                           n_conv_layers=2, sing_kernel=5, spec_windows=(32, 64)),
+        models.ModelConfig(arch="wavenet", sample_rate=8000, n_stacks=1,
+                           blocks_per_stack=2, residual_channels=4,
+                           gate_channels=6, skip_channels=5, head_channels=7,
+                           n_classes=16),
+    ], ids=["ddsp", "sing_ae", "wavenet"])
+    def test_embed_reports_equal_the_analysis_of_each_checkpoint(self, tmp_path,
+                                                                 model):
+        # the reports are priced from the IMP records; analysing each
+        # reloaded checkpoint again is their oracle
+        cfg = tiny_cfg(tmp_path, model=model, dataset=harness.DatasetConfig(
+            n_items=10, sr=8000, duration=0.25))
+        traces = harness.run_paired(cfg)
+        profiles = embed.load_platforms()
+        for mode, trace in traces.items():
+            out = tmp_path / "run" / mode
+            assert len(trace.records) == 3, mode
+            want = [[rec.iteration] + embed.report_row(
+                        replace(rep, error_multiplier=rec.test_error_multiplier))
+                    for rec in trace.records
+                    for rep in embed.analyze(nn.load_checkpoint(
+                        out / f"iter_{rec.iteration:02d}.ckpt"), profiles)]
+            harness.write_csv(tmp_path / "want.csv",
+                              ["iteration"] + embed.REPORT_COLUMNS, want)
+            assert ((out / "embed_reports.csv").read_bytes()
+                    == (tmp_path / "want.csv").read_bytes()), mode
+
     def test_identical_config_reproduces_all_csv_bytes(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         blobs = []
@@ -513,6 +596,50 @@ class TestRunExperiment:
         manifest = (tmp_path / "run" / "MANIFEST.txt").read_text()
         assert manifest.startswith("status: incomplete")
         assert "WavFormatError" in manifest
+
+    def test_mid_imp_failure_keeps_the_checkpoints_written_so_far(
+            self, tmp_path, monkeypatch):
+        factory = harness.adam_trainer
+
+        def failing_factory(*args):
+            train, calls = factory(*args), []
+
+            def trainer(*a, **k):
+                calls.append(None)
+                # dense training, iteration 1's retraining, then iteration 2's
+                if len(calls) == 3:
+                    raise RuntimeError("trainer failed at iteration 2")
+                return train(*a, **k)
+            return trainer
+        monkeypatch.setattr(harness, "adam_trainer", failing_factory)
+        with pytest.raises(RuntimeError, match="iteration 2"):
+            harness.run_experiment(tiny_cfg(tmp_path))
+        out = tmp_path / "run"
+        manifest = (out / "MANIFEST.txt").read_text()
+        assert manifest.startswith("status: incomplete (RuntimeError")
+        assert sorted(p.name for p in out.glob("*.ckpt")) == ["iter_00.ckpt",
+                                                              "iter_01.ckpt"]
+        listed = [line.split()[0] for line in manifest.splitlines()
+                  if line.startswith("  ")]
+        assert listed == ["config.json", "iter_00.ckpt", "iter_01.ckpt"]
+        nn.load_checkpoint(out / "iter_01.ckpt")
+
+    @pytest.mark.parametrize("arms", [False, True], ids=["experiment", "paired"])
+    def test_missing_platforms_file_fails_before_training(self, tmp_path,
+                                                          monkeypatch, arms):
+        def untrainable(*args):
+            def trainer(*a, **k):
+                raise AssertionError("trained before the platforms file was read")
+            return trainer
+        monkeypatch.setattr(harness, "adam_trainer", untrainable)
+        cfg = tiny_cfg(tmp_path, platforms=str(tmp_path / "absent.json"))
+        with pytest.raises(FileNotFoundError, match="absent.json"):
+            (harness.run_paired if arms else harness.run_experiment)(cfg)
+        for out in ([tmp_path / "run" / m for m in ("trim", "mask")] if arms
+                    else [tmp_path / "run"]):
+            manifest = (out / "MANIFEST.txt").read_text()
+            assert manifest.startswith("status: incomplete (FileNotFoundError")
+            assert not list(out.glob("*.ckpt"))
 
     def test_dense_failure_leaves_incomplete_manifest_in_every_arm(self, tmp_path):
         empty = tmp_path / "empty"

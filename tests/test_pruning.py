@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audiotrim import harness, models, nn, pruning
+from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
 from conftest import adam, mask_units, no_training, units_original, use_loss
 
@@ -468,7 +468,7 @@ class TestImpDriver:
         assert trace.records[0].test_error_multiplier == 1.0
         assert trace.records[0].weights_remaining_frac == 1.0
 
-    def test_information_run_too_short_to_score_fails_before_training(self, tmp_path):
+    def test_information_run_too_short_to_score_fails_before_training(self):
         # one validation item of 0.25 s at hop 200 gives the MI estimator
         # 20 frames, not the 100 it needs
         cfg = models.ModelConfig(arch="ddsp", gru_units=4, dense_units=4,
@@ -483,9 +483,11 @@ class TestImpDriver:
             raise AssertionError("trained before the validation split was checked")
 
         imp = pruning.ImpConfig(iterations=1, criterion="information")
+        seen = []
         with pytest.raises(ValueError, match="need at least 100 samples, got 20"):
-            pruning.run_imp(net, data, imp, trainer, out_dir=tmp_path)
-        assert not list(tmp_path.glob("*.ckpt"))
+            pruning.run_imp(net, data, imp, trainer,
+                            on_record=lambda rec, n: seen.append(rec))
+        assert not seen
 
     def test_dense_start_checks_every_arm_before_training(self):
         cfg = models.ModelConfig(arch="ddsp", gru_units=4, dense_units=4,
@@ -530,7 +532,7 @@ class TestImpDriver:
             assert np.array_equal(dense.net.param_state()[key], arr)
             assert np.array_equal(dense.state_k[key], arr)
 
-    def test_trim_equals_masked_dense_at_every_iteration(self, tmp_path):
+    def test_trim_equals_masked_dense_at_every_iteration(self):
         # the driver's own per-iteration states replay exactly as unit masks
         # on the dense rewind checkpoint
         net = models.build_model(sing_cfg(), seed=3)
@@ -539,10 +541,13 @@ class TestImpDriver:
         state0 = net.param_state()
         cfg = pruning.ImpConfig(mode="trim", iterations=4, selection="global",
                                 criterion="magnitude")
-        pruning.run_imp(net, data, cfg, no_training, out_dir=tmp_path)
+        nets = []
+        trace = pruning.run_imp(net, data, cfg, no_training,
+                                on_record=lambda rec, n: nets.append(n.clone()))
+        assert [r.iteration for r in trace.records] == [0, 1, 2, 3, 4]
+        assert len(nets) == 5
         seen = []
-        for it in range(1, 5):
-            cur = nn.load_checkpoint(tmp_path / f"iter_{it:02d}.ckpt")
+        for cur in nets[1:]:
             removed = {}
             for pid, pool in cur.pools.items():
                 gone = np.setdiff1d(np.arange(pool.orig), pool.kept)
@@ -555,7 +560,6 @@ class TestImpDriver:
                 a = models.forward(cur.eval(), x).data
                 b = models.forward(shadow.eval(), x).data
             seen.append(np.max(np.abs(a - b)))
-        assert not (tmp_path / "iter_05.ckpt").exists()
         assert max(seen) < 1e-6
 
     def test_mask_mode_costs_stay_fixed_trim_mode_costs_shrink(self):
@@ -667,30 +671,19 @@ class TestImpDriver:
         assert trace.aborted is not None and "iteration 1" in trace.aborted
         assert len(trace.records) == 1
 
-    def test_trace_csv_columns_and_determinism(self, tmp_path):
-        net = models.build_model(sing_cfg(), seed=5)
-        data = make_splits(5)
-        cfg = pruning.ImpConfig(mode="trim", iterations=2, rewind_step=1)
-        outs = []
-        for run in range(2):
-            d = tmp_path / f"run{run}"
-            pruning.run_imp(net, data, cfg, trainer=adam(epochs=1),
-                            out_dir=d)
-            outs.append((d / "trace.csv").read_bytes())
-            names = sorted(p.name for p in d.iterdir())
-            assert names == ["iter_00.ckpt", "iter_01.ckpt", "iter_02.ckpt",
-                             "trace.csv"]
-        assert outs[0] == outs[1]
-        header = outs[0].decode().splitlines()[0]
-        assert header == ",".join(pruning.TRACE_COLUMNS)
-
-    def test_checkpoints_reload_and_forward(self, tmp_path):
+    def test_recorded_nets_shrink_and_forward(self):
+        # on_record sees each record with the net it measured
         net = models.build_model(sing_cfg(), seed=6)
         data = make_splits(6)
         cfg = pruning.ImpConfig(mode="trim", iterations=2)
-        pruning.run_imp(net, data, cfg, trainer=adam(epochs=1),
-                        out_dir=tmp_path)
-        small = nn.load_checkpoint(tmp_path / "iter_02.ckpt")
+        seen = []
+        trace = pruning.run_imp(net, data, cfg, trainer=adam(epochs=1),
+                                on_record=lambda rec, n: seen.append((rec, n.clone())))
+        assert [rec for rec, _ in seen] == trace.records
+        for rec, n in seen:
+            assert rec.disk_bytes == embed.disk_size(n)
+            assert rec.working_set_bytes == embed.working_set_bytes(n)
+        small = seen[2][1]
         assert small.units_remaining() < net.units_remaining()
         with T.no_grad():
             out = models.forward(small.eval(),

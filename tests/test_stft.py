@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from audiotrim import fourier
 from audiotrim import tensor as T
 from conftest import (directional_gradcheck, fft_mag2, naive_dft, slice_axis,
-                      stft_logmag_composed)
+                      stft_logmag_composed, stft_logmag_node)
 from test_acceptance import _op_bank, _probe
 
 RNG = np.random.default_rng(99)
@@ -117,8 +117,9 @@ class TestFftMag2:
 
 
 class TestStftNode:
-    """Each window of stft_logmag is one node; the composed frame -> Hann ->
-    fft_mag2 -> log chain is its oracle."""
+    """Each window of the test-only stft_logmag_node is one node; the
+    composed frame -> Hann -> fft_mag2 -> log chain is its oracle, and
+    its values are tensor.stft_logmag's bit for bit."""
 
     @staticmethod
     def _values_and_grad(stft, x0, cfg):
@@ -139,8 +140,12 @@ class TestStftNode:
         cfg = T.SpectrogramConfig(window_sizes=(32, 64, 128),
                                   hop_fraction=hop_fraction)
         x0 = RNG.standard_normal((2, 3, 300)).astype(np.float32)
-        got, got_g = self._values_and_grad(T.stft_logmag, x0, cfg)
+        got, got_g = self._values_and_grad(stft_logmag_node, x0, cfg)
         want, want_g = self._values_and_grad(stft_logmag_composed, x0, cfg)
+        plain = T.stft_logmag(x0, cfg)
+        assert len(plain) == len(got)
+        for a, b in zip(plain, got):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max()
@@ -148,7 +153,7 @@ class TestStftNode:
 
     def test_one_node_per_window(self):
         x = T.Tensor(RNG.standard_normal(256).astype(np.float32), requires_grad=True)
-        outs = T.stft_logmag(x, T.SpectrogramConfig(window_sizes=(32, 64)))
+        outs = stft_logmag_node(x, T.SpectrogramConfig(window_sizes=(32, 64)))
         assert [o._parents for o in outs] == [(x,), (x,)]
 
     @pytest.mark.parametrize("window", [32, 64])
@@ -159,7 +164,7 @@ class TestStftNode:
         x0 = rng.standard_normal((2, 3 * window)).astype(np.float32)
 
         def build(x):
-            (spec,) = T.stft_logmag(x, cfg)
+            (spec,) = stft_logmag_node(x, cfg)
             return T.add(T.tmean(slice_axis(spec, -1, 0, 1)),
                          T.tmean(slice_axis(spec, -1, window // 2, window // 2 + 1)))
 
@@ -187,14 +192,14 @@ class TestSpectrogramConfig:
 class TestStftLogmag:
     def test_shapes_and_floor(self):
         cfg = T.SpectrogramConfig()
-        sig = T.Tensor(np.zeros(2048, dtype=np.float32))
-        outs = T.stft_logmag(sig, cfg)
+        outs = T.stft_logmag(np.zeros(2048, dtype=np.float32), cfg)
         assert len(outs) == len(cfg.window_sizes)
         for w, o in zip(cfg.window_sizes, outs):
             hop = cfg.hop(w)
             assert o.shape == ((2048 - w) // hop + 1, w // 2 + 1)
+            assert o.dtype == np.float32
             # silence hits exactly the log floor
-            assert np.allclose(o.data, np.log(cfg.floor_epsilon), atol=1e-5)
+            assert np.allclose(o, np.log(cfg.floor_epsilon), atol=1e-5)
 
     def test_sine_peak_lands_on_expected_bin(self):
         w = 256
@@ -202,31 +207,31 @@ class TestStftLogmag:
         bin_idx = 16
         t = np.arange(4 * w)
         sig = np.sin(2 * np.pi * bin_idx * t / w).astype(np.float32)
-        (out,) = T.stft_logmag(T.Tensor(sig), cfg)
-        assert (out.data.argmax(axis=-1) == bin_idx).all()
+        (out,) = T.stft_logmag(sig, cfg)
+        assert (out.argmax(axis=-1) == bin_idx).all()
 
     def test_short_signal_error_names_window(self):
         cfg = T.SpectrogramConfig(window_sizes=(32, 512))
         with pytest.raises(T.ShapeError, match="512"):
-            T.stft_logmag(T.Tensor(np.zeros(100, dtype=np.float32)), cfg)
+            T.stft_logmag(np.zeros(100, dtype=np.float32), cfg)
 
     def test_matches_naive_pipeline(self):
         # independent recompute: hann window, naive DFT, log power
         w, hop, eps = 64, 16, 5e-3
         cfg = T.SpectrogramConfig(window_sizes=(w,), hop_fraction=0.25, floor_epsilon=eps)
         sig = (0.4 * RNG.standard_normal(512)).astype(np.float32)
-        (got,) = T.stft_logmag(T.Tensor(sig), cfg)
+        (got,) = T.stft_logmag(sig, cfg)
         hann = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(w) / w)
         n_frames = (512 - w) // hop + 1
         ref = np.zeros((n_frames, w // 2 + 1))
         for f in range(n_frames):
             seg = sig[f * hop : f * hop + w].astype(np.float64) * hann
             ref[f] = np.log(np.abs(naive_dft(seg))[: w // 2 + 1] ** 2 + eps)
-        assert np.allclose(got.data, ref, atol=2e-3)
+        assert np.allclose(got, ref, atol=2e-3)
 
     def test_gradient_is_finite_everywhere(self):
         sig = T.Tensor(np.zeros(2048, dtype=np.float32), requires_grad=True)
-        outs = T.stft_logmag(sig, T.SpectrogramConfig())
+        outs = stft_logmag_node(sig, T.SpectrogramConfig())
         total = T.tmean(outs[0])
         for o in outs[1:]:
             total = T.add(total, T.tmean(o))

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,3 +144,36 @@ def test_layer_kinds_are_compared_only_where_they_are_described():
                         and any(map(_names_a_kind, [node.left, *node.comparators]))):
                     stray.append(f"{where} (line {node.lineno})")
     assert not stray, f"layer-kind comparisons outside nn: {stray}"
+
+
+# the run directory has one writer: outside harness and cli, src writes no
+# file (nn.save_checkpoint is how a checkpoint is written, not who writes)
+_WRITE_CALLS = {"save_checkpoint", "write_csv", "write_text", "write_bytes", "mkdir"}
+
+
+def _writes(call):
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in _WRITE_CALLS:
+        return True
+    if name != "open":
+        return False
+    # the mode: the keyword, or a positional string that reads as one
+    args = [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
+    modes = [a.value for a in args if isinstance(a, ast.Constant)
+             and isinstance(a.value, str) and re.fullmatch("[rwxabt+]+", a.value)]
+    return any(set(m) & set("wxa+") for m in modes)
+
+
+def test_only_harness_and_cli_write_files():
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("harness", "cli"):
+            continue
+        for top in _tree(path).body:
+            if path.stem == "nn" and getattr(top, "name", None) == "save_checkpoint":
+                continue
+            where = path.stem + (f".{top.name}" if hasattr(top, "name") else "")
+            stray += [f"{where} (line {node.lineno})" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and _writes(node)]
+    assert not stray, f"file writes outside harness and cli: {stray}"

@@ -12,7 +12,7 @@ from audiotrim import tensor as T
 from conftest import (adjoint_dot_check, concat, conv1d_padded,
                       directional_gradcheck, fft_mag2, frame, gated_composed,
                       gated_conv1d, relu_clear_trunk, sigmoid_masked,
-                      slice_axis, tabs, texp, tlog)
+                      slice_axis, stft_logmag_node, tabs, texp, tlog)
 
 RNG = np.random.default_rng(1234)
 
@@ -302,7 +302,7 @@ class TestBackward:
         cfg = T.SpectrogramConfig(window_sizes=(32, 64), hop_fraction=0.25)
 
         def build(x):
-            parts = T.stft_logmag(x, cfg)
+            parts = stft_logmag_node(x, cfg)
             return T.tsum(concat([T.reshape(T.tmean(p, keepdims=True), (1,)) for p in parts]))
 
         directional_gradcheck(build, x0, rng)
@@ -326,7 +326,7 @@ def _fused_nodes():
         "gru": lambda: nn.gru_scan(gru, x),
         "nll": lambda: models.nll_from_logits(
             x, conv, rng.integers(0, 4, size=(2, 16))),
-        "stft_logmag": lambda: T.stft_logmag(
+        "stft_logmag": lambda: stft_logmag_node(
             T.reshape(x, (96,)), T.SpectrogramConfig(window_sizes=(32,)))[0],
         "spectral_loss": lambda: models.multiscale_spectral_loss(
             T.reshape(x, (2, 48)), [np.zeros((2, 3, 17), dtype=np.float32)],
@@ -505,7 +505,7 @@ def _flow_cases():
     trunk_x0 = trunk_rng.standard_normal((2, 1, 10)).astype(np.float32)
     trunk = relu_clear_trunk(trunk_rng, trunk_x0)
     trunk_mix = T.Tensor(trunk_rng.standard_normal((2, 3, 10)).astype(np.float32))
-    loss_target = models.log_spectrograms(
+    loss_target = T.stft_logmag(
         0.3 * np.random.default_rng(100).standard_normal((2, 128)), spec)
 
     def scalar(x):
@@ -543,7 +543,8 @@ def _flow_cases():
                                                  T.tsum(x, axis=(0, 1)))), arr(2, 3, 4)),
         "reshape_transpose": (lambda x: T.tsum(T.mul(T.transpose(
             T.reshape(x, (2, 3, 2)), (2, 0, 1)), tw)), arr(3, 4)),
-        "stft_logmag": (lambda x: T.tsum(concat([scalar(p) for p in T.stft_logmag(x, spec)])),
+        "stft_logmag": (lambda x: T.tsum(concat([scalar(p) for p
+                                                 in stft_logmag_node(x, spec)])),
                         0.3 * arr(2, 128)),
         "composed_oracles": (lambda x: T.tsum(concat([
             scalar(fft_mag2(frame(x, 8, 4))),
