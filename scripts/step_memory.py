@@ -9,14 +9,18 @@ to a temporary directory), builds its network and training batches as
 constants and caches exist before the measured step. Then, under
 ``tracemalloc``, it runs the forward pass of the first batch's loss and
 its backward pass, and prints one JSON line: the bytes the autograd graph
-holds after the forward pass, its node count, and the tracemalloc peaks of
-the forward and the backward pass, each above the step's start. numpy
-reports its array buffers to ``tracemalloc``; BLAS work buffers are not
-counted.
+holds after the forward pass, its node count, the tracemalloc peaks of
+the forward and the backward pass, each above the step's start, and the
+process's peak resident set in MB (``ru_maxrss``), which includes set-up.
+numpy reports its array buffers to ``tracemalloc``; BLAS work buffers are
+not counted. ``tensor`` pins malloc's trim threshold, so freed arrays stay
+resident, and the ``ru_maxrss`` reading follows what a benchmark run reports
+as ``peak_rss_mb`` without a full benchmark window.
 """
 
 import argparse
 import json
+import resource
 import sys
 import tempfile
 import tracemalloc
@@ -63,7 +67,9 @@ def measure(name: str, seed: int, sizes: dict) -> dict:
     return {"workload": name, "seed": seed, "batch": list(batch["wave"].shape),
             "graph_bytes": held - start, "graph_nodes": graph_nodes(loss),
             "forward_peak_bytes": forward_peak - start,
-            "backward_peak_bytes": backward_peak - start}
+            "backward_peak_bytes": backward_peak - start,
+            "peak_rss_mb_with_setup":
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def main(argv=None) -> int:

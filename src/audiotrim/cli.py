@@ -145,10 +145,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_embed_check(args) -> int:
-    try:
-        profiles = embed.load_platforms(args.platforms)
-    except ValueError as exc:  # a platforms file that is not a profile list
-        raise UsageError(str(exc)) from None
+    profiles = embed.load_platforms(args.platforms)
     net = nn.load_checkpoint(args.model)
     print(embed.summarize(embed.analyze(net, profiles)))
     return 0
@@ -199,7 +196,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, FileNotFoundError, embed.PlatformsError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except Exception as exc:

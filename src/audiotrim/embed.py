@@ -169,28 +169,32 @@ def analyze(net: nn.Network, profiles: list[PlatformProfile]) -> list[EmbedRepor
 DEFAULT_PLATFORMS = Path(__file__).parent / "data" / "platforms.json"
 
 
+class PlatformsError(ValueError):
+    """A platforms file that holds no valid list of profiles."""
+
+
 def load_platforms(path=None) -> list[PlatformProfile]:
     """Read platform profiles from JSON, a list of entries or an object
     whose "platforms" holds one; ships with four default rows. Malformed
-    input raises ValueError naming the file and the entry."""
+    input raises PlatformsError naming the file and the entry."""
     path = Path(path) if path is not None else DEFAULT_PLATFORMS
     try:
         doc = json.loads(path.read_text())
     except ValueError as err:
-        raise ValueError(f"{path}: not valid JSON ({err})") from None
+        raise PlatformsError(f"{path}: not valid JSON ({err})") from None
     rows = doc.get("platforms") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows:
-        raise ValueError(f"{path}: expected a non-empty list of platforms, "
-                         "or an object holding one under 'platforms'")
+        raise PlatformsError(f"{path}: expected a non-empty list of platforms, "
+                             "or an object holding one under 'platforms'")
     for i, row in enumerate(rows):
         # type() rather than isinstance: a JSON boolean is no budget
         if not (isinstance(row, dict) and row.keys() == {"name", *_BUDGETS}
                 and isinstance(row["name"], str)
                 and all(type(row[k]) in (int, float) and 0 < row[k] < math.inf
                         for k in _BUDGETS)):
-            raise ValueError(f"{path}: platform entry {i} must hold a string name "
-                             f"and finite positive {', '.join(_BUDGETS)}, and no "
-                             f"unknown keys; got {row!r}")
+            raise PlatformsError(f"{path}: platform entry {i} must hold a string "
+                                 f"name and finite positive {', '.join(_BUDGETS)}, "
+                                 f"and no unknown keys; got {row!r}")
     return [PlatformProfile(**row) for row in rows]
 
 

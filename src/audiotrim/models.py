@@ -228,36 +228,36 @@ def _wavenet_inputs(batch: dict) -> Tensor:
     return Tensor(_waves(batch)[:, None, :-1])
 
 
-def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
-    """x: (batch, 1, time) waveform; returns the class head's input, the
-    (batch, head channels, time) output of out1's relu.
-
-    One graph node. Its forward pass runs every conv through a grad-free
-    conv1d_dilated_causal call: in_conv; per block the filter and gate
-    stacked along the output axis, whose halves tanh and sigmoid
-    overwrite, giving the gated product z = t * s; the skip and residual
-    1x1 convs of z, each added in place into its stream; then out1. Both
-    relus run in place. skip_i is recorded as its own output W z + b,
-    before it joins the stream; res_i as the residual stream it updates.
-
-    When the node records, it keeps per block only the gated input r and
-    the halves t and s, then relu(skip stream) h1 and the output h (a relu
-    passes flow where its output is positive). Backward walks the blocks
-    in reverse with conv1d_grads and forms each z = t * s again. It keeps
-    the expression order of one node per conv, gated unit, add and relu,
-    so every gradient has the bits that graph gives.
-    """
+def _trunk_layers(net: Network):
+    """The trunk's blocks, each (filter, gate, skip, res or None), and its
+    parameters, the weight and bias of each conv from in_conv to out1."""
     layers = net.layers
     blocks = [(layers[f"filter_{i}"], layers[f"gate_{i}"], layers[f"skip_{i}"],
                layers.get(f"res_{i}")) for i in range(len(net.meta["dilations"]))]
     convs = ([layers["in_conv"]] + [c for blk in blocks for c in blk if c is not None]
              + [layers["out1"]])
-    params = tuple(c.params[k] for c in convs for k in ("w", "b"))
-    record = T.grad_enabled() and any(p.requires_grad for p in (x,) + params)
-    weights = {c.name: c.params["w"].data for c in convs}
+    return blocks, tuple(c.params[k] for c in convs for k in ("w", "b"))
+
+
+def _trunk_forward(net: Network, xd: np.ndarray, save: bool):
+    """The trunk's output h (the class head's input) for the waveform xd,
+    (batch, 1, time) or one item's (1, time), and, with save, the state
+    _trunk_backward reads (else None).
+
+    Every conv runs through a grad-free conv1d_dilated_causal call:
+    in_conv; per block the filter and gate stacked along the output axis,
+    whose halves tanh and sigmoid overwrite, giving the gated product
+    z = t * s; the skip and residual 1x1 convs of z, each added in place
+    into its stream; then out1. Both relus run in place. skip_i is
+    recorded as its own output W z + b, before it joins the stream; res_i
+    as the residual stream it updates. The state is per block only the
+    gated input r and the halves t and s, then relu(skip stream) h1 and h.
+    """
+    layers = net.layers
+    blocks, _ = _trunk_layers(net)
     saved = []
     with T.no_grad():
-        r = nn.conv_forward(layers["in_conv"], x).data
+        r = nn.conv_forward(layers["in_conv"], Tensor(xd)).data
         nn.record("in_conv", Tensor(r), -2)
         stream = None
         for filt, gate, skip, res in blocks:
@@ -269,7 +269,7 @@ def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
             t, s = ts[..., :n, :], ts[..., n:, :]
             np.tanh(t, out=t)
             s[...] = T.sigmoid_array(s)
-            if record:
+            if save:
                 saved.append((r, ts, w))
             # the gated product is the pair's unit activation
             z = Tensor(t * s)
@@ -285,48 +285,89 @@ def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
         h = nn.conv_forward(layers["out1"], Tensor(h1)).data
         np.maximum(h, 0.0, out=h)
     nn.record("out1", Tensor(h), -2)
+    return h, ((xd, saved, h1, h) if save else None)
+
+
+def _trunk_backward(net: Network, state, g: np.ndarray, want_x: bool,
+                    grads: dict) -> np.ndarray | None:
+    """The input's gradient (None unless want_x) for the flow g at the
+    output of the trunk _trunk_forward saved as state; each parameter's
+    share goes into grads through _accumulate. It walks the blocks in
+    reverse with conv1d_grads and forms each z = t * s again, in the
+    expression order of one node per conv, gated unit, add and relu, so
+    every gradient has that graph's bits once a bias's flow is summed
+    over time (a relu passes flow where its output is positive).
+    """
+    xd, saved, h1, h = state
+    layers = net.layers
+    blocks, _ = _trunk_layers(net)
+
+    def conv_back(layer, flow, xin, want=True):
+        gx, gw, _ = T.conv1d_grads(flow, xin, layer.params["w"].data,
+                                   layer.dilation, want, True, False)
+        _accumulate(grads, layer.params["w"], gw)
+        _accumulate(grads, layer.params["b"], flow)
+        return gx
+
+    flow_skip = conv_back(layers["out1"], g * (h > 0).astype(np.float32), h1)
+    flow_skip *= (h1 > 0).astype(np.float32)
+    flow_r = None
+    for (filt, gate, skip, res), (r, ts, w) in zip(blocks[::-1], saved[::-1]):
+        n = filt.n_units
+        t, s = ts[..., :n, :], ts[..., n:, :]
+        z = t * s
+        gz = conv_back(skip, flow_skip, z)
+        if res is not None:
+            np.add(gz, conv_back(res, flow_r, z), out=gz)
+        # the gated unit's flow dz*s*(1-t^2) and dz*t*s*(1-s), formed
+        # in the expression order of its mul, tanh and sigmoid nodes,
+        # with z's buffer as scratch
+        d = np.empty(ts.shape, dtype=np.float32)
+        np.multiply(t, t, out=z)
+        np.subtract(1.0, z, out=z)
+        np.multiply(gz * s, z, out=d[..., :n, :])
+        np.subtract(1.0, s, out=z)
+        np.multiply(s, z, out=z)
+        np.multiply(gz, t, out=gz)
+        np.multiply(gz, z, out=d[..., n:, :])
+        del z, gz
+        gr, gw, _ = T.conv1d_grads(d, r, w, filt.dilation, True, True, False)
+        for layer, half in ((filt, slice(None, n)), (gate, slice(n, None))):
+            _accumulate(grads, layer.params["w"], gw[half])
+            _accumulate(grads, layer.params["b"], d[..., half, :])
+        flow_r = gr if res is None else np.add(flow_r, gr, out=gr)
+    return conv_back(layers["in_conv"], flow_r, xd, want_x)
+
+
+def _accumulate(grads: dict, p: Tensor, a: np.ndarray):
+    """Add a into grads[p], a copy of the first a: a weight's gradient, or
+    a bias's (channels, time) flow, summed over the batch first if a has
+    one. Adding items in order gives the bits of one batched pass."""
+    if p.ndim == 1 and a.ndim == 3:
+        a = a.sum(axis=0)
+    if p in grads:
+        np.add(grads[p], a, out=grads[p])
+    else:
+        grads[p] = a.copy()
+
+
+def _bias_sums(params, grads: dict) -> list:
+    """grads in params order, each bias's flow summed over time."""
+    return [grads[p] if p.ndim > 1 else grads[p].sum(axis=1) for p in params]
+
+
+def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
+    """x: (batch, 1, time) waveform; returns the class head's input, the
+    (batch, head channels, time) output of out1's relu, as one graph node
+    whose forward pass is _trunk_forward and backward _trunk_backward."""
+    _, params = _trunk_layers(net)
+    record = T.grad_enabled() and any(p.requires_grad for p in (x,) + params)
+    h, state = _trunk_forward(net, x.data, record)
 
     def backward(g):
         grads = {}
-
-        def conv_back(layer, flow, xd, want_x=True):
-            w, b = layer.params["w"], layer.params["b"]
-            gx, grads[w], grads[b] = T.conv1d_grads(
-                flow, xd, weights[layer.name], layer.dilation, want_x,
-                w.requires_grad, b.requires_grad)
-            return gx
-
-        flow_skip = conv_back(layers["out1"], g * (h > 0).astype(np.float32), h1)
-        flow_skip *= (h1 > 0).astype(np.float32)
-        flow_r = None
-        for (filt, gate, skip, res), (r, ts, w) in zip(blocks[::-1], saved[::-1]):
-            n = filt.n_units
-            t, s = ts[..., :n, :], ts[..., n:, :]
-            z = t * s
-            gz = conv_back(skip, flow_skip, z)
-            if res is not None:
-                np.add(gz, conv_back(res, flow_r, z), out=gz)
-            # the gated unit's flow dz*s*(1-t^2) and dz*t*s*(1-s), formed
-            # in the expression order of its mul, tanh and sigmoid nodes,
-            # with z's buffer as scratch
-            d = np.empty(ts.shape, dtype=np.float32)
-            np.multiply(t, t, out=z)
-            np.subtract(1.0, z, out=z)
-            np.multiply(gz * s, z, out=d[..., :n, :])
-            np.subtract(1.0, s, out=z)
-            np.multiply(s, z, out=z)
-            np.multiply(gz, t, out=gz)
-            np.multiply(gz, z, out=d[..., n:, :])
-            del z, gz
-            wf, bf, wg, bg = (c.params[k] for c in (filt, gate) for k in ("w", "b"))
-            gr, gw, gb = T.conv1d_grads(d, r, w, filt.dilation, True,
-                                        wf.requires_grad or wg.requires_grad,
-                                        bf.requires_grad or bg.requires_grad)
-            for p, q, full in ((wf, wg, gw), (bf, bg, gb)):
-                grads[p], grads[q] = (None, None) if full is None else (full[:n], full[n:])
-            flow_r = gr if res is None else np.add(flow_r, gr, out=gr)
-        gx = conv_back(layers["in_conv"], flow_r, x.data, x.requires_grad)
-        return (gx,) + tuple(grads[p] for p in params)
+        gx = _trunk_backward(net, state, g, x.requires_grad, grads)
+        return [gx] + _bias_sums(params, grads)
     return T._node(h, (x,) + params, "trunk", backward)
 
 
@@ -336,12 +377,30 @@ def _forward_wavenet(net: Network, x: Tensor) -> Tensor:
 
 
 def _wavenet_loss(net: Network, batch: dict) -> Tensor:
-    """The trunk, then the class head and its NLL as one node: the
-    (batch, classes, time) logits are never a graph node."""
+    """Mean NLL of each sample's successor's mu-law class, as one graph
+    node run one batch item at a time: the trunk's forward pass, the class
+    head and its NLL (nll_from_logits) and, when the node records, the
+    trunk's backward pass from the head's input gradient. The node keeps
+    only parameter-shaped gradients, added over items as one pass over the
+    whole batch adds them (see _accumulate), so they have its bits. Its
+    backward returns them times the flow; a second backward() adds again."""
     codec = MuLawCodec(net.meta["config"]["n_classes"] - 1)
     targets = codec.encode(_waves(batch))[:, 1:]
-    h = _wavenet_trunk(net, _wavenet_inputs(batch))
-    return nll_from_logits(h, net.layers["out2"], targets)
+    head = net.layers["out2"]
+    params = _trunk_layers(net)[1] + (head.params["w"], head.params["b"])
+    record = T.grad_enabled() and any(p.requires_grad for p in params)
+    scale = np.float32(1.0 / targets.size) if record else None
+    losses = np.empty(targets.shape, dtype=np.float32)
+    grads = {}
+    for i, x in enumerate(_wavenet_inputs(batch).data):
+        h, state = _trunk_forward(net, x, record)
+        losses[i], gh = nll_from_logits(h, head, targets[i], scale, grads)
+        if record:
+            _trunk_backward(net, state, gh, False, grads)
+        del h, state, gh  # hold one item's arrays at a time
+    grads = _bias_sums(params, grads) if record else None
+    return T._node(np.asarray(losses.mean()), params, "wavenet_loss",
+                   lambda g: [a * g for a in grads])
 
 
 def wavenet_generate(net: Network, n_samples: int, seed: int) -> np.ndarray:
@@ -545,61 +604,38 @@ ARCHS: dict[str, ArchSpec] = {
 # -- losses -------------------------------------------------------------------
 
 
-def nll_from_logits(h: Tensor, head: nn.Layer, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of targets (batch, time) under the class
-    logits of the conv layer head applied to h (batch, channels, time).
+def nll_from_logits(h: np.ndarray, head: nn.Layer, targets: np.ndarray,
+                    scale: np.float32 | None = None, grads: dict | None = None):
+    """Negative log-likelihood, per time step, of one batch item's targets
+    (time,) under the class logits the conv layer head makes of its h
+    (channels, time), and h's gradient (None without a scale).
 
-    One graph node, run one batch item at a time: each item's (classes,
-    time) logits come from a grad-free conv1d_dilated_causal call into a
-    buffer of their own, and the max-shifted log-sum-exp runs in place on
-    it. When the node records, the forward pass also turns that buffer
-    into (softmax - onehot) / (batch * time) and forms the item's input,
-    weight and bias gradients from it (tensor.conv1d_grads). The weight
-    gradients add in item order, and the bias gradient sums over items
-    before time, as a batched conv1d_grads would. The node keeps only
-    those gradients, never the logits, and its backward returns them
-    times the incoming flow, so a second backward() adds them again.
+    The (classes, time) logits come from a grad-free conv1d_dilated_causal
+    call into a buffer of their own, and the max-shifted log-sum-exp runs
+    in place on it. Given a scale (1 / (batch * time) for a batch mean),
+    the buffer then turns into (softmax - onehot) * scale, the flow at the
+    logits of that share of the mean, which gives h's gradient; the head's
+    weight gradient and bias flow go into grads through _accumulate.
     """
-    w, bias = head.params["w"], head.params["b"]
-    hd, wd, dilation = h.data, w.data, head.dilation
-    b, _, t = hd.shape
-    if targets.shape != (b, t):
-        raise T.ShapeError(f"targets {targets.shape} do not match logits "
-                           f"{(b, wd.shape[0], t)}")
-    want_x, want_w, want_b = (T.grad_enabled() and p.requires_grad
-                              for p in (h, w, bias))
-    wt, bt, steps = Tensor(wd), Tensor(bias.data), np.arange(t)
-    scale = np.float32(1.0 / (b * t))
-    losses = np.empty((b, t), dtype=np.float32)
-    gx = np.empty(hd.shape, dtype=np.float32) if want_x else None
-    gw = gb = None
-    for i in range(b):
-        x = T.conv1d_dilated_causal(Tensor(hd[i]), wt, dilation, bias=bt).data
-        at = (targets[i], steps)
-        picked = x[at]
-        shift = x.max(axis=0, keepdims=True)
-        x -= shift
-        np.exp(x, out=x)
-        total = x.sum(axis=0, keepdims=True)
-        np.subtract((np.log(total) + shift)[0], picked, out=losses[i])
-        if not (want_x or want_w or want_b):
-            continue
-        x /= total
-        x[at] -= 1.0
-        x *= scale
-        gxi, gwi, _ = T.conv1d_grads(x, hd[i], wd, dilation, want_x, want_w, False)
-        if want_x:
-            gx[i] = gxi
-        if want_w:
-            gw = gwi if gw is None else np.add(gw, gwi, out=gw)
-        if want_b:
-            gb = x if gb is None else np.add(gb, x, out=gb)
-    if gb is not None:
-        gb = gb.sum(axis=1)
-    grads = (gx, gw, gb)
-    def backward(g):
-        return [None if grad is None else grad * g for grad in grads]
-    return T._node(np.asarray(losses.mean()), (h, w, bias), "nll", backward)
+    wd, dilation = head.params["w"].data, head.dilation
+    x = T.conv1d_dilated_causal(Tensor(h), Tensor(wd), dilation,
+                                bias=Tensor(head.params["b"].data)).data
+    at = (targets, np.arange(h.shape[-1]))
+    picked = x[at]
+    shift = x.max(axis=0, keepdims=True)
+    x -= shift
+    np.exp(x, out=x)
+    total = x.sum(axis=0, keepdims=True)
+    losses = (np.log(total) + shift)[0] - picked
+    if scale is None:
+        return losses, None
+    x /= total
+    x[at] -= 1.0
+    x *= scale
+    gh, gw, _ = T.conv1d_grads(x, h, wd, dilation, True, True, False)
+    _accumulate(grads, head.params["w"], gw)
+    _accumulate(grads, head.params["b"], x)
+    return losses, gh
 
 
 def multiscale_spectral_loss(pred: Tensor, target: list[np.ndarray],

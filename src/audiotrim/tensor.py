@@ -106,7 +106,7 @@ class Tensor:
         inputs, so a pass holds the flows of one frontier, not the graph's.
         Each call contributes exactly one gradient pass, so calling twice
         without zero_grad doubles the leaves' grads. That is why a fused
-        node (the WaveNet trunk, the class head, the spectral loss) keeps
+        node (the WaveNet trunk, the WaveNet loss, the spectral loss) keeps
         the arrays it saved until the graph itself is dropped, not only
         until its first backward.
 

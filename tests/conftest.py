@@ -76,17 +76,22 @@ def sigmoid_masked(x):
 # These are the oracles for the fused nodes that replaced them in src:
 # stft_logmag_node (one node per window, the graph form of the grad-free
 # tensor.stft_logmag; stft_logmag_composed is its oracle), nn.gru_scan (one node per
-# sequence), models.nll_from_logits (one node for the class head and its
-# NLL; head_nll_composed is the head's own conv node followed by the
+# sequence), nll_from_logits_node (the graph form of the per-item
+# models.nll_from_logits: one node for the class head and its NLL;
+# head_nll_composed is the head's own conv node followed by the
 # logits-NLL node nll_logits_node, itself checked against the
 # elementary-op chain nll_composed) and tensor.conv1d_dilated_causal's
-# pad-free taps and bias. Three oracles must match src bit for bit:
+# pad-free taps and bias. Four oracles must match src bit for bit:
 # nll_from_logits_batched runs the class head over the whole batch at once
-# where models.nll_from_logits runs it one item at a time;
+# where nll_from_logits_node runs it one item at a time;
 # wavenet_trunk_added builds models._wavenet_trunk's one node from a conv
 # node per layer, a gated_conv1d node per gated unit (gated_composed, two
 # conv nodes, tanh, sigmoid and mul, is that node's own oracle), an add
-# node per skip and residual projection and two relu nodes; and
+# node per skip and residual projection and two relu nodes;
+# wavenet_loss_batched is models._wavenet_loss as the batched chain it
+# replaced, the trunk node over the whole batch and then
+# nll_from_logits_batched, where the loss node runs trunk, head and the
+# trunk's backward pass one item at a time; and
 # spectral_loss_composed builds models.multiscale_spectral_loss from
 # stft_logmag_node's nodes and sub, abs, mean and add nodes. texp, tlog, tabs,
 # slice_axis and concat are elementary ops only these oracles use. Each
@@ -242,6 +247,41 @@ def nll_from_logits_batched(h, head, targets):
         x[at] -= 1.0
         x *= np.float32(1.0 / (b * t))
     return out
+
+
+def nll_from_logits_node(h, head, targets):
+    """Mean NLL of targets (batch, time) under the class logits of the conv
+    layer head applied to h (batch, channels, time), as one node that runs
+    models.nll_from_logits one item at a time, whose weight gradients add
+    in item order and whose bias flows sum over items before time. The
+    node keeps only the gradients and returns them times the flow."""
+    w, bias = head.params["w"], head.params["b"]
+    b, _, t = h.shape
+    if targets.shape != (b, t):
+        raise T.ShapeError(f"targets {targets.shape} do not match logits "
+                           f"{(b, w.shape[0], t)}")
+    record = T.grad_enabled() and any(p.requires_grad for p in (h, w, bias))
+    scale = np.float32(1.0 / (b * t)) if record else None
+    losses = np.empty((b, t), dtype=np.float32)
+    gh = np.empty(h.shape, dtype=np.float32)
+    grads = {}
+    for i in range(b):
+        losses[i], gi = models.nll_from_logits(h.data[i], head, targets[i], scale, grads)
+        if record:
+            gh[i] = gi
+    grads = (gh, grads[w], grads[bias].sum(axis=1)) if record else None
+    return T._node(np.asarray(losses.mean()), (h, w, bias), "nll",
+                   lambda g: [a * g for a in grads])
+
+
+def wavenet_loss_batched(net, batch, trunk=None, nll=nll_from_logits_batched):
+    """models._wavenet_loss as the batched chain it replaced: trunk (the
+    trunk node unless given) over the whole batch, then nll, the class
+    head and its NLL, on the trunk's output."""
+    trunk = trunk or models._wavenet_trunk
+    codec = models.MuLawCodec(net.meta["config"]["n_classes"] - 1)
+    targets = codec.encode(models._waves(batch))[:, 1:]
+    return nll(trunk(net, models._wavenet_inputs(batch)), net.layers["out2"], targets)
 
 
 def gated_conv1d(x, wf, bf, wg, bg, dilation=1):

@@ -26,8 +26,8 @@ import pytest
 from audiotrim import embed, harness, mi, models, nn, pruning
 from audiotrim import tensor as T
 
-from conftest import (gated_conv1d, mask_units, no_training, relu_clear_trunk,
-                      stft_logmag_node, use_loss)
+from conftest import (gated_conv1d, mask_units, no_training, nll_from_logits_node,
+                      relu_clear_trunk, stft_logmag_node, use_loss)
 from test_embed import random_chain, sim_net_ops, tiny_arch_net
 from test_models import ddsp_batch, tiny_ddsp_cfg, tiny_sing_cfg, tiny_wavenet_cfg
 
@@ -235,7 +235,7 @@ def _op_bank():
         head = nn.make_conv("out2", 3, 4, 1, rng)
         targets = rng.integers(0, 4, size=(2, 3))
         up = T.Tensor(np.float32(64.0))
-        return (lambda t: T.mul(models.nll_from_logits(t, head, targets), up),
+        return (lambda t: T.mul(nll_from_logits_node(t, head, targets), up),
                 _signed(rng, (2, 3, 3)))
 
     def frame_lerp(rng):
@@ -257,9 +257,23 @@ def _op_bank():
         net = relu_clear_trunk(rng, x0)
         return lambda t: models._wavenet_trunk(net, t), x0
 
+    def wavenet_loss(rng):
+        # the WaveNet loss of that trunk on a batch whose inputs are x0,
+        # probed through in_conv's weight, which feeds every block
+        x0 = _signed(rng, (2, 1, 10))
+        net = relu_clear_trunk(rng, x0)
+        batch = {"wave": np.concatenate([x0[:, 0], _signed(rng, (2, 1))], axis=1)}
+        params = net.layers["in_conv"].params
+        up = T.Tensor(np.float32(64.0))
+
+        def op(t):
+            params["w"] = t
+            return T.mul(models.compute_loss(net, batch), up)
+        return op, params["w"].data.copy()
+
     return [add, sub, mul, div, matmul, conv, gated, sigmoid, tanh, relu,
             tsqrt, tsum, tmean, reshape, transpose, stft_logmag, spectral_loss,
-            gru_scan, nll, frame_lerp, trunk]
+            gru_scan, nll, frame_lerp, trunk, wavenet_loss]
 
 
 def _probe(entry, rng):

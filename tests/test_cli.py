@@ -122,6 +122,35 @@ class TestImp:
         assert (tmp_path / "paired" / "trim" / "trace.csv").exists()
         assert (tmp_path / "paired" / "mask" / "trace.csv").exists()
 
+    @staticmethod
+    def _config(workspace, tmp_path, **fields):
+        doc = json.loads((workspace / "config.json").read_text())
+        doc.update(output_dir=str(tmp_path / "run"), **fields)
+        doc["imp"]["iterations"] = 1
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        return str(cfg)
+
+    @pytest.mark.parametrize("flags", [[], ["--paired"]], ids=["imp", "paired"])
+    def test_malformed_platforms_file_is_usage_error(self, workspace, tmp_path,
+                                                     capsys, flags):
+        path = tmp_path / "platforms.json"
+        path.write_text('{"platforms": [')
+        cfg = self._config(workspace, tmp_path, platforms=str(path))
+        assert cli.main(["imp", "--config", cfg] + flags) == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--paired"]], ids=["imp", "paired"])
+    def test_value_error_in_training_is_runtime_failure(self, workspace, tmp_path,
+                                                        capsys, monkeypatch, flags):
+        def fail(net, batch):
+            raise ValueError("bad batch")
+
+        monkeypatch.setattr(models, "compute_loss", fail)
+        cfg = self._config(workspace, tmp_path)
+        assert cli.main(["imp", "--config", cfg] + flags) == 2
+        assert "ValueError: bad batch" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_saves_model_and_metrics(self, workspace, tmp_path):

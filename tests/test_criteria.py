@@ -8,8 +8,8 @@ from audiotrim import mi as mi_mod
 from audiotrim import models, nn
 from audiotrim import tensor as T
 from audiotrim.tensor import Tensor
-from conftest import (batch_x, mask_units, nll_from_logits_batched, unused,
-                      use_loss, wavenet_trunk_added)
+from conftest import (batch_x, mask_units, unused, use_loss, wavenet_loss_batched,
+                      wavenet_trunk_added)
 
 SR = 16000
 
@@ -477,7 +477,7 @@ class TestPoolScores:
         items = single_items(np.random.default_rng(5), n=10, t=1024)
         got = cr.pool_scores(net, criterion, "none", batches=items)
         monkeypatch.setattr(models, "_wavenet_trunk", wavenet_trunk_added)
-        monkeypatch.setattr(models, "nll_from_logits", nll_from_logits_batched)
+        use_loss(monkeypatch, net, wavenet_loss_batched)
         want = cr.pool_scores(net, criterion, "none", batches=items)
         assert got.keys() == want.keys()
         for pid, score in got.items():

@@ -445,7 +445,7 @@ class TestFeasibility:
         path.write_text(f'{{"platforms": {entries}}}')
         with pytest.raises(ValueError, match="platform entry 0 must hold") as err:
             embed.load_platforms(path)
-        assert type(err.value) is ValueError
+        assert type(err.value) is embed.PlatformsError
         assert str(err.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("text", [
@@ -458,7 +458,7 @@ class TestFeasibility:
         path.write_text(text)
         with pytest.raises(ValueError) as err:
             embed.load_platforms(path)
-        assert type(err.value) is ValueError
+        assert type(err.value) is embed.PlatformsError
         assert str(err.value).startswith(f"{path}: ")
 
     def test_analyze_emits_one_report_per_platform(self):

@@ -1,6 +1,6 @@
-import collections
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,9 +14,9 @@ from audiotrim.models import ModelConfig, MuLawCodec
 from audiotrim.tensor import Tensor
 from conftest import (ddsp_synthesize_dense, directional_gradcheck, gated_composed,
                       head_nll_composed, mask_units, nll_composed,
-                      nll_from_logits_batched, no_training,
+                      nll_from_logits_batched, nll_from_logits_node, no_training,
                       spectral_loss_composed, units_original, upsample_dense,
-                      wavenet_trunk_added)
+                      use_loss, wavenet_loss_batched, wavenet_trunk_added)
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -140,20 +140,21 @@ def surviving(net, plan, layer_name, pname, arr):
 
 
 class TestNll:
-    """The class head and its NLL as one node; an identity head makes its
-    input the logits."""
+    """The class head and its NLL, models.nll_from_logits, in the graph form
+    nll_from_logits_node gives it; an identity head makes its input the
+    logits."""
 
     def test_uniform_logits_give_log_classes(self):
         logits = Tensor(np.zeros((2, 16, 5), dtype=np.float32))
         targets = np.random.default_rng(0).integers(0, 16, size=(2, 5))
-        loss = models.nll_from_logits(logits, identity_head(16), targets)
+        loss = nll_from_logits_node(logits, identity_head(16), targets)
         assert float(loss.data) == pytest.approx(np.log(16.0), rel=1e-5)
 
     def test_matches_numpy_log_softmax(self):
         rng = np.random.default_rng(1)
         raw = rng.standard_normal((3, 8, 4)).astype(np.float32)
         targets = rng.integers(0, 8, size=(3, 4))
-        loss = float(models.nll_from_logits(Tensor(raw), identity_head(8), targets).data)
+        loss = float(nll_from_logits_node(Tensor(raw), identity_head(8), targets).data)
         x = raw.astype(np.float64)
         logp = x - np.log(np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) \
             - x.max(axis=1, keepdims=True)
@@ -164,7 +165,7 @@ class TestNll:
         logits = np.full((1, 4, 3), -10.0, dtype=np.float32)
         targets = np.array([[2, 2, 2]])
         logits[0, 2, :] = 10.0
-        loss = models.nll_from_logits(Tensor(logits), identity_head(4), targets)
+        loss = nll_from_logits_node(Tensor(logits), identity_head(4), targets)
         assert float(loss.data) < 1e-3
 
     def test_gradient_matches_softmax_minus_onehot(self):
@@ -172,7 +173,7 @@ class TestNll:
         raw = rng.standard_normal((2, 5, 3)).astype(np.float32)
         targets = rng.integers(0, 5, size=(2, 3))
         logits = Tensor(raw, requires_grad=True)
-        models.nll_from_logits(logits, identity_head(5), targets).backward()
+        nll_from_logits_node(logits, identity_head(5), targets).backward()
         p = np.exp(raw - raw.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
         onehot = np.zeros_like(raw)
@@ -191,7 +192,7 @@ class TestNll:
         head = nn.make_conv("out2", 7, c, 1, rng)
         head.params["w"].data[1] = 0.0
         out = {}
-        for name, fn in (("node", models.nll_from_logits),
+        for name, fn in (("node", nll_from_logits_node),
                          ("logits_node", head_nll_composed),
                          ("composed", lambda h, hd, tg: head_nll_composed(
                              h, hd, tg, nll=nll_composed))):
@@ -216,7 +217,7 @@ class TestNll:
         targets = rng.integers(0, 32, size=(5, 40))
         head = nn.make_conv("out2", 7, 32, 1, rng)
         out = {}
-        for fn in (models.nll_from_logits, nll_from_logits_batched):
+        for fn in (nll_from_logits_node, nll_from_logits_batched):
             h = Tensor(raw, requires_grad="h" in wants)
             for name, p in head.params.items():
                 p.requires_grad = name in wants
@@ -235,7 +236,7 @@ class TestNll:
                 out[fn] = [loss.data, *once, *(leaf.grad for leaf in leaves)]
             else:
                 out[fn] = [loss.data, *(leaf.grad for leaf in leaves)]
-        got, want = out[models.nll_from_logits], out[nll_from_logits_batched]
+        got, want = out[nll_from_logits_node], out[nll_from_logits_batched]
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert (a is None) == (b is None)
@@ -245,7 +246,7 @@ class TestNll:
     def test_is_one_node(self):
         h = Tensor(np.zeros((2, 4, 3), dtype=np.float32), requires_grad=True)
         head = identity_head(4)
-        loss = models.nll_from_logits(h, head, np.zeros((2, 3), dtype=np.int64))
+        loss = nll_from_logits_node(h, head, np.zeros((2, 3), dtype=np.int64))
         assert loss._op == "nll"
         assert loss._parents == (h, head.params["w"], head.params["b"])
 
@@ -254,13 +255,13 @@ class TestNll:
         x0 = rng.standard_normal((2, 6, 5)).astype(np.float32)
         head = nn.make_conv("out2", 6, 4, 1, rng)
         targets = rng.integers(0, 4, size=(2, 5))
-        directional_gradcheck(lambda x: models.nll_from_logits(x, head, targets), x0, rng)
+        directional_gradcheck(lambda x: nll_from_logits_node(x, head, targets), x0, rng)
 
     def test_mismatched_targets_raise(self):
         logits = Tensor(np.zeros((2, 4, 3), dtype=np.float32))
         with pytest.raises(T.ShapeError, match="targets"):
-            models.nll_from_logits(logits, identity_head(4),
-                                   np.zeros((2, 4), dtype=np.int64))
+            nll_from_logits_node(logits, identity_head(4),
+                                 np.zeros((2, 4), dtype=np.int64))
 
 
 class TestWavenet:
@@ -331,9 +332,9 @@ class TestWavenet:
         batch = {"wave": np.random.default_rng(9).uniform(-0.9, 0.9, (3, 30))
                  .astype(np.float32)}
         fused = loss_and_grads(net, batch)
-        monkeypatch.setattr(models, "_wavenet_trunk",
-                            lambda net, x: wavenet_trunk_added(net, x, gated_composed))
-        monkeypatch.setattr(models, "nll_from_logits", head_nll_composed)
+        use_loss(monkeypatch, net, lambda net, batch: wavenet_loss_batched(
+            net, batch, lambda net, x: wavenet_trunk_added(net, x, gated_composed),
+            head_nll_composed))
         composed = loss_and_grads(net, batch)
         assert fused[0] == pytest.approx(composed[0], rel=1e-5)
         for name, g in fused[1].items():
@@ -346,9 +347,11 @@ class TestWavenet:
     def test_matches_added_streams_and_batched_head_bit_for_bit(self, variant,
                                                                 batch_size,
                                                                 monkeypatch):
-        # the trunk node against one node per conv, gated unit, add and
-        # relu; trimming out1, the residual pool (named after in_conv) and
-        # the skip pool trims the projections that add into each stream
+        # the loss node, one item at a time, against the batched chain it
+        # replaced: the trunk node (and then one node per conv, gated unit,
+        # add and relu) over the whole batch, then the batched class head;
+        # trimming out1, the residual pool (named after in_conv) and the
+        # skip pool trims the projections that add into each stream
         net = models.build_model(tiny_wavenet_cfg(), seed=12)
         plan = {"out1": np.array([1, 4]), "in_conv": np.array([0, 2]),
                 "skip_0": np.array([3])}
@@ -359,12 +362,14 @@ class TestWavenet:
         batch = {"wave": np.random.default_rng(12).uniform(-0.9, 0.9, (batch_size, 30))
                  .astype(np.float32)}
         runs = []
-        for oracle in (False, True):
-            if oracle:
-                monkeypatch.setattr(models, "_wavenet_trunk", wavenet_trunk_added)
-                monkeypatch.setattr(models, "nll_from_logits", nll_from_logits_batched)
+        for oracle in (None, models._wavenet_trunk, wavenet_trunk_added):
+            if oracle is not None:
+                monkeypatch.setattr(models, "_wavenet_trunk", oracle)
+                use_loss(monkeypatch, net, lambda net, batch: wavenet_loss_batched(
+                    net, batch, oracle))
             net.zero_grad()
             loss = models.compute_loss(net, batch)
+            assert loss._op == ("wavenet_loss" if oracle is None else "nll_batched")
             passes = []
             for _ in range(2):
                 loss.backward()
@@ -372,13 +377,14 @@ class TestWavenet:
             with T.no_grad():
                 logits = models.forward_batch(net, batch).data
             runs.append((float(loss.data), passes, logits))
-        (loss, passes, logits), (ref_loss, ref_passes, ref_logits) = runs
-        assert loss == ref_loss
-        for grads, ref_grads in zip(passes, ref_passes):
-            assert grads.keys() == ref_grads.keys()
-            for name, g in grads.items():
-                assert np.array_equal(g, ref_grads[name]), name
-        assert np.array_equal(logits, ref_logits)
+        (loss, passes, logits), *oracles = runs
+        for ref_loss, ref_passes, ref_logits in oracles:
+            assert loss == ref_loss
+            for grads, ref_grads in zip(passes, ref_passes):
+                assert grads.keys() == ref_grads.keys()
+                for name, g in grads.items():
+                    assert np.array_equal(g, ref_grads[name]), name
+            assert np.array_equal(logits, ref_logits)
 
     def test_second_backward_doubles_grads(self):
         net = models.build_model(tiny_wavenet_cfg(), seed=10)
@@ -392,23 +398,41 @@ class TestWavenet:
             assert np.array_equal(p.grad, 2 * once[name]), name
 
     def test_train_step_graph_holds_no_logits(self):
-        # after the forward pass the graph keeps, of the (batch, channels,
-        # time) arrays, per block the gated input r and the stacked tanh and
-        # sigmoid halves, then relu(skip stream), the trunk's output and the
-        # head's input gradient: no logits, no gated product, no skip sum
-        # and no pre-relu output
+        # after the forward pass the graph is one node whose parents are the
+        # parameters, and it keeps parameter-shaped gradients only: no
+        # (batch, channels, time) array, and no array with a time axis
         cfg = tiny_wavenet_cfg()
         net = models.build_model(cfg, seed=11)
-        b, t, n_blocks = 2, 29, cfg.blocks_per_stack
+        b, t = 2, 29
         wave = np.random.default_rng(11).uniform(-0.9, 0.9, (b, t + 1)).astype(np.float32)
         loss = models.compute_loss(net, {"wave": wave})
-        assert loss._op == "nll" and loss._parents[0]._op == "trunk"
-        assert all(p._op == "leaf" for p in loss._parents[0]._parents)
-        kept = collections.Counter(a.shape[1] for a in _graph_buffers(loss)
-                                   if a.ndim == 3 and (a.shape[0], a.shape[2]) == (b, t))
-        assert kept == {cfg.residual_channels: n_blocks,
-                        2 * cfg.gate_channels: n_blocks,
-                        cfg.skip_channels: 1, cfg.head_channels: 2}
+        assert loss._op == "wavenet_loss"
+        params = list(net.parameters())
+        assert {id(p) for p in loss._parents} == {id(p) for p in params}
+        buffers = [a for a in _graph_buffers(loss) if a is not loss.data]
+        assert not [a.shape for a in buffers if a.shape[-1:] == (t,)]
+        assert {a.shape for a in buffers} <= {p.shape for p in params}
+
+    def test_train_step_memory_grows_little_with_batch(self):
+        # items run one at a time: at batch 8 the step's peak above its
+        # start stays under twice the peak at batch 1 (byte counts only)
+        t = 400
+        net = models.build_model(tiny_wavenet_cfg(), seed=13)
+        rng = np.random.default_rng(13)
+        peaks = {}
+        for b in (1, 8):
+            batch = {"wave": rng.uniform(-0.9, 0.9, (b, t + 1)).astype(np.float32)}
+            models.compute_loss(net, batch).backward()
+            net.zero_grad()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                models.compute_loss(net, batch).backward()
+                peaks[b] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            net.zero_grad()
+        assert 0 < peaks[8] < 2 * peaks[1], peaks
 
     def test_loss_decreases_on_tiny_overfit(self):
         cfg = tiny_wavenet_cfg()

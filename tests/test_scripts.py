@@ -103,3 +103,4 @@ def test_step_memory_reports_one_train_step(workload):
     assert row["graph_nodes"] > 1
     assert 0 < row["graph_bytes"] <= row["forward_peak_bytes"]
     assert row["backward_peak_bytes"] > 0
+    assert row["peak_rss_mb_with_setup"] > 0

@@ -11,8 +11,9 @@ from audiotrim import harness, models, nn
 from audiotrim import tensor as T
 from conftest import (adjoint_dot_check, concat, conv1d_padded,
                       directional_gradcheck, fft_mag2, frame, gated_composed,
-                      gated_conv1d, relu_clear_trunk, sigmoid_masked,
-                      slice_axis, stft_logmag_node, tabs, texp, tlog)
+                      gated_conv1d, nll_from_logits_node, relu_clear_trunk,
+                      sigmoid_masked, slice_axis, stft_logmag_node, tabs, texp,
+                      tlog)
 
 RNG = np.random.default_rng(1234)
 
@@ -324,7 +325,7 @@ def _fused_nodes():
         "conv1d": lambda: T.conv1d_dilated_causal(x, w, 2, bias=b),
         "gated": lambda: gated_conv1d(x, w, b, w, b),
         "gru": lambda: nn.gru_scan(gru, x),
-        "nll": lambda: models.nll_from_logits(
+        "nll": lambda: nll_from_logits_node(
             x, conv, rng.integers(0, 4, size=(2, 16))),
         "stft_logmag": lambda: stft_logmag_node(
             T.reshape(x, (96,)), T.SpectrogramConfig(window_sizes=(32,)))[0],
@@ -332,6 +333,8 @@ def _fused_nodes():
             T.reshape(x, (2, 48)), [np.zeros((2, 3, 17), dtype=np.float32)],
             T.SpectrogramConfig(window_sizes=(32,))),
         "trunk": lambda: models._wavenet_trunk(trunk, wave),
+        "wavenet_loss": lambda: models.compute_loss(
+            trunk, {"wave": rng.uniform(-0.9, 0.9, (2, 17)).astype(np.float32)}),
     }
 
 
@@ -531,7 +534,7 @@ def _flow_cases():
                          arr(4, 3, 2)),
         "trunk": (lambda x: T.tsum(T.mul(models._wavenet_trunk(trunk, x), trunk_mix)),
                   trunk_x0),
-        "nll_head": (lambda x: models.nll_from_logits(x, head, targets), arr(2, 3, 10)),
+        "nll_head": (lambda x: nll_from_logits_node(x, head, targets), arr(2, 3, 10)),
         "frame_lerp_basis": (lambda x: T.tsum(T.sigmoid(T.frame_lerp(x, 4, basis))),
                              arr(2, 3, 3)),
         "frame_lerp_plain": (lambda x: T.tsum(T.mul(T.frame_lerp(x, 4), mix)), arr(2, 3, 1)),
