@@ -16,7 +16,8 @@ same over all pairs, with the parent's interquartile range, whether a
 gain may be claimed (at least 9 in 10 pairs won, and a median gap wider
 than that range) and whether the change is worse than the benchmark's
 bound allows; and the stamps of both sides. A log may hold several
-workloads; each is folded apart. Metric directions and bounds come from
+workloads, each folded apart, and the runs of several invocations on
+distinct seeds. Metric directions and bounds come from
 BENCHMARK.json.
 
     python3 scripts/bench_fold.py runs.jsonl --out BENCH_6.json \\
@@ -85,9 +86,11 @@ def describe(values: list[float]) -> dict:
 
 def fold_group(recs: list[dict], better: dict) -> dict:
     """Per-side summaries and the change's wins over the pairs in recs."""
+    # pair numbers restart with each invocation, so a pair is known by
+    # its seed as well
     by_pair = defaultdict(dict)
     for r in recs:
-        by_pair[r["pair"]][r["side"]] = r["result"]
+        by_pair[r["seed"], r["pair"]][r["side"]] = r["result"]
     out = {"pairs": 0, "wins": {m: 0 for m in better}}
     values = {side: defaultdict(list) for side in SIDES}
     for pair in sorted(by_pair):

@@ -6,12 +6,18 @@
 Sets up one ``perfbench`` workload at its benchmark sizes (the corpus goes
 to a temporary directory), builds its network and training batches as
 ``harness.setup`` does, and takes one warm-up step, so that per-batch
-constants and caches exist before the measured step. Then, under
-``tracemalloc``, it runs the forward pass of the first batch's loss and
-its backward pass, and prints one JSON line: the bytes the autograd graph
-holds after the forward pass, its node count, the tracemalloc peaks of
-the forward and the backward pass, each above the step's start, and the
-process's peak resident set in MB (``ru_maxrss``), which includes set-up.
+constants and caches exist before the measured step. Then it runs the
+forward pass of the first batch's loss and its backward pass. All of it
+runs under ``tracemalloc``, and it prints one JSON line: the peak during
+set-up and the bytes held at the measured step's start (the net, the
+batches and their constants), both above what was held before set-up;
+the bytes the autograd graph holds after the forward pass, its node
+count, the peaks of the forward and the backward pass, each above the
+step's start; and the process's peak resident set in MB (``ru_maxrss``),
+which includes set-up. So set-up sets the process's peak when
+``setup_peak_bytes`` is above ``step_start_bytes`` plus the larger step
+peak. Tracing set-up itself adds about 0.7 MB to ``ru_maxrss``
+(``ddsp_info_trim``, seed 7).
 numpy reports its array buffers to ``tracemalloc``; BLAS work buffers are
 not counted. ``tensor`` pins malloc's trim threshold, so freed arrays stay
 resident, and the ``ru_maxrss`` reading follows what a benchmark run reports
@@ -47,15 +53,17 @@ def measure(name: str, seed: int, sizes: dict) -> dict:
     """One train step of workload ``name`` at ``sizes``; sizes in bytes."""
     workloads.import_program()
     from audiotrim import harness, models
-    with tempfile.TemporaryDirectory(prefix="step_memory-") as tmp:
-        wl = workloads.ImpWorkload(name, sizes, seed, Path(tmp))
-        wl.setup()
-        splits, net, _ = harness.setup(wl.cfg)
-    batch = splits.train[0]
-    models.compute_loss(net, batch).backward()
-    net.zero_grad()
     tracemalloc.start()
     try:
+        with tempfile.TemporaryDirectory(prefix="step_memory-") as tmp:
+            wl = workloads.ImpWorkload(name, sizes, seed, Path(tmp))
+            wl.setup()
+            splits, net, _ = harness.setup(wl.cfg)
+        setup_peak = tracemalloc.get_traced_memory()[1]
+        batch = splits.train[0]
+        models.compute_loss(net, batch).backward()
+        net.zero_grad()
+        tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         loss = models.compute_loss(net, batch)
         held, forward_peak = tracemalloc.get_traced_memory()
@@ -65,6 +73,7 @@ def measure(name: str, seed: int, sizes: dict) -> dict:
     finally:
         tracemalloc.stop()
     return {"workload": name, "seed": seed, "batch": list(batch["wave"].shape),
+            "setup_peak_bytes": setup_peak, "step_start_bytes": start,
             "graph_bytes": held - start, "graph_nodes": graph_nodes(loss),
             "forward_peak_bytes": forward_peak - start,
             "backward_peak_bytes": backward_peak - start,

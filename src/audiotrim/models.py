@@ -239,10 +239,12 @@ def _trunk_layers(net: Network):
     return blocks, tuple(c.params[k] for c in convs for k in ("w", "b"))
 
 
-def _trunk_forward(net: Network, xd: np.ndarray, save: bool):
+def _trunk_forward(net: Network, xd: np.ndarray, save: bool, tape: bool = False):
     """The trunk's output h (the class head's input) for the waveform xd,
     (batch, 1, time) or one item's (1, time), and, with save, the state
-    _trunk_backward reads (else None).
+    _trunk_backward reads (else None). With tape, it records each layer's
+    output (nn.record); only the trunk node asks for that, so a capture
+    holds one array per layer per forward pass, never one per loss item.
 
     Every conv runs through a grad-free conv1d_dilated_causal call:
     in_conv; per block the filter and gate stacked along the output axis,
@@ -255,10 +257,11 @@ def _trunk_forward(net: Network, xd: np.ndarray, save: bool):
     """
     layers = net.layers
     blocks, _ = _trunk_layers(net)
+    tap = nn.record if tape else (lambda name, t, unit_axis: None)
     saved = []
     with T.no_grad():
         r = nn.conv_forward(layers["in_conv"], Tensor(xd)).data
-        nn.record("in_conv", Tensor(r), -2)
+        tap("in_conv", Tensor(r), -2)
         stream = None
         for filt, gate, skip, res in blocks:
             n = filt.n_units
@@ -273,18 +276,18 @@ def _trunk_forward(net: Network, xd: np.ndarray, save: bool):
                 saved.append((r, ts, w))
             # the gated product is the pair's unit activation
             z = Tensor(t * s)
-            nn.record(filt.name, z, -2)
+            tap(filt.name, z, -2)
             y = nn.conv_forward(skip, z).data
-            nn.record(skip.name, Tensor(y), -2)
+            tap(skip.name, Tensor(y), -2)
             stream = y if stream is None else np.add(stream, y, out=y)
             if res is not None:
                 y = nn.conv_forward(res, z).data
                 r = np.add(r, y, out=y)
-                nn.record(res.name, Tensor(r), -2)
+                tap(res.name, Tensor(r), -2)
         h1 = np.maximum(stream, 0.0, out=stream)
         h = nn.conv_forward(layers["out1"], Tensor(h1)).data
         np.maximum(h, 0.0, out=h)
-    nn.record("out1", Tensor(h), -2)
+    tap("out1", Tensor(h), -2)
     return h, ((xd, saved, h1, h) if save else None)
 
 
@@ -362,7 +365,7 @@ def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
     whose forward pass is _trunk_forward and backward _trunk_backward."""
     _, params = _trunk_layers(net)
     record = T.grad_enabled() and any(p.requires_grad for p in (x,) + params)
-    h, state = _trunk_forward(net, x.data, record)
+    h, state = _trunk_forward(net, x.data, record, tape=True)
 
     def backward(g):
         grads = {}
@@ -493,7 +496,9 @@ def sine_bank(f0_frames: np.ndarray, cfg: dict) -> np.ndarray:
     """(batch, frames*hop, partials) sines of each partial's running phase,
     zeroed where the partial lies above Nyquist; cfg is a model config dict.
 
-    It depends only on f0 and the config, not on any parameter.
+    It depends only on f0 and the config, not on any parameter. The bank
+    is built in place in the buffer of the partials' phases, with no
+    bank-sized temporary.
     """
     hop, sr = cfg["frame_hop"], cfg["sample_rate"]
     f0 = np.asarray(f0_frames, dtype=np.float32)
@@ -501,7 +506,9 @@ def sine_bank(f0_frames: np.ndarray, cfg: dict) -> np.ndarray:
     phase = 2.0 * np.pi * np.cumsum(f0_up / sr, axis=-1)
     k = np.arange(1, cfg["n_partials"] + 1, dtype=np.float32)
     alias_mask = (f0_up[..., None] * k) < (sr / 2.0)
-    return (np.sin(phase[..., None] * k) * alias_mask).astype(np.float32)
+    bank = phase[..., None] * k
+    np.sin(bank, out=bank)
+    return np.multiply(bank, alias_mask, out=bank)
 
 
 def ddsp_synthesize(controls: dict[str, Tensor], f0_frames: np.ndarray,
@@ -644,36 +651,53 @@ def multiscale_spectral_loss(pred: Tensor, target: list[np.ndarray],
     difference| between pred (batch, time) and the target's
     tensor.stft_logmag.
 
-    One graph node, run over the whole batch one window size at a time
-    (tensor.spectra), in buffers rewritten in place: the log power turns
-    into the difference and then its absolute value. When the node
-    records, the forward pass also forms the window's signal gradient,
-    sign / N / power * spectrum through tensor.spectrum_grad, and adds it
-    to the earlier windows' in window order. The node keeps only that
-    (batch, time) gradient, never a spectrum, and its backward returns it
-    times the incoming flow, so a second backward() adds it again.
+    One graph node. Every target shape is checked before any spectrum is
+    formed. Then, one window size at a time (tensor.spectra), it fills one
+    (batch, frames, bins) buffer one batch item at a time: the item's
+    spectrum (tensor.spectrum), its log power written into its rows, which
+    turn into the difference and then its absolute value in place. The
+    window's term is the whole buffer's mean. When the node records, each
+    item's signal gradient, sign / N / power * spectrum through
+    tensor.spectrum_grad, goes into its row of one (batch, time) gradient,
+    and later windows add into that row, in window order. So a batch
+    item's spectra are the only ones alive at a time, and every value has
+    the bits of one pass over the whole batch. The node keeps only that
+    gradient, never a spectrum, and its backward returns it times the
+    incoming flow, so a second backward() adds it again.
     """
     record = T.grad_enabled() and pred.requires_grad
     length = pred.shape[-1]
-    total = grad = None
-    for (window, hop, spec, power), q in zip(T.spectra(pred.data, cfg), target):
-        d = np.log(power)
-        T._check_finite(d, "spectral_loss")
-        if q.shape != d.shape:
+    windows = list(zip(T.spectra(pred.data, cfg), target))
+    for (window, _, frames), q in windows:
+        shape = frames.shape[:-1] + (window // 2 + 1,)
+        if q.shape != shape:
             raise T.ShapeError(f"target spectrogram {q.shape} does not match "
-                               f"{d.shape} at window {window}")
-        d -= q
-        sign = np.sign(d) if record else None
-        np.abs(d, out=d)
+                               f"{shape} at window {window}")
+    total = None
+    grad = np.empty(pred.shape, dtype=np.float32) if record else None
+    for k, ((window, hop, frames), q) in enumerate(windows):
+        d = np.empty(q.shape, dtype=np.float32)
+        # the flow a mean and an abs node would pass back, over the power
+        scale = np.float32(1.0) / np.float32(d.size)
+        for i in np.ndindex(frames.shape[:-2]):
+            spec, power = T.spectrum(frames[i], cfg.floor_epsilon)
+            di = d[i]
+            np.log(power, out=di)
+            T._check_finite(di, "spectral_loss")
+            di -= q[i]
+            sign = np.sign(di) if record else None
+            np.abs(di, out=di)
+            if record:
+                sign *= scale
+                sign /= power
+                spec *= sign
+                g = T.spectrum_grad(spec, window, hop, length)
+                if k == 0:
+                    grad[i] = g
+                else:
+                    grad[i] += g
+            del spec, power, sign  # hold one item's spectra at a time
         term = d.mean(axis=tuple(range(d.ndim)))
         total = term if total is None else total + term
-        if not record:
-            continue
-        # the flow a mean and an abs node would pass back, over the power
-        sign *= np.float32(1.0) / np.float32(d.size)
-        sign /= power
-        spec *= sign
-        g = T.spectrum_grad(spec, window, hop, length)
-        grad = g if grad is None else np.add(grad, g, out=grad)
     return T._node(np.asarray(total), (pred,), "spectral_loss",
                    lambda g: (grad * g,))

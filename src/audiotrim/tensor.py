@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -485,8 +486,13 @@ class SpectrogramConfig:
         return max(1, int(window * self.hop_fraction))
 
 
+@functools.cache
 def hann_window(n: int) -> np.ndarray:
-    return (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)).astype(np.float32)
+    """The periodic Hann taper of n samples, read-only: built once per n,
+    since the spectral loss tapers each batch item's frames in turn."""
+    w = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)).astype(np.float32)
+    w.flags.writeable = False
+    return w
 
 
 def _overlap_add(g: np.ndarray, length: int, hop: int) -> np.ndarray:
@@ -506,33 +512,40 @@ def _overlap_add(g: np.ndarray, length: int, hop: int) -> np.ndarray:
 
 
 def spectra(x: np.ndarray, cfg: SpectrogramConfig):
-    """For each configured window size in turn, (window, hop, spectrum,
-    power) of x's Hann-tapered frames that start every hop samples: the
-    spectrum is their rfft, (..., frames, bins), and the power is
-    |spectrum|^2 + floor_epsilon. Raises ShapeError before any window if
-    x is shorter than one of them."""
+    """For each configured window size in turn, (window, hop, frames):
+    frames is a (..., frames, window) view of x, with no copy, of the
+    windows of x that start every hop samples. Raises ShapeError before
+    any window if x is shorter than one of them. A caller transforms the
+    frames with spectrum, all at once or one batch item at a time."""
     t = x.shape[-1]
     for w in cfg.window_sizes:
         if t < w:
             raise ShapeError(
                 f"signal length {t} is shorter than analysis window {w}"
             )
-    floor = np.float32(cfg.floor_epsilon)
     for w in cfg.window_sizes:
         hop = cfg.hop(w)
         frames = np.lib.stride_tricks.sliding_window_view(x, w, axis=-1)
-        spec = fourier.fft(frames[..., ::hop, :] * hann_window(w))
-        power = np.square(spec.real)
-        power += np.square(spec.imag)
-        power += floor
-        yield w, hop, spec, power
+        yield w, hop, frames[..., ::hop, :]
+
+
+def spectrum(frames: np.ndarray, floor_epsilon: float):
+    """(spectrum, power) of Hann-tapered frames (..., frames, window): the
+    spectrum is their rfft, (..., frames, bins), and the power is
+    |spectrum|^2 + floor_epsilon. Each frame transforms on its own, so a
+    slice of frames gives the same bits as the same slice of the whole."""
+    spec = fourier.fft(frames * hann_window(frames.shape[-1]))
+    power = np.square(spec.real)
+    power += np.square(spec.imag)
+    power += np.float32(floor_epsilon)
+    return spec, power
 
 
 def spectrum_grad(h: np.ndarray, window: int, hop: int, length: int) -> np.ndarray:
     """The gradient on a length-`length` signal, given h = dL/d|X|^2 * X
     for the spectrum X of its frames of `window` samples every `hop`
-    (as spectra makes them): one irfft, the taper, then overlap-add.
-    Overwrites h."""
+    (as spectra and spectrum make them): one irfft, the taper, then
+    overlap-add. Overwrites h."""
     # d|X_k|^2/dx_m = 2 Re(X_k e^{+2pi i k m / n}); irfft counts each
     # interior bin twice (it and its mirror) but DC and Nyquist once,
     # so those two are doubled here
@@ -546,8 +559,18 @@ def spectrum_grad(h: np.ndarray, window: int, hop: int, length: int) -> np.ndarr
 
 def stft_logmag(x: np.ndarray, cfg: SpectrogramConfig) -> list[np.ndarray]:
     """log(|stft|^2 + floor_epsilon) of x's Hann-tapered frames in float32,
-    one (..., frames, bins) array per window size (spectra); no graph."""
-    logs = [np.log(power) for *_, power in spectra(np.asarray(x, dtype=np.float32), cfg)]
-    for logp in logs:
+    one (..., frames, bins) array per window size; no graph.
+
+    Each window's array is filled one item of x's leading axes at a time
+    (spectra, spectrum), so the transform's temporaries are one item's,
+    and the log is written straight into the array; a 1-D x is one item.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    logs = []
+    for window, _, frames in spectra(x, cfg):
+        logp = np.empty(frames.shape[:-1] + (window // 2 + 1,), dtype=np.float32)
+        for i in np.ndindex(frames.shape[:-2]):
+            np.log(spectrum(frames[i], cfg.floor_epsilon)[1], out=logp[i])
         _check_finite(logp, "stft_logmag")
+        logs.append(logp)
     return logs

@@ -93,7 +93,12 @@ def sigmoid_masked(x):
 # nll_from_logits_batched, where the loss node runs trunk, head and the
 # trunk's backward pass one item at a time; and
 # spectral_loss_composed builds models.multiscale_spectral_loss from
-# stft_logmag_node's nodes and sub, abs, mean and add nodes. texp, tlog, tabs,
+# stft_logmag_node's nodes and sub, abs, mean and add nodes, each over the
+# whole batch where the loss node runs one item at a time. Two grad-free
+# oracles also match src bit for bit: stft_logmag_batched is
+# tensor.stft_logmag over the whole batch at once, where src fills each
+# window's output one item at a time, and sine_bank_copied is
+# models.sine_bank before it was built in place. texp, tlog, tabs,
 # slice_axis and concat are elementary ops only these oracles use. Each
 # oracle node is built as src builds its own: T._node with a backward that
 # returns one gradient (or None) per input, which Tensor.backward routes.
@@ -429,15 +434,35 @@ def tabs(a):
 
 def stft_logmag_node(signal, cfg):
     """tensor.stft_logmag of a tensor, one graph node per window size:
-    T.spectra runs framing, taper, rfft and power, and the backward pass
-    goes straight from the log's gradient to the signal (T.spectrum_grad)."""
+    T.spectra frames the whole signal and T.spectrum runs taper, rfft and
+    power on every frame at once, and the backward pass goes straight from
+    the log's gradient to the signal (T.spectrum_grad)."""
     length = signal.shape[-1]
 
-    def node(window, hop, spec, power):
+    def node(window, hop, frames):
+        spec, power = T.spectrum(frames, cfg.floor_epsilon)
+
         def backward(g):
             return (T.spectrum_grad((g / power) * spec, window, hop, length),)
         return T._node(np.log(power), (signal,), "stft_logmag", backward)
     return [node(*parts) for parts in T.spectra(signal.data, cfg)]
+
+
+def stft_logmag_batched(x, cfg):
+    """tensor.stft_logmag as it was before it went one item at a time:
+    each window's frames of the whole batch tapered, transformed and
+    logged in one pass."""
+    x = np.asarray(x, dtype=np.float32)
+    floor = np.float32(cfg.floor_epsilon)
+    logs = []
+    for w in cfg.window_sizes:
+        frames = np.lib.stride_tricks.sliding_window_view(x, w, axis=-1)
+        spec = fourier.fft(frames[..., ::cfg.hop(w), :] * T.hann_window(w))
+        power = np.square(spec.real)
+        power += np.square(spec.imag)
+        power += floor
+        logs.append(np.log(power))
+    return logs
 
 
 def spectral_loss_composed(pred, target, cfg):
@@ -511,6 +536,18 @@ def upsample_dense(f0_frames, hop):
     """(batch, frames) -> (batch, frames*hop) through the dense product."""
     n_frames = f0_frames.shape[1]
     return f0_frames @ upsample_matrix(n_frames * hop, n_frames, hop).T
+
+
+def sine_bank_copied(f0_frames, cfg):
+    """models.sine_bank as it was before it was built in place: the sines,
+    their masked product and a float32 copy of it, each a new array."""
+    hop, sr = cfg["frame_hop"], cfg["sample_rate"]
+    f0 = np.asarray(f0_frames, dtype=np.float32)
+    f0_up = T.frame_lerp(T.Tensor(f0[..., None]), hop).data
+    phase = 2.0 * np.pi * np.cumsum(f0_up / sr, axis=-1)
+    k = np.arange(1, cfg["n_partials"] + 1, dtype=np.float32)
+    alias_mask = (f0_up[..., None] * k) < (sr / 2.0)
+    return (np.sin(phase[..., None] * k) * alias_mask).astype(np.float32)
 
 
 def ddsp_synthesize_dense(controls, f0_frames, meta, bank):

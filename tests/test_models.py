@@ -15,8 +15,9 @@ from audiotrim.tensor import Tensor
 from conftest import (ddsp_synthesize_dense, directional_gradcheck, gated_composed,
                       head_nll_composed, mask_units, nll_composed,
                       nll_from_logits_batched, nll_from_logits_node, no_training,
-                      spectral_loss_composed, units_original, upsample_dense,
-                      use_loss, wavenet_loss_batched, wavenet_trunk_added)
+                      sine_bank_copied, spectral_loss_composed, units_original,
+                      upsample_dense, use_loss, wavenet_loss_batched,
+                      wavenet_trunk_added)
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -554,6 +555,29 @@ class TestSpectralLossNode:
         cells = [c.cell_contents for c in loss._backward.__closure__]
         assert [c.shape for c in cells if isinstance(c, np.ndarray)] == [(3, 256)]
 
+    def test_peak_is_one_items_spectra_not_the_batchs(self):
+        # the batch-16 node once held the whole batch's spectra of a
+        # window at a time; item by item only the (batch, frames, bins)
+        # difference buffer and the (batch, time) gradient are batch-sized
+        spec = T.SpectrogramConfig(window_sizes=(64, 128, 256))
+        wave = np.random.default_rng(26).uniform(-0.5, 0.5, (16, 8000))
+        wave = wave.astype(np.float32)
+        target = T.stft_logmag(wave[::-1], spec)
+        x = Tensor(wave, requires_grad=True)
+        frames, bins = (8000 - 64) // spec.hop(64) + 1, 64 // 2 + 1
+        whole = 16 * frames * bins * np.dtype(np.complex64).itemsize
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss = models.multiscale_spectral_loss(x, target, spec)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad
+        print(f"spectral loss peak {peak} bytes, {peak / whole:.2f} x the "
+              f"batch's window-64 spectrum ({whole} bytes)")
+        assert peak < 2 * whole
+
     def test_target_shape_mismatch(self):
         spec = tiny_ddsp_cfg().spectrogram()
         wave = np.zeros((2, 128), dtype=np.float32)
@@ -738,6 +762,19 @@ class TestSynthesisHeads:
         got = T.frame_lerp(Tensor(f0[..., None]), hop).data
         np.testing.assert_array_max_ulp(got, upsample_dense(f0, hop), maxulp=1)
 
+    @pytest.mark.parametrize("batch,frames,hop", [(1, 1, 1), (3, 5, 7), (16, 40, 200)])
+    def test_sine_bank_in_place_has_the_bits_of_the_copied_bank(self, batch,
+                                                               frames, hop):
+        # at 4000 Hz most partials lie above Nyquist, so the mask zeroes
+        # negative sines into -0.0, which the signbit check tells apart
+        rng = np.random.default_rng(hop)
+        cfg = {"frame_hop": hop, "sample_rate": 4000, "n_partials": 12}
+        f0 = rng.uniform(80, 800, size=(batch, frames)).astype(np.float32)
+        got, want = models.sine_bank(f0, cfg), sine_bank_copied(f0, cfg)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_sine_bank_matches_the_dense_bank(self):
         # the lerped f0 is within one ulp of the dense product, but the
         # float32 phase cumsum over 8000 samples carries such differences
@@ -830,6 +867,26 @@ class TestUnitStreams:
         for name, passes in tape.items():
             assert len(passes) == 1
             assert passes[0].shape[0] == net.layers[name].n_units
+
+    def test_wavenet_streams_come_from_the_trunk_node_only(self):
+        # the loss runs the trunk one item at a time and records nothing;
+        # forward_batch records one (units, batch * steps) array per layer
+        cfg = tiny_wavenet_cfg()
+        net = models.build_model(cfg, seed=0)
+        batch = ddsp_batch(cfg, batch=4, frames=8)
+        with nn.capture() as tape:
+            models.compute_loss(net, batch)
+        assert tape == {}
+        x = Tensor(batch["wave"][:, None, :-1])
+        with T.no_grad(), nn.capture() as got:
+            models.forward_batch(net, batch)
+        with T.no_grad(), nn.capture() as want:
+            wavenet_trunk_added(net, x)
+        assert got.keys() == want.keys()
+        for name, passes in got.items():
+            assert len(passes) == 1
+            assert passes[0].shape == (net.layers[name].n_units, 4 * x.shape[-1])
+            assert np.array_equal(passes[0], want[name][0])
 
 
 class TestBuildAndCheckpoint:

@@ -94,6 +94,23 @@ def test_bench_fold_warns_when_checkouts_sit_apart(tmp_path, monkeypatch, capsys
         assert str(parent) in err and "setup_s" in err
 
 
+def test_bench_fold_keeps_the_pairs_of_two_invocations_apart():
+    script = _load("bench_fold")
+
+    def run(seed, side, value):
+        metrics = {m: {"value": value}
+                   for m in ("setup_s", "wall_s", "step_ms", "peak_rss_mb")}
+        return {"workload": "w", "seed": seed, "pair": 0, "side": side,
+                "seconds": 50, "stamp": {},
+                "result": {"metrics": metrics, "failed": 0, "attempted": 1}}
+    # each invocation numbers its pairs from 0
+    recs = [run(1, "parent", 2.0), run(1, "change", 1.0),
+            run(2, "parent", 4.0), run(2, "change", 3.0)]
+    total = script.fold(recs)["workloads"]["w"]["all"]
+    assert total["pairs"] == 2 and total["wins"]["wall_s"] == 2
+    assert total["parent"]["wall_s"]["values"] == [2.0, 4.0]
+
+
 @pytest.mark.parametrize("workload", ["ddsp_info_trim", "wavenet_paired"])
 def test_step_memory_reports_one_train_step(workload):
     script = _load("step_memory")
@@ -101,6 +118,7 @@ def test_step_memory_reports_one_train_step(workload):
     row = script.measure(workload, 0, sizes)
     assert row["batch"][0] == sizes["batch_size"]
     assert row["graph_nodes"] > 1
+    assert row["setup_peak_bytes"] > 0 and row["step_start_bytes"] > 0
     assert 0 < row["graph_bytes"] <= row["forward_peak_bytes"]
     assert row["backward_peak_bytes"] > 0
     assert row["peak_rss_mb_with_setup"] > 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from audiotrim import fourier
 from audiotrim import tensor as T
 from conftest import (directional_gradcheck, fft_mag2, naive_dft, slice_axis,
-                      stft_logmag_composed, stft_logmag_node)
+                      stft_logmag_batched, stft_logmag_composed, stft_logmag_node)
 from test_acceptance import _op_bank, _probe
 
 RNG = np.random.default_rng(99)
@@ -209,6 +209,19 @@ class TestStftLogmag:
         sig = np.sin(2 * np.pi * bin_idx * t / w).astype(np.float32)
         (out,) = T.stft_logmag(sig, cfg)
         assert (out.argmax(axis=-1) == bin_idx).all()
+
+    # 0.3 gives hops that do not divide the windows
+    @pytest.mark.parametrize("hop_fraction", [0.25, 0.3])
+    @pytest.mark.parametrize("shape", [(1, 900), (3, 900), (16, 900), (900,)])
+    def test_item_at_a_time_gives_the_bits_of_the_whole_batch(self, shape,
+                                                             hop_fraction):
+        cfg = T.SpectrogramConfig(window_sizes=(32, 64, 256),
+                                  hop_fraction=hop_fraction)
+        x = (0.4 * RNG.standard_normal(shape)).astype(np.float32)
+        got, want = T.stft_logmag(x, cfg), stft_logmag_batched(x, cfg)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_short_signal_error_names_window(self):
         cfg = T.SpectrogramConfig(window_sizes=(32, 512))
