@@ -243,7 +243,7 @@ def _trunk_forward(net: Network, xd: np.ndarray, save: bool, tape: bool = False)
     """The trunk's output h (the class head's input) for the waveform xd,
     (batch, 1, time) or one item's (1, time), and, with save, the state
     _trunk_backward reads (else None). With tape, it records each layer's
-    output (nn.record); only the trunk node asks for that, so a capture
+    output (nn.record); only _forward_wavenet asks for that, so a capture
     holds one array per layer per forward pass, never one per loss item.
 
     Every conv runs through a grad-free conv1d_dilated_causal call:
@@ -291,23 +291,23 @@ def _trunk_forward(net: Network, xd: np.ndarray, save: bool, tape: bool = False)
     return h, ((xd, saved, h1, h) if save else None)
 
 
-def _trunk_backward(net: Network, state, g: np.ndarray, want_x: bool,
-                    grads: dict) -> np.ndarray | None:
-    """The input's gradient (None unless want_x) for the flow g at the
-    output of the trunk _trunk_forward saved as state; each parameter's
-    share goes into grads through _accumulate. It walks the blocks in
-    reverse with conv1d_grads and forms each z = t * s again, in the
-    expression order of one node per conv, gated unit, add and relu, so
-    every gradient has that graph's bits once a bias's flow is summed
-    over time (a relu passes flow where its output is positive).
+def _trunk_backward(net: Network, state, g: np.ndarray, grads: dict):
+    """Each trunk parameter's gradient for the flow g at the output of the
+    trunk _trunk_forward saved as state, added into grads through
+    _accumulate; the waveform takes none. It walks the blocks in reverse
+    with conv1d_grads and forms each z = t * s again, in the expression
+    order of one node per conv, gated unit, add and relu, so every
+    gradient has that graph's bits once a bias's flow is summed over time
+    (a relu passes flow where its output is positive).
     """
     xd, saved, h1, h = state
     layers = net.layers
     blocks, _ = _trunk_layers(net)
 
-    def conv_back(layer, flow, xin, want=True):
+    def conv_back(layer, flow, xin):
+        # in_conv's input is the waveform, whose gradient is never formed
         gx, gw, _ = T.conv1d_grads(flow, xin, layer.params["w"].data,
-                                   layer.dilation, want, True, False)
+                                   layer.dilation, xin is not xd, True, False)
         _accumulate(grads, layer.params["w"], gw)
         _accumulate(grads, layer.params["b"], flow)
         return gx
@@ -339,7 +339,7 @@ def _trunk_backward(net: Network, state, g: np.ndarray, want_x: bool,
             _accumulate(grads, layer.params["w"], gw[half])
             _accumulate(grads, layer.params["b"], d[..., half, :])
         flow_r = gr if res is None else np.add(flow_r, gr, out=gr)
-    return conv_back(layers["in_conv"], flow_r, xd, want_x)
+    conv_back(layers["in_conv"], flow_r, xd)
 
 
 def _accumulate(grads: dict, p: Tensor, a: np.ndarray):
@@ -359,24 +359,15 @@ def _bias_sums(params, grads: dict) -> list:
     return [grads[p] if p.ndim > 1 else grads[p].sum(axis=1) for p in params]
 
 
-def _wavenet_trunk(net: Network, x: Tensor) -> Tensor:
-    """x: (batch, 1, time) waveform; returns the class head's input, the
-    (batch, head channels, time) output of out1's relu, as one graph node
-    whose forward pass is _trunk_forward and backward _trunk_backward."""
-    _, params = _trunk_layers(net)
-    record = T.grad_enabled() and any(p.requires_grad for p in (x,) + params)
-    h, state = _trunk_forward(net, x.data, record, tape=True)
-
-    def backward(g):
-        grads = {}
-        gx = _trunk_backward(net, state, g, x.requires_grad, grads)
-        return [gx] + _bias_sums(params, grads)
-    return T._node(h, (x,) + params, "trunk", backward)
-
-
 def _forward_wavenet(net: Network, x: Tensor) -> Tensor:
-    """x: (batch, 1, time) waveform; returns (batch, classes, time) logits."""
-    return nn.conv_forward(net.layers["out2"], _wavenet_trunk(net, x))
+    """x: (batch, 1, time) waveform; returns (batch, classes, time) logits
+    of _trunk_forward and the class head, recording no graph: with grads
+    enabled, an x or a parameter that requires one raises GraphError."""
+    if T.grad_enabled() and any(p.requires_grad for p in (x, *net.parameters())):
+        raise T.GraphError("a WaveNet forward pass records no graph: run it "
+                           "under no_grad, or differentiate compute_loss")
+    h, _ = _trunk_forward(net, x.data, save=False, tape=True)
+    return nn.conv_forward(net.layers["out2"], Tensor(h))
 
 
 def _wavenet_loss(net: Network, batch: dict) -> Tensor:
@@ -399,7 +390,7 @@ def _wavenet_loss(net: Network, batch: dict) -> Tensor:
         h, state = _trunk_forward(net, x, record)
         losses[i], gh = nll_from_logits(h, head, targets[i], scale, grads)
         if record:
-            _trunk_backward(net, state, gh, False, grads)
+            _trunk_backward(net, state, gh, grads)
         del h, state, gh  # hold one item's arrays at a time
     grads = _bias_sums(params, grads) if record else None
     return T._node(np.asarray(losses.mean()), params, "wavenet_loss",
@@ -665,6 +656,9 @@ def multiscale_spectral_loss(pred: Tensor, target: list[np.ndarray],
     gradient, never a spectrum, and its backward returns it times the
     incoming flow, so a second backward() adds it again.
     """
+    if len(target) != len(cfg.window_sizes):
+        raise T.ShapeError(f"{len(target)} target spectrograms for "
+                           f"{len(cfg.window_sizes)} window sizes")
     record = T.grad_enabled() and pred.requires_grad
     length = pred.shape[-1]
     windows = list(zip(T.spectra(pred.data, cfg), target))

@@ -107,9 +107,9 @@ class Tensor:
         inputs, so a pass holds the flows of one frontier, not the graph's.
         Each call contributes exactly one gradient pass, so calling twice
         without zero_grad doubles the leaves' grads. That is why a fused
-        node (the WaveNet trunk, the WaveNet loss, the spectral loss) keeps
-        the arrays it saved until the graph itself is dropped, not only
-        until its first backward.
+        node (the WaveNet loss, the spectral loss) keeps the arrays it
+        saved until the graph itself is dropped, not only until its first
+        backward.
 
         Routing happens here and nowhere else: a node's backward returns
         one gradient or None per parent, in parent order; None and parents

@@ -4,8 +4,8 @@ upsampling render (the synthesis heads' oracle), unit masking (trimming's
 oracle), a WaveNet whose relus are clear of zero at a given input, the
 test-only "sequential" arch and the stubs that fill a test arch's unused
 fields, a trainer that takes no step, an Adam trainer from keyword
-fields, a counter of Adam train calls, and per-test losses added to
-models.ARCHS as throwaway archs."""
+fields, a counter of Adam train calls, and per-test copies of an arch's
+models.ARCHS record with some fields swapped (its loss, its forward)."""
 
 import dataclasses
 
@@ -80,14 +80,18 @@ def sigmoid_masked(x):
 # models.nll_from_logits: one node for the class head and its NLL;
 # head_nll_composed is the head's own conv node followed by the
 # logits-NLL node nll_logits_node, itself checked against the
-# elementary-op chain nll_composed) and tensor.conv1d_dilated_causal's
-# pad-free taps and bias. Four oracles must match src bit for bit:
-# nll_from_logits_batched runs the class head over the whole batch at once
-# where nll_from_logits_node runs it one item at a time;
-# wavenet_trunk_added builds models._wavenet_trunk's one node from a conv
-# node per layer, a gated_conv1d node per gated unit (gated_composed, two
-# conv nodes, tanh, sigmoid and mul, is that node's own oracle), an add
-# node per skip and residual projection and two relu nodes;
+# elementary-op chain nll_composed), wavenet_trunk_node (the graph form
+# of the grad-free models._trunk_forward: one node for the whole trunk,
+# whose backward is models._trunk_backward) and
+# tensor.conv1d_dilated_causal's pad-free taps and bias. Five oracles must
+# match src bit for bit: nll_from_logits_batched runs the class head over
+# the whole batch at once where nll_from_logits_node runs it one item at
+# a time; wavenet_trunk_added builds wavenet_trunk_node's one node from a
+# conv node per layer, a gated_conv1d node per gated unit (gated_composed,
+# two conv nodes, tanh, sigmoid and mul, is that node's own oracle), an
+# add node per skip and residual projection and two relu nodes;
+# wavenet_forward(trunk) is models._forward_wavenet, the trunk then the
+# class head, as a graph with either trunk oracle;
 # wavenet_loss_batched is models._wavenet_loss as the batched chain it
 # replaced, the trunk node over the whole batch and then
 # nll_from_logits_batched, where the loss node runs trunk, head and the
@@ -279,11 +283,36 @@ def nll_from_logits_node(h, head, targets):
                    lambda g: [a * g for a in grads])
 
 
-def wavenet_loss_batched(net, batch, trunk=None, nll=nll_from_logits_batched):
+def wavenet_trunk_node(net, x):
+    """x: (batch, 1, time) waveform; returns the class head's input, the
+    (batch, head channels, time) output of out1's relu, as one graph node
+    whose forward pass is models._trunk_forward and backward
+    models._trunk_backward. Its parents are the trunk's parameters: the
+    waveform takes no gradient, so an x that wants one raises."""
+    if x.requires_grad:
+        raise T.GraphError("the trunk node forms no input gradient")
+    _, params = models._trunk_layers(net)
+    record = T.grad_enabled() and any(p.requires_grad for p in params)
+    h, state = models._trunk_forward(net, x.data, record, tape=True)
+
+    def backward(g):
+        grads = {}
+        models._trunk_backward(net, state, g, grads)
+        return models._bias_sums(params, grads)
+    return T._node(h, params, "trunk", backward)
+
+
+def wavenet_forward(trunk):
+    """models._forward_wavenet as a graph: trunk(net, x), then the class
+    head's conv node."""
+    return lambda net, x: nn.conv_forward(net.layers["out2"], trunk(net, x))
+
+
+def wavenet_loss_batched(net, batch, trunk=wavenet_trunk_node,
+                         nll=nll_from_logits_batched):
     """models._wavenet_loss as the batched chain it replaced: trunk (the
     trunk node unless given) over the whole batch, then nll, the class
     head and its NLL, on the trunk's output."""
-    trunk = trunk or models._wavenet_trunk
     codec = models.MuLawCodec(net.meta["config"]["n_classes"] - 1)
     targets = codec.encode(models._waves(batch))[:, 1:]
     return nll(trunk(net, models._wavenet_inputs(batch)), net.layers["out2"], targets)
@@ -356,12 +385,12 @@ def wavenet_trunk_added(net, x, gated=gated_conv1d):
 
 
 def relu_clear_trunk(rng, x0):
-    """A trimmed two-block WaveNet to probe models._wavenet_trunk through
-    at the input x0, (batch, 1, time). Its last skip bias and its out1
-    bias are set from the values at x0, so that there each relu input
-    channel lies at least 0.25 above zero throughout (the first channel
-    always, the others with odds 3 in 4) or below it throughout: no small
-    step from x0 crosses a kink, and flow passes."""
+    """A trimmed two-block WaveNet to probe the trunk node through at the
+    input x0, (batch, 1, time). Its last skip bias and its out1 bias are
+    set from the streams forward_batch records at x0, so that there each
+    relu input channel lies at least 0.25 above zero throughout (the first
+    channel always, the others with odds 3 in 4) or below it throughout:
+    no small step from x0 crosses a kink, and flow passes."""
     cfg = models.ModelConfig(arch="wavenet", sample_rate=4000, n_stacks=1,
                              blocks_per_stack=2, residual_channels=3,
                              gate_channels=3, skip_channels=3,
@@ -376,9 +405,10 @@ def relu_clear_trunk(rng, x0):
         bias[:] = np.where(alive, 0.25 - pre.min(axis=1), -0.25 - pre.max(axis=1))
         return np.maximum(pre + bias[:, None], 0.0)
 
-    # the biases start at zero
+    # the biases start at zero; the batch's last sample is one no input reads
+    wave = np.concatenate([x0[:, 0], np.zeros((len(x0), 1), x0.dtype)], axis=1)
     with T.no_grad(), nn.capture() as tape:
-        models._wavenet_trunk(net, T.Tensor(x0))
+        models.forward_batch(net, {"wave": wave})
     h1 = clear(net.layers["skip_1"].params["b"].data,
                tape["skip_0"][0] + tape["skip_1"][0])
     out1 = net.layers["out1"].params
@@ -678,15 +708,16 @@ def count_train_calls(monkeypatch) -> list:
     return calls
 
 
-def use_loss(monkeypatch, net, loss):
-    """net, moved to a copy of its arch's record whose loss is ``loss``.
+def use_spec(monkeypatch, net, **fields):
+    """net, moved to a copy of its arch's record with the given ArchSpec
+    fields (loss=, forward=, ...) swapped in.
 
     The copy is in models.ARCHS under a name of its own for one test only.
-    A loss that wraps the arch's own must call that record's ``loss``:
-    models.compute_loss would look up the wrapper again.
+    A field that wraps the arch's own must call that record's field:
+    models.compute_loss or models.forward would look up the wrapper again.
     """
-    name = f"{net.arch}+loss"
+    name = "+".join([net.arch, *fields])
     monkeypatch.setitem(models.ARCHS, name,
-                        dataclasses.replace(models.arch_spec(net.arch), loss=loss))
+                        dataclasses.replace(models.arch_spec(net.arch), **fields))
     net.arch = name
     return net

@@ -27,7 +27,8 @@ from audiotrim import embed, harness, mi, models, nn, pruning
 from audiotrim import tensor as T
 
 from conftest import (gated_conv1d, mask_units, no_training, nll_from_logits_node,
-                      relu_clear_trunk, stft_logmag_node, use_loss)
+                      relu_clear_trunk, stft_logmag_node, use_spec,
+                      wavenet_trunk_node)
 from test_embed import random_chain, sim_net_ops, tiny_arch_net
 from test_models import ddsp_batch, tiny_ddsp_cfg, tiny_sing_cfg, tiny_wavenet_cfg
 
@@ -251,11 +252,17 @@ def _op_bank():
         return op, _signed(rng, (b, f, k))
 
     def trunk(rng):
-        # a trimmed two-block WaveNet trunk, probed through its input, with
-        # every relu input clear of zero there
+        # a trimmed two-block WaveNet trunk node at the input x0, with
+        # every relu input clear of zero there, probed through in_conv's
+        # weight, which feeds every block
         x0 = _signed(rng, (2, 1, 10))
         net = relu_clear_trunk(rng, x0)
-        return lambda t: models._wavenet_trunk(net, t), x0
+        params = net.layers["in_conv"].params
+
+        def op(t):
+            params["w"] = t
+            return wavenet_trunk_node(net, T.Tensor(x0))
+        return op, params["w"].data.copy()
 
     def wavenet_loss(rng):
         # the WaveNet loss of that trunk on a batch whose inputs are x0,
@@ -428,7 +435,7 @@ def test_fifteen_rounds_of_thirty_percent_masking(monkeypatch):
     w = net.layers["fc"].params["w"]
     data = pruning.Splits(train=[{}], valid=[{}], test=[{}])
     cfg = pruning.ImpConfig(mode="mask", iterations=15, selection="global")
-    use_loss(monkeypatch, net, lambda n, b: T.tsum(T.mul(w, w)))
+    use_spec(monkeypatch, net, loss=lambda n, b: T.tsum(T.mul(w, w)))
     trace = pruning.run_imp(net, data, cfg, no_training)
 
     maskable = pruning.full_mask(net).total()

@@ -8,8 +8,8 @@ from audiotrim import mi as mi_mod
 from audiotrim import models, nn
 from audiotrim import tensor as T
 from audiotrim.tensor import Tensor
-from conftest import (batch_x, mask_units, unused, use_loss, wavenet_loss_batched,
-                      wavenet_trunk_added)
+from conftest import (batch_x, mask_units, unused, use_spec, wavenet_forward,
+                      wavenet_loss_batched, wavenet_trunk_added)
 
 SR = 16000
 
@@ -203,7 +203,7 @@ class TestGradient:
     def test_single_linear_hand_chain(self, monkeypatch):
         net = nn.Network("sequential", [nn.make_linear("lin", 2, 2,
                                                    np.random.default_rng(0))])
-        use_loss(monkeypatch, net, _sum_loss(["lin"]))
+        use_spec(monkeypatch, net, loss=_sum_loss(["lin"]))
         batch = {"x": [[1.0, 2.0]]}
         scores = score_gradient(net.layers["lin"], net, [batch])
         assert np.array_equal(scores, [3.0, 3.0])
@@ -215,7 +215,7 @@ class TestGradient:
             nn.make_linear("lin2", 3, 2, rng, in_source="lin1"),
         ])
         net.layers["lin2"].params["w"].data[:] = 0.0
-        use_loss(monkeypatch, net, _sum_loss(["lin1", "lin2"]))
+        use_spec(monkeypatch, net, loss=_sum_loss(["lin1", "lin2"]))
         batch = {"x": [[1.0, 2.0]]}
         s1 = score_gradient(net.layers["lin1"], net, [batch])
         s2 = score_gradient(net.layers["lin2"], net, [batch])
@@ -476,8 +476,9 @@ class TestPoolScores:
         net = models.build_model(wavenet_cfg(), seed=3)
         items = single_items(np.random.default_rng(5), n=10, t=1024)
         got = cr.pool_scores(net, criterion, "none", batches=items)
-        monkeypatch.setattr(models, "_wavenet_trunk", wavenet_trunk_added)
-        use_loss(monkeypatch, net, wavenet_loss_batched)
+        use_spec(monkeypatch, net, forward=wavenet_forward(wavenet_trunk_added),
+                 loss=lambda net, batch: wavenet_loss_batched(net, batch,
+                                                              wavenet_trunk_added))
         want = cr.pool_scores(net, criterion, "none", batches=items)
         assert got.keys() == want.keys()
         for pid, score in got.items():

@@ -16,7 +16,7 @@ import pytest
 
 from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
-from conftest import adam, count_train_calls, use_loss
+from conftest import adam, count_train_calls, use_spec
 
 _OPENBLAS = "openblas" in np.show_config(
     mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
@@ -408,7 +408,7 @@ class TestAdamTrainer:
             p = n.parameters()[0]
             return T.mul(T.tsum(p), T.Tensor(0.0))
 
-        use_loss(monkeypatch, net, flat_loss)
+        use_spec(monkeypatch, net, loss=flat_loss)
         adam(epochs=50, plateau_patience=2, seed=0)(net, splits)
         per_epoch = len(splits.train) + len(splits.valid)
         assert calls["n"] == 5 * per_epoch

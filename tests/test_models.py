@@ -16,8 +16,8 @@ from conftest import (ddsp_synthesize_dense, directional_gradcheck, gated_compos
                       head_nll_composed, mask_units, nll_composed,
                       nll_from_logits_batched, nll_from_logits_node, no_training,
                       sine_bank_copied, spectral_loss_composed, units_original,
-                      upsample_dense, use_loss, wavenet_loss_batched,
-                      wavenet_trunk_added)
+                      upsample_dense, use_spec, wavenet_forward,
+                      wavenet_loss_batched, wavenet_trunk_added, wavenet_trunk_node)
 
 
 def tiny_wavenet_cfg(**kw) -> ModelConfig:
@@ -269,8 +269,35 @@ class TestWavenet:
     def test_forward_shape(self):
         net = models.build_model(tiny_wavenet_cfg(), seed=0)
         x = np.random.default_rng(0).uniform(-1, 1, (2, 1, 20)).astype(np.float32)
-        out = models.forward(net, Tensor(x))
+        with T.no_grad():
+            out = models.forward(net, Tensor(x))
         assert out.shape == (2, 16, 20)
+
+    @pytest.mark.parametrize("wants", ["parameters", "input"])
+    def test_forward_with_gradients_enabled_raises(self, wants):
+        # the forward pass records no graph, so where a gradient is wanted
+        # it raises instead of returning logits that carry none
+        net = models.build_model(tiny_wavenet_cfg(), seed=0)
+        wave = np.random.default_rng(0).uniform(-1, 1, (2, 21)).astype(np.float32)
+        x = Tensor(wave[:, None, :-1], requires_grad=wants == "input")
+        if wants == "input":
+            for p in net.parameters():
+                p.requires_grad = False
+        else:
+            with pytest.raises(T.GraphError, match="compute_loss"):
+                models.forward_batch(net, {"wave": wave})
+        with pytest.raises(T.GraphError, match="compute_loss"):
+            models.forward(net, x)
+        with T.no_grad():
+            assert models.forward(net, x).shape == (2, 16, 20)
+
+    def test_forward_non_finite_input_raises(self):
+        # with no node around the trunk, the convs' own checks catch it
+        net = models.build_model(tiny_wavenet_cfg(), seed=0)
+        wave = np.random.default_rng(0).uniform(-1, 1, (2, 21)).astype(np.float32)
+        wave[1, 7] = np.nan
+        with T.no_grad(), pytest.raises(T.NumericError, match="conv1d"):
+            models.forward_batch(net, {"wave": wave})
 
     def test_receptive_field_matches_probe(self):
         cfg = tiny_wavenet_cfg()
@@ -333,7 +360,7 @@ class TestWavenet:
         batch = {"wave": np.random.default_rng(9).uniform(-0.9, 0.9, (3, 30))
                  .astype(np.float32)}
         fused = loss_and_grads(net, batch)
-        use_loss(monkeypatch, net, lambda net, batch: wavenet_loss_batched(
+        use_spec(monkeypatch, net, loss=lambda net, batch: wavenet_loss_batched(
             net, batch, lambda net, x: wavenet_trunk_added(net, x, gated_composed),
             head_nll_composed))
         composed = loss_and_grads(net, batch)
@@ -351,8 +378,10 @@ class TestWavenet:
         # the loss node, one item at a time, against the batched chain it
         # replaced: the trunk node (and then one node per conv, gated unit,
         # add and relu) over the whole batch, then the batched class head;
-        # trimming out1, the residual pool (named after in_conv) and the
-        # skip pool trims the projections that add into each stream
+        # and the grad-free forward pass's logits, streams and samples
+        # against that trunk's and the head's; trimming out1, the residual
+        # pool (named after in_conv) and the skip pool trims the
+        # projections that add into each stream
         net = models.build_model(tiny_wavenet_cfg(), seed=12)
         plan = {"out1": np.array([1, 4]), "in_conv": np.array([0, 2]),
                 "skip_0": np.array([3])}
@@ -363,11 +392,10 @@ class TestWavenet:
         batch = {"wave": np.random.default_rng(12).uniform(-0.9, 0.9, (batch_size, 30))
                  .astype(np.float32)}
         runs = []
-        for oracle in (None, models._wavenet_trunk, wavenet_trunk_added):
+        for oracle in (None, wavenet_trunk_node, wavenet_trunk_added):
             if oracle is not None:
-                monkeypatch.setattr(models, "_wavenet_trunk", oracle)
-                use_loss(monkeypatch, net, lambda net, batch: wavenet_loss_batched(
-                    net, batch, oracle))
+                use_spec(monkeypatch, net, forward=wavenet_forward(oracle),
+                         loss=lambda net, batch: wavenet_loss_batched(net, batch, oracle))
             net.zero_grad()
             loss = models.compute_loss(net, batch)
             assert loss._op == ("wavenet_loss" if oracle is None else "nll_batched")
@@ -375,17 +403,23 @@ class TestWavenet:
             for _ in range(2):
                 loss.backward()
                 passes.append({name: p.grad.copy() for name, p in net.named_parameters()})
-            with T.no_grad():
+            with T.no_grad(), nn.capture() as streams:
                 logits = models.forward_batch(net, batch).data
-            runs.append((float(loss.data), passes, logits))
-        (loss, passes, logits), *oracles = runs
-        for ref_loss, ref_passes, ref_logits in oracles:
+            samples = models.wavenet_generate(net, 5, seed=batch_size)
+            runs.append((float(loss.data), passes, logits, streams, samples))
+        (loss, passes, logits, streams, samples), *oracles = runs
+        for ref_loss, ref_passes, ref_logits, ref_streams, ref_samples in oracles:
             assert loss == ref_loss
             for grads, ref_grads in zip(passes, ref_passes):
                 assert grads.keys() == ref_grads.keys()
                 for name, g in grads.items():
                     assert np.array_equal(g, ref_grads[name]), name
             assert np.array_equal(logits, ref_logits)
+            assert streams.keys() == ref_streams.keys()
+            for name, arrays in streams.items():
+                assert len(arrays) == len(ref_streams[name]) == 1, name
+                assert np.array_equal(arrays[0], ref_streams[name][0]), name
+            assert np.array_equal(samples, ref_samples)
 
     def test_second_backward_doubles_grads(self):
         net = models.build_model(tiny_wavenet_cfg(), seed=10)
@@ -584,6 +618,21 @@ class TestSpectralLossNode:
         target = T.stft_logmag(wave[:1], spec)
         with pytest.raises(T.ShapeError, match="window 32"):
             models.multiscale_spectral_loss(Tensor(wave), target, spec)
+
+    @pytest.mark.parametrize("n_target", [1, 3])
+    def test_target_window_count_mismatch(self, n_target, monkeypatch):
+        # a zip of the windows and the targets would read the shorter
+        # list; the counts are checked before any spectrum is formed
+        spec = T.SpectrogramConfig(window_sizes=(32, 64))
+        wave = np.random.default_rng(27).uniform(-0.5, 0.5, (2, 256)).astype(np.float32)
+        target = (T.stft_logmag(wave[::-1], spec) * 2)[:n_target]
+
+        def no_spectrum(*args):
+            raise AssertionError("a spectrum was formed")
+        monkeypatch.setattr(T, "spectrum", no_spectrum)
+        with pytest.raises(T.ShapeError,
+                           match=f"{n_target} target spectrograms for 2 window sizes"):
+            models.multiscale_spectral_loss(Tensor(wave, requires_grad=True), target, spec)
 
     def test_non_finite_log_power_names_the_node(self):
         spec = tiny_ddsp_cfg().spectrogram()
@@ -868,7 +917,7 @@ class TestUnitStreams:
             assert len(passes) == 1
             assert passes[0].shape[0] == net.layers[name].n_units
 
-    def test_wavenet_streams_come_from_the_trunk_node_only(self):
+    def test_wavenet_streams_come_from_the_forward_pass_only(self):
         # the loss runs the trunk one item at a time and records nothing;
         # forward_batch records one (units, batch * steps) array per layer
         cfg = tiny_wavenet_cfg()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from audiotrim import embed, harness, models, nn, pruning
 from audiotrim import tensor as T
-from conftest import adam, mask_units, no_training, units_original, use_loss
+from conftest import adam, mask_units, no_training, units_original, use_spec
 
 
 # the wrapped objective of the custom-loss runs below
@@ -606,7 +606,7 @@ class TestImpDriver:
 
         cfg = pruning.ImpConfig(mode="trim", iterations=5,
                                 stop_error_multiplier=3.0)
-        trace = pruning.run_imp(use_loss(monkeypatch, net, spiky_loss), data, cfg,
+        trace = pruning.run_imp(use_spec(monkeypatch, net, loss=spiky_loss), data, cfg,
                                 no_training)
         assert trace.stopped is not None and "exceeded" in trace.stopped
         assert len(trace.records) == 2
@@ -633,7 +633,7 @@ class TestImpDriver:
         data = make_splits()
         cfg = pruning.ImpConfig(mode="mask", iterations=50)
         loss = lambda n, batch: T.tsum(n.layers["a"].params["w"])
-        trace = pruning.run_imp(use_loss(monkeypatch, net, loss), data, cfg,
+        trace = pruning.run_imp(use_spec(monkeypatch, net, loss=loss), data, cfg,
                                 no_training)
         assert trace.stopped is not None and "min_weights floor" in trace.stopped
         assert len(trace.records) < 51
@@ -648,7 +648,7 @@ class TestImpDriver:
             return SING_LOSS(n, batch)
 
         cfg = pruning.ImpConfig(mode="trim", iterations=5)
-        trace = pruning.run_imp(use_loss(monkeypatch, net, doomed_loss), data, cfg,
+        trace = pruning.run_imp(use_spec(monkeypatch, net, loss=doomed_loss), data, cfg,
                                 no_training)
         assert trace.aborted is not None and "iteration 1" in trace.aborted
         assert len(trace.records) == 2
@@ -666,7 +666,7 @@ class TestImpDriver:
             return base
 
         cfg = pruning.ImpConfig(mode="trim", iterations=5)
-        trace = pruning.run_imp(use_loss(monkeypatch, net, doomed_loss), data, cfg,
+        trace = pruning.run_imp(use_spec(monkeypatch, net, loss=doomed_loss), data, cfg,
                                 no_training)
         assert trace.aborted is not None and "iteration 1" in trace.aborted
         assert len(trace.records) == 1

@@ -13,7 +13,7 @@ from conftest import (adjoint_dot_check, concat, conv1d_padded,
                       directional_gradcheck, fft_mag2, frame, gated_composed,
                       gated_conv1d, nll_from_logits_node, relu_clear_trunk,
                       sigmoid_masked, slice_axis, stft_logmag_node, tabs, texp,
-                      tlog)
+                      tlog, wavenet_trunk_node)
 
 RNG = np.random.default_rng(1234)
 
@@ -318,8 +318,7 @@ def _fused_nodes():
     conv = nn.make_conv("c", 3, 4, 2, rng)
     w, b = conv.params["w"], conv.params["b"]
     gru = nn.make_gru("g", 16, 5, rng)
-    wave = T.Tensor(rng.standard_normal((2, 1, 16)).astype(np.float32),
-                    requires_grad=True)
+    wave = T.Tensor(rng.standard_normal((2, 1, 16)).astype(np.float32))
     trunk = relu_clear_trunk(rng, wave.data)
     return {
         "conv1d": lambda: T.conv1d_dilated_causal(x, w, 2, bias=b),
@@ -332,7 +331,7 @@ def _fused_nodes():
         "spectral_loss": lambda: models.multiscale_spectral_loss(
             T.reshape(x, (2, 48)), [np.zeros((2, 3, 17), dtype=np.float32)],
             T.SpectrogramConfig(window_sizes=(32,))),
-        "trunk": lambda: models._wavenet_trunk(trunk, wave),
+        "trunk": lambda: wavenet_trunk_node(trunk, wave),
         "wavenet_loss": lambda: models.compute_loss(
             trunk, {"wave": rng.uniform(-0.9, 0.9, (2, 17)).astype(np.float32)}),
     }
@@ -508,6 +507,12 @@ def _flow_cases():
     trunk_x0 = trunk_rng.standard_normal((2, 1, 10)).astype(np.float32)
     trunk = relu_clear_trunk(trunk_rng, trunk_x0)
     trunk_mix = T.Tensor(trunk_rng.standard_normal((2, 3, 10)).astype(np.float32))
+    trunk_in = trunk.layers["in_conv"].params
+
+    def trunk_loss(v):
+        # through in_conv's weight, which feeds every block
+        trunk_in["w"] = v
+        return T.tsum(T.mul(wavenet_trunk_node(trunk, T.Tensor(trunk_x0)), trunk_mix))
     loss_target = T.stft_logmag(
         0.3 * np.random.default_rng(100).standard_normal((2, 128)), spec)
 
@@ -532,8 +537,7 @@ def _flow_cases():
                         arr(2, 3, 10)),
         "gated_filter": (lambda v: T.tmean(gated_conv1d(xc, v, bias, wg, bias, 2)),
                          arr(4, 3, 2)),
-        "trunk": (lambda x: T.tsum(T.mul(models._wavenet_trunk(trunk, x), trunk_mix)),
-                  trunk_x0),
+        "trunk": (trunk_loss, trunk_in["w"].data.copy()),
         "nll_head": (lambda x: nll_from_logits_node(x, head, targets), arr(2, 3, 10)),
         "frame_lerp_basis": (lambda x: T.tsum(T.sigmoid(T.frame_lerp(x, 4, basis))),
                              arr(2, 3, 3)),
